@@ -46,17 +46,6 @@ class RunRequest:
     timestamp: bool = True
 
 
-@dataclass(frozen=True)
-class ValidationRow:
-    metric: str
-    config_summary: str
-    analytic_value: float
-    mc_mean: float
-    mc_std_error: float
-    z_score: float
-    verdict: str
-
-
 def _verdict(analytic_value, analytic_err, mc_mean, mc_se):
     gap = abs(analytic_value - mc_mean)
     ok = gap <= 3.0 * mc_se + analytic_err
@@ -153,7 +142,6 @@ def _mc_results(cfg, req, seed):
         out.append(_Result(m, "", est.mean, est.std_error, est.n_samples, seed))
     elif m in ("utility", "total_rate"):
         tau_eps = 2.0 ** cfg.epsilon - 1.0
-        ss = tau_eps if tau_eps > 0 else None
         sl = simulator.estimate_coverage(cfg, tau_eps, simulator.SIDELINK, plan) \
             if tau_eps > 0 else simulator.Estimate(0.0, 0.0, plan.n_samples, seed)
         rate = simulator.estimate_effective_rate(cfg, plan)
@@ -180,28 +168,22 @@ def _validate_results(cfg, req, seed):
     for mc in _mc_results(cfg, req, seed):
         ref = ana[(mc.metric, mc.tau_or_epsilon)]
         ana_err = ref.err if isinstance(ref.err, float) else 0.0
-        verdict, z = _verdict(ref.value, ana_err, mc.value, mc.err)
-        summary = (f"lambda_l={cfg.lambda_l} mu={cfg.mu} lambda_b={cfg.lambda_b} "
-                   f"rho={cfg.rho} alpha={cfg.alpha}")
-        row = ValidationRow(mc.metric, summary, ref.value, mc.value, mc.err,
-                            z, verdict)
-        mc.verdict = verdict
+        mc.verdict, z = _verdict(ref.value, ana_err, mc.value, mc.err)
         mc.extra = {"analytic_value": ref.value, "analytic_error": ana_err,
                     "z_score": z}
-        out.append((mc, row))
+        out.append(mc)
     return out
 
 
 def _rows_for_config(cfg, req, seed):
-    results = []
     if req.mode == "analytic":
-        results = [(r, None) for r in _analytic_results(cfg, req)]
+        results = _analytic_results(cfg, req)
     elif req.mode == "montecarlo":
-        results = [(r, None) for r in _mc_results(cfg, req, seed)]
+        results = _mc_results(cfg, req, seed)
     else:
         results = _validate_results(cfg, req, seed)
     rows = []
-    for res, _vrow in results:
+    for res in results:
         row = _blank_row(cfg)
         row.update(metric=res.metric, tau_or_epsilon=res.tau_or_epsilon,
                    value=res.value, std_error_or_quad_error=res.err,
@@ -267,13 +249,6 @@ def run(req: RunRequest) -> list[dict]:
             rows.append(row)
     _write_outputs(req, rows)
     return rows
-
-
-def sweep(req: RunRequest) -> list[dict]:
-    """Parameter sweep; a singleton sweep is identical to :func:`run`."""
-    if req.sweep is None:
-        raise ValidationError("sweep requests need a sweep parameter")
-    return run(req)
 
 
 def _write_outputs(req: RunRequest, rows: list[dict]) -> None:

@@ -7,6 +7,12 @@ Replications are vectorised in fixed-size batches; each batch owns an RNG
 stream spawned from the master seed, so results are bit-reproducible for a
 given (seed, batch_size) regardless of how batches are scheduled.
 
+Within a batch every population is one flat array grouped by replication and
+described by per-replication start offsets; minima and sums are segment
+reductions over it.  The kernel works on squared distances throughout: path
+loss is (d^2)^(-alpha/2), association compares with rho^2, and only the
+serving distance takes a square root.
+
 Interference beyond the window would bias SIR low-side truncation: with a
 path-loss exponent close to 2 the far field decays too slowly to ignore at
 any affordable window.  The kernel therefore adds the far field's exact mean
@@ -59,10 +65,6 @@ class SimPlan:
     window_radius: float
     n_samples: int
     seed: int
-    guard_note: str = (
-        "doubling window_radius must move estimates by less than 2 standard "
-        "errors; interference beyond the window enters as its Campbell mean"
-    )
     batch_size: int = 4096
     far_field_compensation: bool = True
 
@@ -114,26 +116,35 @@ def far_field_mean(cfg: NetworkConfig, window_radius: float) -> float:
 # segmented reductions over replication-grouped flat arrays
 # ---------------------------------------------------------------------------
 
-def _segment_min(values, counts):
-    out = np.full(counts.size, np.inf)
+def _segment_starts(counts):
+    """Offsets of consecutive count-sized segments with the total appended:
+    segment i is [starts[i], starts[i + 1])."""
+    starts = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    return starts
+
+
+def _segment_reduce(ufunc, values, starts, empty):
+    """ufunc reduced over each segment; empty segments hold ``empty``."""
+    lo = starts[:-1]
+    nonempty = starts[1:] > lo
+    out = np.full(lo.size, empty)
     if values.size:
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        nz = counts > 0
-        out[nz] = np.minimum.reduceat(values, starts[nz])
+        out[nonempty] = ufunc.reduceat(values, lo[nonempty])
     return out
 
 
-def _first_match(rep_sorted, mask):
-    """First flat index per replication where mask holds; rep_sorted must be
-    nondecreasing (the batch layout guarantees it)."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return idx, idx
-    reps = rep_sorted[idx]
-    keep = np.empty(reps.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = reps[1:] != reps[:-1]
-    return reps[keep], idx[keep]
+def _first_min_index(d2, starts, d2_min, rows):
+    """Flat index of the first entry equal to its segment minimum, for each
+    segment in ``rows`` (all nonempty).  Only entries at or below the largest
+    requested minimum can match, so the search runs on that subset."""
+    if rows.size == 0:
+        return rows
+    cand = np.flatnonzero(d2 <= d2_min[rows].max())
+    seg = np.searchsorted(starts, cand, side="right") - 1
+    hit = d2[cand] == d2_min[seg]
+    cand, seg = cand[hit], seg[hit]
+    return cand[np.searchsorted(seg, rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -160,59 +171,75 @@ class SirBatch:
         return np.where(self.is_sl, 0.0, np.minimum(raw, RATE_CAP_BITS)), hits
 
 
+def _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
+    """Association, serving distance and SIR per replication.
+
+    Vehicles and base stations are flat arrays of squared distances and
+    unit-mean fades grouped by replication (segment i of each population is
+    [starts[i], starts[i + 1])).  ``m_far`` is the deterministic far-field
+    interference added to every row.  Returns (is_sl, serving_distance, sir,
+    degenerate); degenerate rows have no vehicle within rho and no base
+    station, and their other outputs are meaningless.  The d2 arrays are
+    overwritten with received powers.
+    """
+    dv2_min = _segment_reduce(np.minimum, d2_v, veh_starts, np.inf)
+    db2_min = _segment_reduce(np.minimum, d2_b, bs_starts, np.inf)
+    is_sl = dv2_min <= cfg.rho * cfg.rho
+    degenerate = ~is_sl & np.isinf(db2_min)
+    sl_rows = np.flatnonzero(is_sl)
+    dl_rows = np.flatnonzero(~is_sl & ~degenerate)
+
+    iv = _first_min_index(d2_v, veh_starts, dv2_min, sl_rows)
+    ib = _first_min_index(d2_b, bs_starts, db2_min, dl_rows)
+
+    exponent = -0.5 * cfg.alpha
+    pw_v = np.power(d2_v, exponent, out=d2_v)
+    pw_v *= fade_v
+    pw_v *= cfg.p_v / cfg.p_b
+    pw_b = np.power(d2_b, exponent, out=d2_b)
+    pw_b *= fade_b
+
+    # The serving term is taken out of the sum, not subtracted from the
+    # total: at a large SIR the subtraction would leave mostly rounding.
+    serving_pw = np.zeros(is_sl.size)
+    serving_pw[sl_rows] = pw_v[iv]
+    pw_v[iv] = 0.0
+    serving_pw[dl_rows] = pw_b[ib]
+    pw_b[ib] = 0.0
+    interference = _segment_reduce(np.add, pw_v, veh_starts, 0.0)
+    interference += _segment_reduce(np.add, pw_b, bs_starts, 0.0)
+    interference += m_far
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir = np.divide(serving_pw, interference, out=serving_pw)
+    serving_d = np.sqrt(np.where(is_sl, dv2_min, db2_min))
+    return is_sl, serving_d, sir, degenerate
+
+
 def _sir_chunk(cfg, plan, n, rng, depth=0):
     """One vectorised batch of n replications; resamples degenerate rows."""
     R = plan.window_radius
-    eta = cfg.p_v / cfg.p_b
-    alpha = cfg.alpha
+    # Poisson(0) draws nothing, so road-free configs consume no stream here
+    line_starts = _segment_starts(rng.poisson(2.0 * cfg.lambda_l * R, n))
+    r_l = rng.uniform(-R, R, line_starts[-1])
+    r2 = r_l * r_l
+    half = np.sqrt(np.maximum(R * R - r2, 0.0))
+    n_veh = rng.poisson(2.0 * cfg.mu * half)
+    veh_offsets = _segment_starts(n_veh)
+    # a vehicle at chord position s*half on the line at distance r_l
+    d2_v = rng.uniform(-1.0, 1.0, veh_offsets[-1])
+    d2_v *= np.repeat(half, n_veh)
+    d2_v *= d2_v
+    d2_v += np.repeat(r2, n_veh)
 
-    if cfg.lambda_l > 0:
-        n_lines = rng.poisson(2.0 * cfg.lambda_l * R, n)
-    else:
-        n_lines = np.zeros(n, dtype=np.int64)
-    line_rep = np.repeat(np.arange(n), n_lines)
-    r_l = rng.uniform(-R, R, line_rep.size)
-    half = np.sqrt(np.maximum(R * R - r_l * r_l, 0.0))
-    if cfg.mu > 0 and line_rep.size:
-        n_veh = rng.poisson(2.0 * cfg.mu * half)
-    else:
-        n_veh = np.zeros(line_rep.size, dtype=np.int64)
-    veh_rep = np.repeat(line_rep, n_veh)
-    d_v = np.hypot(np.repeat(r_l, n_veh),
-                   rng.uniform(-1.0, 1.0, veh_rep.size) * np.repeat(half, n_veh))
+    bs_starts = _segment_starts(rng.poisson(cfg.lambda_b * math.pi * R * R, n))
+    d2_b = rng.random(bs_starts[-1])
+    d2_b *= R * R
 
-    n_bs = rng.poisson(cfg.lambda_b * math.pi * R * R, n)
-    bs_rep = np.repeat(np.arange(n), n_bs)
-    d_b = R * np.sqrt(rng.random(bs_rep.size))
-
-    pw_v = eta * rng.exponential(1.0, d_v.size) * np.power(d_v, -alpha)
-    pw_b = rng.exponential(1.0, d_b.size) * np.power(d_b, -alpha)
-
-    veh_counts = np.bincount(veh_rep, minlength=n) if veh_rep.size else np.zeros(n, dtype=np.int64)
-    dv_min = _segment_min(d_v, veh_counts)
-    db_min = _segment_min(d_b, n_bs)
-
-    is_sl = dv_min <= cfg.rho
-    degenerate = ~is_sl & ~np.isfinite(db_min)
-
-    serving_pw = np.zeros(n)
-    if d_v.size:
-        reps, idx = _first_match(veh_rep, d_v == dv_min[veh_rep])
-        sl_reps = reps[is_sl[reps]]
-        serving_pw[sl_reps] = pw_v[idx[is_sl[reps]]]
-    if d_b.size:
-        reps, idx = _first_match(bs_rep, d_b == db_min[bs_rep])
-        dl_reps = reps[~is_sl[reps]]
-        serving_pw[dl_reps] = pw_b[idx[~is_sl[reps]]]
-
-    total_pw = (np.bincount(veh_rep, weights=pw_v, minlength=n) if d_v.size else 0.0) \
-        + (np.bincount(bs_rep, weights=pw_b, minlength=n) if d_b.size else 0.0)
+    fade_v = rng.standard_exponential(d2_v.size)
+    fade_b = rng.standard_exponential(d2_b.size)
     m_far = far_field_mean(cfg, R) if plan.far_field_compensation else 0.0
-    interference = np.maximum(total_pw - serving_pw, 0.0) + m_far
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sir = serving_pw / interference
-    serving_d = np.where(is_sl, dv_min, db_min)
+    is_sl, serving_d, sir, degenerate = _resolve_sir(
+        cfg, m_far, veh_offsets[line_starts], d2_v, fade_v, bs_starts, d2_b, fade_b)
 
     n_deg = int(np.count_nonzero(degenerate))
     if n_deg:
@@ -228,18 +255,24 @@ def _sir_chunk(cfg, plan, n, rng, depth=0):
     return SirBatch(is_sl, serving_d, sir, n_deg, plan.seed, R)
 
 
-def draw_sir_samples(cfg: NetworkConfig, plan: SimPlan,
-                     seed_sequence: np.random.SeedSequence | None = None) -> SirBatch:
-    """Draw plan.n_samples SIR samples in reproducible fixed-size batches."""
+def _batches(plan: SimPlan, seed_sequence=None):
+    """(size, rng) per fixed-size batch of plan.n_samples; each batch owns a
+    child stream spawned from the seed sequence (default: the plan seed)."""
     ss = seed_sequence if seed_sequence is not None else np.random.SeedSequence(plan.seed)
     n = plan.n_samples
     sizes = [plan.batch_size] * (n // plan.batch_size)
     if n % plan.batch_size:
         sizes.append(n % plan.batch_size)
-    chunks = [
-        _sir_chunk(cfg, plan, size, np.random.default_rng(child))
-        for size, child in zip(sizes, ss.spawn(len(sizes)))
-    ]
+    return [(size, np.random.default_rng(child))
+            for size, child in zip(sizes, ss.spawn(len(sizes)))]
+
+
+def draw_sir_samples(cfg: NetworkConfig, plan: SimPlan,
+                     seed_sequence: np.random.SeedSequence | None = None) -> SirBatch:
+    """Draw plan.n_samples SIR samples in reproducible fixed-size batches."""
+    n = plan.n_samples
+    chunks = [_sir_chunk(cfg, plan, size, rng)
+              for size, rng in _batches(plan, seed_sequence)]
     batch = SirBatch(
         np.concatenate([c.is_sl for c in chunks]),
         np.concatenate([c.serving_distance for c in chunks]),
@@ -320,15 +353,7 @@ def _proportion_estimate(indicator, plan) -> Estimate:
 def estimate_association(cfg: NetworkConfig, plan: SimPlan):
     """(sidelink, downlink) association estimates; the per-sample indicators
     are complementary, so the two means sum to one exactly."""
-    ss = np.random.SeedSequence(plan.seed)
-    n = plan.n_samples
-    sizes = [plan.batch_size] * (n // plan.batch_size)
-    if n % plan.batch_size:
-        sizes.append(n % plan.batch_size)
-    parts = [
-        _association_chunk(cfg, size, np.random.default_rng(child))
-        for size, child in zip(sizes, ss.spawn(len(sizes)))
-    ]
+    parts = [_association_chunk(cfg, size, rng) for size, rng in _batches(plan)]
     is_sl = np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
     sl = _proportion_estimate(is_sl, plan)
     return sl, Estimate(1.0 - sl.mean, sl.std_error, sl.n_samples, sl.seed)
