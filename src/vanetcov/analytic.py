@@ -17,8 +17,18 @@ trustworthy:
 
 Inner grids double (24, 48, 96, 192 nodes per axis) until the outer integral
 value is stable within tolerance; the observed change joins the reported
-error bound.  All evaluators are pure functions of their arguments; the small
-memo caches are write-idempotent, so concurrent use is safe.
+error bound.  Outer integrals over semi-infinite ranges are truncated where
+a Gaussian envelope drops below abs_tol, and that envelope joins the bound.
+
+The vehicle-interference tail is the innermost tensor, (outer nodes x m x m)
+elements per call, and nearly all of the run time.  It is computed in place
+on one buffer: the squared distance, then its alpha/2 power (products and
+one square root for integer alpha, the general pow otherwise), then the
+bounded ratio, and a single contraction with weights that already carry the
+(1 - t)^-2 Jacobian of the tail map.
+
+All evaluators are pure functions of their arguments; the memo caches are
+bounded (functools.lru_cache), so concurrent use is safe.
 """
 from __future__ import annotations
 
@@ -44,8 +54,10 @@ NU = 1.280
 
 _INNER_LEVELS = (24, 48, 96, 192)
 
-# Integrand floor below which the rate integral stops extending its range.
+# Integrand floor below which the rate integral stops extending its range,
+# and the range (in bits/s/Hz) past which it gives up instead.
 _RATE_INTEGRAND_FLOOR = 1e-10
+_RATE_RANGE_CAP = 512.0
 
 
 @dataclass(frozen=True)
@@ -66,25 +78,67 @@ def _gl01(m: int):
     return nodes, weights
 
 
-def _interference_tail(r, start, amp, alpha, t, tw):
+@lru_cache(maxsize=None)
+def _tail_grid(m: int):
+    """The m-node grid of the map u = t / (1 - t) from [0, 1) onto [0, inf):
+    mapped nodes T and Jacobian-folded weights w / (1 - t)^2; cached,
+    read-only."""
+    t, w = _gl01(m)
+    inv = 1.0 / (1.0 - t)
+    nodes = t * inv
+    weights = w * (inv * inv)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _half_power(x, alpha):
+    """x ** (alpha / 2) computed in place; returns x.
+
+    For integer alpha the power is a product of integer powers of x and at
+    most one square root, several times cheaper than the general pow."""
+    if alpha != math.floor(alpha):
+        return np.power(x, 0.5 * alpha, out=x)
+    k, odd = divmod(int(alpha), 2)
+    root = np.sqrt(x) if odd else None
+    if k > 1:
+        base = x.copy()
+        for _ in range(k - 1):
+            x *= base
+    if odd:
+        x *= root
+    return x
+
+
+def _interference_tail(r, amp, alpha, m, start=None):
     """Integral over u in [start, inf) of q / (1 + q) with
-    q = amp * (r^2 + u^2)^(-alpha/2).
+    q = amp * (r^2 + u^2)^(-alpha/2); ``start`` None means 0.
 
     Written as amp / ((r^2 + u^2)^(alpha/2) + amp) so that neither tiny nor
     huge amplitudes overflow.  The rational map u = start + scale * t/(1 - t)
     is stretched to the integrand's own knee, the transverse distance plus
-    amp^(1/alpha), so one fixed t grid resolves every (r, amp) regime.
-    ``r``, ``start``, ``amp`` broadcast together; the t axis is appended and
-    summed out.
+    amp^(1/alpha), so one fixed m-node t grid resolves every (r, amp)
+    regime.  ``r``, ``start``, ``amp`` broadcast together; the t axis is
+    appended and summed out.  All work after the first product happens in
+    place on one buffer of the broadcast shape plus the t axis (odd integer
+    alpha adds one square-root temporary).
     """
-    inv = 1.0 / (1.0 - t)
-    scale = np.hypot(r, start) + np.power(amp, 1.0 / alpha)
-    scale = np.where(scale > 0.0, scale, 1.0)[..., None]
-    u = start[..., None] + scale * (t * inv)
-    den = (r[..., None] ** 2 + u * u) ** (0.5 * alpha)
+    nodes, weights = _tail_grid(m)
+    knee = r if start is None else np.hypot(r, start)
+    scale = knee + np.power(amp, 1.0 / alpha)
+    scale = np.where(scale > 0.0, scale, 1.0)
+    x = scale[..., None] * nodes
+    if start is not None:
+        x += start[..., None]
+    x *= x
+    x += (r * r)[..., None]
+    _half_power(x, alpha)
     a = amp[..., None]
-    g = a / (den + a) * (inv * inv) * scale
-    return g @ tw
+    x += a
+    np.divide(a, x, out=x)
+    out = x @ weights
+    out *= scale
+    return out
 
 
 def _near_line_sum(radius, amp, mu, alpha, m):
@@ -101,7 +155,7 @@ def _near_line_sum(radius, amp, mu, alpha, m):
     sw = 0.5 * math.pi * w01
     r = radius[:, None] * np.sin(s)
     a = radius[:, None] * np.cos(s)
-    j = _interference_tail(r, a, amp[:, None], alpha, t01, w01)
+    j = _interference_tail(r, amp[:, None], alpha, m, a)
     g = (1.0 - np.exp(-2.0 * mu * (a + j))) * a  # dr = radius cos(s) ds
     return g @ sw
 
@@ -109,30 +163,23 @@ def _near_line_sum(radius, amp, mu, alpha, m):
 def _far_line_sum(start, amp, mu, alpha, m):
     """Integral over r in (start, inf) of 1 - exp(-2 mu J_full(r)), the
     road-level interference factor for roads farther than ``start``."""
-    t01, w01 = _gl01(m)
-    inv = 1.0 / (1.0 - t01)
-    r = start[:, None] + t01 * inv
-    j = _interference_tail(r, np.zeros_like(r), amp[:, None], alpha, t01, w01)
-    g = (1.0 - np.exp(-2.0 * mu * j)) * (inv * inv)
-    return g @ w01
+    nodes, weights = _tail_grid(m)
+    r = start[:, None] + nodes
+    j = _interference_tail(r, amp[:, None], alpha, m)
+    g = 1.0 - np.exp(-2.0 * mu * j)
+    return g @ weights
 
 
-_BS_COEFF_CACHE: dict = {}
-
-
+@lru_cache(maxsize=4096)
 def _scaled_power_integral(lo, alpha, spec):
     """Int_lo^inf w / (w^alpha + 1) dw: the scale-free core of every
     base-station interference exponent.  The integrand's knee is pinned at
     w = 1, so the adaptive rule handles any lo, and w^alpha overflowing to
-    inf merely flushes the tail to zero."""
-    key = (float(lo), float(alpha), spec)
-    hit = _BS_COEFF_CACHE.get(key)
-    if hit is None:
-        def f(w):
-            return w / (w ** alpha + 1.0)
-        hit, _ = integrate(f, lo, np.inf, spec)
-        _BS_COEFF_CACHE[key] = hit
-    return hit
+    inf merely flushes the tail to zero.  A cold effective rate asks for
+    about 280 distinct lo, so the cache holds a dozen rates' worth."""
+    def f(w):
+        return w / (w ** alpha + 1.0)
+    return integrate(f, lo, np.inf, spec)[0]
 
 
 def _bs_tail_coeff(tau, alpha, spec):
@@ -274,7 +321,7 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
             sw = 0.5 * math.pi * w01
             r = x[:, None] * np.sin(s)
             a = x[:, None] * np.cos(s)
-            j = _interference_tail(r, a, amp[:, None], alpha, t01, w01)
+            j = _interference_tail(r, amp[:, None], alpha, m, a)
             serving = 4.0 * lambda_l * mu * x * (np.exp(-2.0 * mu * (a + j)) @ sw)
             road_sum = (_near_line_sum(x, amp, mu, alpha, m)
                         + _far_line_sum(x, amp, mu, alpha, m))
@@ -327,20 +374,25 @@ def mean_zero_cell_areas(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC
     return inside, whole - inside
 
 
-_RATE_NUMERATOR_CACHE: dict = {}
-
-
 def _rate_numerator(cfg: NetworkConfig, spec: QuadratureSpec):
-    """lambda_b * Int_0^inf P[bs associated, SIR > 2^x - 1] dx with the range
-    extended in doublings until the integrand stays below 1e-10 over two
-    consecutive panels.  lambda_u never enters; results are cached so sweeps
-    over the user density reuse the integral."""
-    key = (cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho, cfg.alpha,
-           cfg.p_v / cfg.p_b, spec)
-    hit = _RATE_NUMERATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """lambda_b * Int_0^inf P[bs associated, SIR > 2^x - 1] dx and its error
+    bound.  lambda_u never enters; results are cached on the parameters
+    that do, so sweeps over the user density reuse the integral."""
+    return _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,
+                              cfg.alpha, cfg.p_v / cfg.p_b, spec)
 
+
+@lru_cache(maxsize=256)
+def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
+    """:func:`_rate_numerator` on a canonical config with power ratio eta.
+
+    The range extends in doublings until the integrand stays below
+    _RATE_INTEGRAND_FLOOR at the ends of two consecutive panels; if that
+    has not happened by _RATE_RANGE_CAP the untruncated tail is unbounded
+    and NonConvergenceError is raised."""
+    cfg = NetworkConfig(lambda_l=lambda_l, mu=mu, lambda_b=lambda_b,
+                        lambda_u=1.0, rho=rho, alpha=alpha, p_b=1.0, p_v=eta,
+                        epsilon=0.0)
     inner_errors: list[float] = []
 
     def g(xs):
@@ -362,14 +414,17 @@ def _rate_numerator(cfg: NetworkConfig, spec: QuadratureSpec):
         outer_err += e
         edge = dl_coverage(cfg, 2.0 ** hi - 1.0, spec).value
         quiet_panels = quiet_panels + 1 if edge < _RATE_INTEGRAND_FLOOR else 0
-        if quiet_panels >= 2 or hi >= 512.0:
+        if quiet_panels >= 2:
             break
+        if hi >= _RATE_RANGE_CAP:
+            raise NonConvergenceError(
+                f"rate integrand still {edge:.3e} at x = {hi:g} (floor "
+                f"{_RATE_INTEGRAND_FLOOR:g}); the range cap leaves its tail "
+                "unbounded")
         lo, hi = hi, hi * 2.0
     err = outer_err + (max(inner_errors) if inner_errors else 0.0) * hi \
         + _RATE_INTEGRAND_FLOOR
-    result = (cfg.lambda_b * total, cfg.lambda_b * err)
-    _RATE_NUMERATOR_CACHE[key] = result
-    return result
+    return cfg.lambda_b * total, cfg.lambda_b * err
 
 
 def effective_rate_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):

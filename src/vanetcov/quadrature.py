@@ -26,10 +26,6 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-10
     max_depth: int = 48
-    infinite_tail_cutoff_rule: str = (
-        "map [a, inf) onto [0, 1) via u = a + s/(1 - s); outer envelopes "
-        "truncate where the integrand drops below abs_tol"
-    )
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:

@@ -171,6 +171,24 @@ class SirBatch:
         return np.where(self.is_sl, 0.0, np.minimum(raw, RATE_CAP_BITS)), hits
 
 
+def _received_power(fade, d2, alpha):
+    """fade * d2^(-alpha/2) computed in place in ``fade``; returns it.
+
+    For integer alpha the path loss is repeated division by d2 and at most
+    one square root (written into ``d2``), several times cheaper than the
+    general pow; other exponents overwrite ``d2`` with d2^(-alpha/2).
+    """
+    if alpha != math.floor(alpha):
+        fade *= np.power(d2, -0.5 * alpha, out=d2)
+        return fade
+    k, odd = divmod(int(alpha), 2)
+    for _ in range(k):
+        fade /= d2
+    if odd:
+        fade /= np.sqrt(d2, out=d2)
+    return fade
+
+
 def _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
     """Association, serving distance and SIR per replication.
 
@@ -179,8 +197,8 @@ def _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
     [starts[i], starts[i + 1])).  ``m_far`` is the deterministic far-field
     interference added to every row.  Returns (is_sl, serving_distance, sir,
     degenerate); degenerate rows have no vehicle within rho and no base
-    station, and their other outputs are meaningless.  The d2 arrays are
-    overwritten with received powers.
+    station, and their other outputs are meaningless.  The fade arrays are
+    overwritten with received powers and the d2 arrays with scratch values.
     """
     dv2_min = _segment_reduce(np.minimum, d2_v, veh_starts, np.inf)
     db2_min = _segment_reduce(np.minimum, d2_b, bs_starts, np.inf)
@@ -192,12 +210,9 @@ def _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
     iv = _first_min_index(d2_v, veh_starts, dv2_min, sl_rows)
     ib = _first_min_index(d2_b, bs_starts, db2_min, dl_rows)
 
-    exponent = -0.5 * cfg.alpha
-    pw_v = np.power(d2_v, exponent, out=d2_v)
-    pw_v *= fade_v
+    pw_v = _received_power(fade_v, d2_v, cfg.alpha)
     pw_v *= cfg.p_v / cfg.p_b
-    pw_b = np.power(d2_b, exponent, out=d2_b)
-    pw_b *= fade_b
+    pw_b = _received_power(fade_b, d2_b, cfg.alpha)
 
     # The serving term is taken out of the sum, not subtracted from the
     # total: at a large SIR the subtraction would leave mostly rounding.
@@ -308,15 +323,17 @@ def sample_sir(real, cfg: NetworkConfig, rng) -> SirSample:
 
     pw_v = eta * rng.exponential(1.0, d_v.size) * np.power(d_v, -cfg.alpha) if d_v.size else np.empty(0)
     pw_b = rng.exponential(1.0, d_b.size) * np.power(d_b, -cfg.alpha) if d_b.size else np.empty(0)
+    # the serving power is left out of the sum, not subtracted from the
+    # total: at a large SIR the subtraction would leave mostly rounding
     if is_sl:
         serve = int(np.argmin(d_v))
-        signal = pw_v[serve]
-        interference = float(pw_v.sum() - signal + pw_b.sum())
+        signal = float(pw_v[serve])
+        interference = float(np.delete(pw_v, serve).sum() + pw_b.sum())
         serving_d = dv_min
     else:
         serve = int(np.argmin(d_b))
-        signal = pw_b[serve]
-        interference = float(pw_v.sum() + pw_b.sum() - signal)
+        signal = float(pw_b[serve])
+        interference = float(pw_v.sum() + np.delete(pw_b, serve).sum())
         serving_d = db_min
     sir = float(signal / interference) if interference > 0 else math.inf
     return SirSample(SIDELINK if is_sl else DOWNLINK, serving_d, sir)

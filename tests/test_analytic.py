@@ -5,11 +5,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vanetcov import NetworkConfig, validate
+from vanetcov import NetworkConfig, analytic, validate
 from vanetcov.analytic import (
     NU,
+    CoverageResult,
     _bs_full_coeff,
     _bs_tail_coeff,
+    _gl01,
+    _half_power,
+    _interference_tail,
+    _rate_numerator,
+    _rate_numerator_of,
+    _scaled_power_integral,
     dl_coverage,
     effective_rate,
     effective_rate_with_error,
@@ -22,7 +29,7 @@ from vanetcov.analytic import (
     total_coverage,
     total_rate,
 )
-from vanetcov.quadrature import DEFAULT_SPEC, QuadratureSpec
+from vanetcov.quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec
 
 REF_CFG = validate(NetworkConfig(lambda_l=5.0, mu=5.0, lambda_b=5.0,
                                  lambda_u=200.0, rho=0.05, alpha=3.0,
@@ -208,6 +215,68 @@ def test_total_rate_edges():
     cfg_eps0 = validate(replace(REF_CFG, epsilon=0.0))
     assert total_rate(cfg_eps0) == pytest.approx(effective_rate(cfg_eps0), rel=1e-12)
     assert total_rate(REF_CFG) > effective_rate(REF_CFG)
+
+
+def _reference_tail(r, start, amp, alpha, m):
+    """The interference tail as first written: temporaries throughout, the
+    general pow, and the Jacobian applied before the contraction."""
+    t, tw = _gl01(m)
+    inv = 1.0 / (1.0 - t)
+    scale = np.hypot(r, start) + np.power(amp, 1.0 / alpha)
+    scale = np.where(scale > 0.0, scale, 1.0)[..., None]
+    u = start[..., None] + scale * (t * inv)
+    den = (r[..., None] ** 2 + u * u) ** (0.5 * alpha)
+    a = amp[..., None]
+    g = a / (den + a) * (inv * inv) * scale
+    return g @ tw
+
+
+@pytest.mark.parametrize("m", [24, 48])
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 3.7, 4.0])
+def test_interference_tail_matches_reference(alpha, m):
+    rng = np.random.default_rng(int(10 * alpha) + m)
+    amp = np.concatenate([[0.0, 1e-12, 1e12], 10.0 ** rng.uniform(-8, 6, 29)])[:, None]
+    r = 10.0 ** rng.uniform(-3, 1, (amp.size, m))
+    start = rng.uniform(0.0, 1.0, r.shape)
+    got = _interference_tail(r, amp, alpha, m, start)
+    np.testing.assert_allclose(got, _reference_tail(r, start, amp, alpha, m),
+                               rtol=1e-13, atol=0.0)
+    got = _interference_tail(r, amp, alpha, m)
+    np.testing.assert_allclose(got, _reference_tail(r, np.zeros_like(r), amp, alpha, m),
+                               rtol=1e-13, atol=0.0)
+    assert np.all(got[0] == 0.0)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 3.7, 4.0, 5.0, 6.0])
+def test_half_power_matches_pow(alpha):
+    x = 10.0 ** np.random.default_rng(7).uniform(-6, 6, 1000)
+    want = np.power(x, 0.5 * alpha)
+    got = _half_power(x, alpha)
+    assert got is x
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_rate_range_cap_raises(monkeypatch):
+    # a coverage that never decays keeps the rate integrand above the floor
+    monkeypatch.setattr(analytic, "dl_coverage",
+                        lambda cfg, tau, spec=DEFAULT_SPEC: CoverageResult(0.5, 0.0))
+    cfg = validate(replace(REF_CFG, mu=7.25))  # a key no other test caches
+    with pytest.raises(NonConvergenceError, match="range cap"):
+        _rate_numerator(cfg, DEFAULT_SPEC)
+
+
+def test_cold_rate_fits_bounded_caches():
+    _scaled_power_integral.cache_clear()
+    _rate_numerator_of.cache_clear()
+    effective_rate(REF_CFG)
+    effective_rate(validate(replace(REF_CFG, lambda_u=400.0)))
+    coeff = _scaled_power_integral.cache_info()
+    rate = _rate_numerator_of.cache_info()
+    # bounded, and a cold rate evicts none of its own coefficients
+    assert coeff.maxsize is not None
+    assert 0 < coeff.currsize == coeff.misses <= coeff.maxsize
+    assert rate.maxsize is not None
+    assert (rate.currsize, rate.misses, rate.hits) == (1, 1, 1)
 
 
 # --- regenerable independent oracle -----------------------------------------

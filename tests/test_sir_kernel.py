@@ -119,3 +119,24 @@ def test_kernel_resamples_degenerate_rows_and_draws_abort():
     assert np.all(batch.serving_distance <= R)
     with pytest.raises(DegenerateRealizationError, match="window too small"):
         draw_sir_samples(ref, plan)
+
+
+@pytest.mark.parametrize("serving", ["vehicle", "base_station"])
+def test_scalar_reference_interference_at_huge_sir(serving):
+    # one transmitter 4e-5 km away, four far ones: SIR about 1e12, where a
+    # total-minus-signal interference would be mostly rounding
+    near = [(4e-5, 0.0)]
+    vehicles = [(0.6, 0.0), (0.0, 0.8)] + (near if serving == "vehicle" else [])
+    bss = [(0.5, 0.5), (-0.9, 0.2)] + (near if serving == "base_station" else [])
+    fade_v = np.array([1.3, 0.7, 1.0][:len(vehicles)])
+    fade_b = np.array([0.9, 1.1, 1.0][:len(bss)])
+    ref = sample_sir(_realization(vehicles, bss), CFG, _QueuedFades(fade_v, fade_b))
+
+    eta = CFG.p_v / CFG.p_b
+    pw = [eta * f * math.hypot(*p) ** -CFG.alpha for p, f in zip(vehicles, fade_v)]
+    pw += [f * math.hypot(*p) ** -CFG.alpha for p, f in zip(bss, fade_b)]
+    signal = pw.pop(len(vehicles) - 1 if serving == "vehicle" else len(pw) - 1)
+    want = signal / math.fsum(pw)
+    assert (ref.association == SIDELINK) == (serving == "vehicle")
+    assert 1e11 < want < 1e13
+    assert ref.sir == pytest.approx(want, rel=1e-12)
