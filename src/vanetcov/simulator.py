@@ -20,24 +20,26 @@ any affordable window.  The kernel therefore adds the far field's exact mean
 fluctuation it ignores is second order and the window-doubling guard check
 quantifies what remains.  Set ``far_field_compensation=False`` on the plan to
 sample the strictly truncated model instead.
+
+The cell estimators need no window: they build each replication's Voronoi
+cell exactly, as a convex polygon clipped by one bisector per base station in
+order of distance, and stop once no farther base station can cut it.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import NetworkConfig, config_dict
-from .geometry import sample_lines, sample_planar_ppp, sample_vehicles
 
 SIDELINK = "SL"
 DOWNLINK = "DL"
 TOTAL = "Total"
 
 RATE_CAP_BITS = 60.0       # numerical guard on log2(1 + SIR)
-PROBES_PER_CELL = 10_000   # hit-or-miss probes for cell-area estimators
 DEGENERATE_ABORT_FRACTION = 1e-6
 
 
@@ -62,6 +64,10 @@ class Estimate:
 
 @dataclass(frozen=True)
 class SimPlan:
+    """Sample count, seed and batching of one Monte Carlo run, and the window
+    of the SIR kernel.  The cell estimators (Voronoi moment, zero-cell areas
+    and load, the effective rate's denominator) build exact cells and ignore
+    ``window_radius``."""
     window_radius: float
     n_samples: int
     seed: int
@@ -418,95 +424,246 @@ def estimate_coverage_grid(cfg: NetworkConfig, taus, plan: SimPlan,
 # zero cell, cell-area moments, effective rate
 # ---------------------------------------------------------------------------
 
-def _disk_points(center, radius, n, rng):
-    rad = radius * np.sqrt(rng.random(n))
-    ang = rng.uniform(0.0, 2.0 * math.pi, n)
-    return center + np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+CELL_SQUARE_HALF_SIDE = 16.0  # start square, in units of 1 / sqrt(lambda_b)
+AREA_PROBES = 256             # probes per cell for the inside/outside split
+PAIR_BUDGET = 1 << 16         # point-line pairs held at once
 
 
-def _cell_member_mask(points, nucleus, competitors):
-    """True per point iff it is closer to ``nucleus`` than to every
-    competitor: a half-plane test against each perpendicular bisector,
-    ((p - nucleus) . c) < |c|^2 / 2 with c = competitor - nucleus.
+def _next_vertex(m, width):
+    """Column of each vertex's successor in (n, width) padded polygons whose
+    row i has m[i] valid vertices: k + 1, wrapping to 0 at the last one."""
+    col = np.arange(width)
+    return np.where(col + 1 < m[:, None], col + 1, 0)
 
-    Screening against the nearest few competitors first settles almost every
-    point before the full test runs on the survivors.
+
+def _clip(q, m, c):
+    """Clip each convex polygon to the nucleus side of one bisector.
+
+    Coordinates are nucleus-relative, so the bisector between the nucleus and
+    a competitor at c bounds the half-plane x . c <= |c|^2 / 2.  ``q`` is
+    (k, V, 2) with the first m[i] vertices of row i valid, counter-clockwise,
+    zeros after them.  Sutherland-Hodgman on every edge at once: a vertex is
+    kept if inside, and an edge whose ends lie on opposite sides adds its
+    crossing right after its first end, so the order stays counter-clockwise.
+    The nucleus is strictly inside, so no polygon is clipped away.
     """
-    if points.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    if competitors.shape[0] == 0:
-        return np.ones(points.shape[0], dtype=bool)
-    q = points - nucleus
-    c = competitors - nucleus
-    norms = np.einsum("ij,ij->i", c, c)
-    order = np.argsort(norms)
-    c = c[order]
-    half = 0.5 * norms[order]
-    k0 = min(16, c.shape[0])
-    alive = np.all(q @ c[:k0].T < half[:k0], axis=1)
-    if c.shape[0] > k0 and alive.any():
-        idx = np.flatnonzero(alive)
-        alive[idx] = np.all(q[idx] @ c[k0:].T < half[k0:], axis=1)
-    return alive
+    nxt = _next_vertex(m, q.shape[1])
+    s = np.einsum("kvj,kj->kv", q, c)
+    s -= 0.5 * np.einsum("kj,kj->k", c, c)[:, None]
+    s_next = np.take_along_axis(s, nxt, axis=1)
+    valid = np.arange(q.shape[1]) < m[:, None]
+    inside = s <= 0.0
+    keep = valid & inside
+    cross = valid & (inside != (s_next <= 0.0))
+    emit = keep.astype(np.int64) + cross
+    pos = np.cumsum(emit, axis=1) - emit
+    m_new = pos[:, -1] + emit[:, -1]
+    out = np.zeros((q.shape[0], int(m_new.max()), 2))
+    r, v = np.nonzero(keep)
+    out[r, pos[r, v]] = q[r, v]
+    r, v = np.nonzero(cross)
+    a, b = q[r, v], q[r, nxt[r, v]]
+    t = s[r, v] / (s[r, v] - s_next[r, v])
+    out[r, pos[r, v] + keep[r, v]] = a + t[:, None] * (b - a)
+    return out, m_new
 
 
-def _near_any_vehicle(points, vehicle_xy, rho):
-    """True per point iff some vehicle lies within the closed rho-ball."""
-    if points.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    if vehicle_xy.shape[0] == 0:
-        return np.zeros(points.shape[0], dtype=bool)
-    dx = points[:, 0, None] - vehicle_xy[None, :, 0]
-    dy = points[:, 1, None] - vehicle_xy[None, :, 1]
-    return np.any(dx * dx + dy * dy <= rho * rho, axis=1)
+def _voronoi_cells(lambda_b, n, rng, zero_cell):
+    """Exact Poisson-Voronoi cells of n independent replications.
 
+    Base stations arrive in order of distance from the origin:
+    pi lambda_b r_k^2 is a unit-rate Poisson process and the angles are
+    uniform.  The typical cell (Slivnyak) has its nucleus at the origin and
+    every arrival as a competitor; the zero cell has the first arrival as its
+    nucleus (placed on the positive x axis, by isotropy) and every later one
+    as a competitor.  Each row starts as a square around its nucleus and is
+    clipped by one competitor's bisector per step until the next arrival can
+    no longer cut it: its distance from the nucleus, at least r_next - d0,
+    exceeds twice the farthest vertex's.  Later arrivals are farther still,
+    so the polygon is the exact cell once no vertex of the square is left.
 
-def _zero_cell_replication(cfg, rng, want_load, want_areas=True):
-    """One zero-cell draw.
-
-    Returns hit-or-miss areas (inside / outside the vehicle region) and, when
-    asked, the user count of the cell outside the vehicle region.  The cell
-    nucleus is the base station nearest the origin; membership tests use the
-    nearest-base-station rule directly, no polygon construction.  Probe and
-    user sampling is confined to a disk around the nucleus large enough that
-    the chance of any cell area outside it is negligible (< 1e-20).
+    Returns (q, m): (n, V, 2) nucleus-relative vertices, counter-clockwise
+    and zero-padded, and the vertex count of each row.
     """
-    lam = cfg.lambda_b
-    bs_window = 10.0 / math.sqrt(lam)
-    probe_radius = 4.0 / math.sqrt(lam)
+    arrival = rng.standard_exponential(n)
+    d0 = np.zeros(n)
+    if zero_cell:
+        d0 = np.sqrt(arrival / (math.pi * lambda_b))
+        arrival += rng.standard_exponential(n)
+    half = CELL_SQUARE_HALF_SIDE / math.sqrt(lambda_b)
+    square = np.array([[half, -half], [half, half], [-half, half], [-half, -half]])
+    q = np.broadcast_to(square, (n, 4, 2)).copy()
+    m = np.full(n, 4)
+    rows = np.arange(n)
+    done = []
     while True:
-        bs = sample_planar_ppp(lam, bs_window, rng)
-        if len(bs):
-            break
-    d0 = np.hypot(bs[:, 0], bs[:, 1])
-    zi = int(np.argmin(d0))
-    nucleus = bs[zi]
-    others = np.delete(bs, zi, axis=0)
+        r_next = np.sqrt(arrival / (math.pi * lambda_b))
+        gap = r_next - d0
+        closed = gap * gap > 4.0 * np.einsum("kvj,kvj->kv", q, q).max(axis=1)
+        if closed.any():
+            done.append((rows[closed], q[closed], m[closed]))
+            keep = ~closed
+            rows, q, m, arrival, r_next, d0 = (
+                rows[keep], q[keep], m[keep], arrival[keep], r_next[keep], d0[keep])
+            if not rows.size:
+                break
+        theta = rng.uniform(0.0, 2.0 * math.pi, rows.size)
+        c = np.column_stack([r_next * np.cos(theta) - d0, r_next * np.sin(theta)])
+        q, m = _clip(q, m, c)
+        arrival += rng.standard_exponential(rows.size)
 
-    veh_window = float(d0[zi]) + probe_radius + cfg.rho + 1e-9
-    lines = sample_lines(cfg.lambda_l, veh_window, rng) if cfg.lambda_l > 0 else None
-    veh_xy = (sample_vehicles(lines, cfg.mu, rng).positions
-              if lines is not None and cfg.mu > 0 else np.empty((0, 2)))
+    out = np.zeros((n, max(part[1].shape[1] for part in done), 2))
+    counts = np.empty(n, dtype=np.int64)
+    for idx, qq, mm in done:
+        out[idx, :qq.shape[1]] = qq
+        counts[idx] = mm
+    # a vertex left on the start square means the cell may reach beyond it;
+    # the disk around that vertex through the nucleus, of radius at least
+    # CELL_SQUARE_HALF_SIDE spacings, would hold no base station: about
+    # exp(-256 pi)
+    if np.any(np.abs(out) >= half):
+        raise RuntimeError("a Voronoi cell reaches its start square")
+    return out, counts
 
-    def split(points):
-        member = points[_cell_member_mask(points, nucleus, others)]
-        if member.shape[0] == 0:
-            return 0, 0
-        inside = int(np.count_nonzero(_near_any_vehicle(member, veh_xy, cfg.rho)))
-        return inside, member.shape[0] - inside
 
-    area_in = area_out = None
-    if want_areas:
-        probes = _disk_points(nucleus, probe_radius, PROBES_PER_CELL, rng)
-        hit_in, hit_out = split(probes)
-        area_scale = math.pi * probe_radius ** 2 / PROBES_PER_CELL
-        area_in, area_out = hit_in * area_scale, hit_out * area_scale
+def _fan_areas(q, m):
+    """(n, V) areas of the triangles (nucleus, q_k, q_k+1) that fan out each
+    polygon; they sum to its area, and padded columns hold zeros."""
+    qn = np.take_along_axis(q, _next_vertex(m, q.shape[1])[..., None], axis=1)
+    return 0.5 * (q[..., 0] * qn[..., 1] - q[..., 1] * qn[..., 0])
 
-    load = None
-    if want_load:
-        n_users = rng.poisson(cfg.lambda_u * math.pi * probe_radius ** 2)
-        _, load = split(_disk_points(nucleus, probe_radius, n_users, rng))
-    return area_in, area_out, load
+
+def _points_in_cells(q, m, tri, counts, rng):
+    """counts[i] points uniform in polygon i, grouped by row.
+
+    A multinomial draw spreads each row's points over its fan triangles in
+    proportion to their areas ``tri``; a point in the triangle (nucleus, a, b)
+    is u a + v b with (u, v) uniform on the unit triangle.  Returns the
+    nucleus-relative points (k, 2).
+    """
+    per_tri = rng.multinomial(counts, tri / tri.sum(axis=1, keepdims=True))
+    flat = np.repeat(np.arange(per_tri.size), per_tri.ravel())
+    row, col = np.divmod(flat, q.shape[1])
+    nxt = _next_vertex(m, q.shape[1])
+    a, b = q[row, col], q[row, nxt[row, col]]
+    uv = rng.random((flat.size, 2))
+    fold = uv.sum(axis=1) > 1.0
+    uv[fold] = 1.0 - uv[fold]
+    return uv[:, :1] * a + uv[:, 1:] * b
+
+
+def _pairs(first, count):
+    """(owner, index) pairs: owner i with each of first[i] .. first[i] +
+    count[i] - 1, grouped by owner."""
+    start = _segment_starts(count)
+    owner = np.repeat(np.arange(count.size), count)
+    return owner, np.arange(start[-1]) + np.repeat(first - start[:-1], count)
+
+
+def _roads_near(cfg, q, rng):
+    """The roads that carry a vehicle and pass within rho of each cell.
+
+    Roads are drawn in the disk of radius (farthest vertex + rho) around each
+    nucleus, which by convexity holds every point within rho of the cell.
+    The vehicle process is stationary and isotropic, so around any nucleus
+    the roads hitting a disk of radius R are Poisson(2 lambda_l R), with
+    displacement uniform on (-R, R) and angle uniform on (0, pi), and each
+    chord carries Poisson(mu) vehicles per km.  A road is kept if it carries
+    a vehicle and comes within rho of the cell, whose signed distances to it
+    range between those of its vertices.
+
+    Returns (starts, nx, ny, r, veh_first, veh_count, t): kept roads grouped
+    by row, each the line x . (nx, ny) = r in nucleus-relative coordinates,
+    its vehicles' index range, and each vehicle's position t along its road
+    (direction (ny, -nx)).
+    """
+    n = q.shape[0]
+    if cfg.lambda_l == 0 or cfg.mu == 0:
+        none, idx = np.empty(0), np.empty(0, dtype=np.int64)
+        return np.zeros(n + 1, dtype=np.int64), none, none, none, idx, idx, none
+    reach = np.sqrt(np.einsum("kvj,kvj->kv", q, q).max(axis=1))
+    radius = reach + cfg.rho
+    n_lines = rng.poisson(2.0 * cfg.lambda_l * radius)
+    row = np.repeat(np.arange(n), n_lines)
+    R = radius[row]
+    r = rng.uniform(-1.0, 1.0, R.size) * R
+    theta = rng.uniform(0.0, math.pi, R.size)
+    half = np.sqrt(np.maximum(R * R - r * r, 0.0))
+    veh_count = rng.poisson(2.0 * cfg.mu * half)
+    veh_first = _segment_starts(veh_count)[:-1]
+    t = rng.uniform(-1.0, 1.0, veh_count.sum()) * np.repeat(half, veh_count)
+    nx, ny = -np.sin(theta), np.cos(theta)
+    s = q[row, :, 0] * nx[:, None] + q[row, :, 1] * ny[:, None] - r[:, None]
+    keep = (veh_count > 0) & (s.min(axis=1) <= cfg.rho) & (s.max(axis=1) >= -cfg.rho)
+    starts = _segment_starts(np.bincount(row[keep], minlength=n))
+    return starts, nx[keep], ny[keep], r[keep], veh_first[keep], veh_count[keep], t
+
+
+def _row_ranges(weight, budget):
+    """Consecutive row ranges [a, b) whose weights sum to at most ``budget``;
+    a heavier row forms a range alone."""
+    ends = np.cumsum(weight)
+    a = 0
+    while a < weight.size:
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield a, b
+        a = b
+
+
+def _in_vehicle_region(points, row, roads, rho):
+    """True per point iff a vehicle of its row lies within the closed
+    rho-ball.
+
+    A point at distance delta from a line is within rho of a vehicle on it
+    iff the vehicle's position along the line is within
+    sqrt(rho^2 - delta^2) of the point's, so only the vehicles of lines
+    closer than rho are looked at.
+    """
+    starts, nx, ny, r, veh_first, veh_count, t = roads
+    pt, line = _pairs(starts[row], np.diff(starts)[row])
+    px, py, nx, ny = points[pt, 0], points[pt, 1], nx[line], ny[line]
+    delta = px * nx + py * ny - r[line]
+    close = np.abs(delta) <= rho
+    pt, line, delta = pt[close], line[close], delta[close]
+    along = px[close] * ny[close] - py[close] * nx[close]
+    pair, veh = _pairs(veh_first[line], veh_count[line])
+    gap = t[veh] - along[pair]
+    near = np.zeros(points.shape[0], dtype=bool)
+    near[pt[pair[gap * gap <= rho * rho - delta[pair] ** 2]]] = True
+    return near
+
+
+def _zero_cell_chunk(cfg, n, rng, users):
+    """n zero cells with their vehicles and points: Poisson(lambda_u A)
+    users per cell when ``users``, else AREA_PROBES probes.
+
+    Returns per row the exact area, the point count and how many points lie
+    in the vehicle region.  Points are drawn and tested a few rows at a time,
+    so that at most PAIR_BUDGET point-road pairs are held at once.
+    """
+    q, m = _voronoi_cells(cfg.lambda_b, n, rng, zero_cell=True)
+    roads = _roads_near(cfg, q, rng)
+    tri = _fan_areas(q, m)
+    area = tri.sum(axis=1)
+    counts = rng.poisson(cfg.lambda_u * area) if users else np.full(n, AREA_PROBES)
+    n_roads = np.diff(roads[0])
+    n_near = np.zeros(n, dtype=np.int64)
+    for a, b in _row_ranges(counts * (1 + n_roads), PAIR_BUDGET):
+        points = _points_in_cells(q[a:b], m[a:b], tri[a:b], counts[a:b], rng)
+        row = np.repeat(np.arange(a, b), counts[a:b])
+        near = _in_vehicle_region(points, row, roads, cfg.rho)
+        n_near[a:b] = np.bincount(row[near] - a, minlength=b - a)
+    return area, counts, n_near
+
+
+def _zero_cell_loads(cfg, batches):
+    """User count outside the vehicle region of each zero cell."""
+    loads = []
+    for size, rng in batches:
+        _, n_users, n_near = _zero_cell_chunk(cfg, size, rng, users=True)
+        loads.append(n_users - n_near)
+    return np.concatenate(loads)
 
 
 def _mean_estimate(values, plan) -> Estimate:
@@ -517,25 +674,27 @@ def _mean_estimate(values, plan) -> Estimate:
 
 
 def estimate_zero_cell_areas(cfg: NetworkConfig, plan: SimPlan):
-    """Hit-or-miss estimates of the mean serving-cell area inside and outside
-    the vehicle region; returns (inside, outside) Estimates."""
-    rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-    areas_in = np.empty(plan.n_samples)
-    areas_out = np.empty(plan.n_samples)
-    for i in range(plan.n_samples):
-        areas_in[i], areas_out[i], _ = _zero_cell_replication(cfg, rng, False)
-    return _mean_estimate(areas_in, plan), _mean_estimate(areas_out, plan)
+    """Mean area of the serving (zero) cell inside and outside the vehicle
+    region; returns (inside, outside) Estimates.
+
+    Each cell's area is exact; AREA_PROBES probes uniform in the cell split it
+    between the two regions.
+    """
+    inside, outside = [], []
+    for size, rng in _batches(plan):
+        area, _, n_near = _zero_cell_chunk(cfg, size, rng, users=False)
+        area_in = area * (n_near / AREA_PROBES)
+        inside.append(area_in)
+        outside.append(area - area_in)
+    return (_mean_estimate(np.concatenate(inside), plan),
+            _mean_estimate(np.concatenate(outside), plan))
 
 
 def estimate_zero_cell_load(cfg: NetworkConfig, plan: SimPlan) -> Estimate:
     """Mean number of users sharing the typical user's base station: an
-    independent user process is drawn and counted over the serving cell minus
+    independent user process is drawn in the serving cell and counted outside
     the vehicle region."""
-    rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-    loads = np.empty(plan.n_samples)
-    for i in range(plan.n_samples):
-        loads[i] = _zero_cell_replication(cfg, rng, True, want_areas=False)[2]
-    return _mean_estimate(loads, plan)
+    return _mean_estimate(_zero_cell_loads(cfg, _batches(plan)), plan)
 
 
 def estimate_voronoi_area_moment(lambda_b, plan: SimPlan) -> Estimate:
@@ -543,25 +702,13 @@ def estimate_voronoi_area_moment(lambda_b, plan: SimPlan) -> Estimate:
     tessellation of intensity lambda_b.
 
     Conditioning a point at the origin (Slivnyak) makes its cell the typical
-    cell.  Hit-or-miss probes give an unbiased squared area through pair
-    counting: E[h (h - 1)] / (M (M - 1)) = (area / S)^2 for h hits out of M
-    probes over a probe region of area S.
+    cell; each replication squares its exact area.
     """
     if lambda_b <= 0:
         raise ValueError("lambda_b must be positive")
-    rng = np.random.default_rng(np.random.SeedSequence(plan.seed))
-    window = 8.0 / math.sqrt(lambda_b)
-    probe_radius = 4.0 / math.sqrt(lambda_b)
-    region_area = math.pi * probe_radius ** 2
-    m = PROBES_PER_CELL
-    origin = np.zeros(2)
-    vals = np.empty(plan.n_samples)
-    for i in range(plan.n_samples):
-        competitors = sample_planar_ppp(lambda_b, window, rng)
-        probes = _disk_points(origin, probe_radius, m, rng)
-        h = int(np.count_nonzero(_cell_member_mask(probes, origin, competitors)))
-        vals[i] = region_area ** 2 * h * (h - 1) / (m * (m - 1))
-    return _mean_estimate(vals, plan)
+    areas = [_fan_areas(*_voronoi_cells(lambda_b, size, rng, False)).sum(axis=1)
+             for size, rng in _batches(plan)]
+    return _mean_estimate(np.concatenate(areas) ** 2, plan)
 
 
 def estimate_effective_rate(cfg: NetworkConfig, plan: SimPlan,
@@ -585,10 +732,7 @@ def estimate_effective_rate(cfg: NetworkConfig, plan: SimPlan,
 
     reps = load_replications if load_replications is not None \
         else max(1000, plan.n_samples // 20)
-    rng = np.random.default_rng(ss_den)
-    loads = np.empty(reps)
-    for i in range(reps):
-        loads[i] = _zero_cell_replication(cfg, rng, True, want_areas=False)[2]
+    loads = _zero_cell_loads(cfg, _batches(replace(plan, n_samples=reps), ss_den))
     den = float(np.mean(loads))
     den_se = float(np.std(loads, ddof=1) / math.sqrt(reps))
     if den <= 0:

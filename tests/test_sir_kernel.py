@@ -49,10 +49,10 @@ def _realization(vehicles, base_stations):
     return Realization(lines, veh, bs, 1.0, 0)
 
 
-# (distance, angle, fade): distances and fades keep every SIR below ~1e6, so
-# the reference's own total-minus-signal rounding stays far under 1e-9
-_transmitter = st.tuples(st.floats(0.05, 1.0), st.floats(0.0, 2 * math.pi),
-                         st.floats(0.5, 2.0))
+# (distance, angle, fade) over six decades each: both sides sum the other
+# powers directly, so the SIR keeps a few ulps of relative accuracy at any size
+_transmitter = st.tuples(st.floats(1e-3, 1e3), st.floats(0.0, 2 * math.pi),
+                         st.floats(1e-3, 1e3))
 _population = st.lists(_transmitter, max_size=6, unique_by=lambda t: t[0])
 _replication = st.tuples(_population, _population)
 
@@ -103,7 +103,7 @@ def test_kernel_matches_scalar_reference(replications, alpha):
         if math.isinf(ref.sir):
             assert math.isinf(sir[i])
         else:
-            assert sir[i] == pytest.approx(ref.sir, rel=1e-9)
+            assert sir[i] == pytest.approx(ref.sir, rel=1e-12)
 
 
 def test_kernel_resamples_degenerate_rows_and_draws_abort():
