@@ -572,15 +572,17 @@ def _roads_near(cfg, q, rng):
     a vehicle and comes within rho of the cell, whose signed distances to it
     range between those of its vertices.
 
-    Returns (starts, nx, ny, r, veh_first, veh_count, t): kept roads grouped
-    by row, each the line x . (nx, ny) = r in nucleus-relative coordinates,
-    its vehicles' index range, and each vehicle's position t along its road
-    (direction (ny, -nx)).
+    Returns (starts, nx, ny, r, road, vehicles): kept roads grouped by row,
+    each the line x . (nx, ny) = r in nucleus-relative coordinates with its
+    index ``road`` among all drawn roads, and every vehicle as the complex
+    number road + 1j * t, sorted (numpy orders complex numbers by real, then
+    imaginary part), where t is its position along its road, direction
+    (ny, -nx).
     """
     n = q.shape[0]
     if cfg.lambda_l == 0 or cfg.mu == 0:
-        none, idx = np.empty(0), np.empty(0, dtype=np.int64)
-        return np.zeros(n + 1, dtype=np.int64), none, none, none, idx, idx, none
+        none = np.empty(0)
+        return np.zeros(n + 1, dtype=np.int64), none, none, none, none, none
     reach = np.sqrt(np.einsum("kvj,kvj->kv", q, q).max(axis=1))
     radius = reach + cfg.rho
     n_lines = rng.poisson(2.0 * cfg.lambda_l * radius)
@@ -590,13 +592,13 @@ def _roads_near(cfg, q, rng):
     theta = rng.uniform(0.0, math.pi, R.size)
     half = np.sqrt(np.maximum(R * R - r * r, 0.0))
     veh_count = rng.poisson(2.0 * cfg.mu * half)
-    veh_first = _segment_starts(veh_count)[:-1]
     t = rng.uniform(-1.0, 1.0, veh_count.sum()) * np.repeat(half, veh_count)
+    vehicles = np.sort(np.repeat(np.arange(R.size), veh_count) + 1j * t)
     nx, ny = -np.sin(theta), np.cos(theta)
     s = q[row, :, 0] * nx[:, None] + q[row, :, 1] * ny[:, None] - r[:, None]
     keep = (veh_count > 0) & (s.min(axis=1) <= cfg.rho) & (s.max(axis=1) >= -cfg.rho)
     starts = _segment_starts(np.bincount(row[keep], minlength=n))
-    return starts, nx[keep], ny[keep], r[keep], veh_first[keep], veh_count[keep], t
+    return starts, nx[keep], ny[keep], r[keep], np.flatnonzero(keep), vehicles
 
 
 def _row_ranges(weight, budget):
@@ -615,22 +617,26 @@ def _in_vehicle_region(points, row, roads, rho):
     """True per point iff a vehicle of its row lies within the closed
     rho-ball.
 
-    A point at distance delta from a line is within rho of a vehicle on it
-    iff the vehicle's position along the line is within
-    sqrt(rho^2 - delta^2) of the point's, so only the vehicles of lines
-    closer than rho are looked at.
+    A point at distance delta from a road is within rho of a vehicle on it
+    iff the vehicle's position along the road is within
+    w = sqrt(rho^2 - delta^2) of the point's.  For each road closer than rho
+    one search in the sorted vehicles finds the first vehicle of that road
+    at or after the point's position minus w.
     """
-    starts, nx, ny, r, veh_first, veh_count, t = roads
+    starts, nx, ny, r, road, vehicles = roads
     pt, line = _pairs(starts[row], np.diff(starts)[row])
     px, py, nx, ny = points[pt, 0], points[pt, 1], nx[line], ny[line]
     delta = px * nx + py * ny - r[line]
     close = np.abs(delta) <= rho
     pt, line, delta = pt[close], line[close], delta[close]
     along = px[close] * ny[close] - py[close] * nx[close]
-    pair, veh = _pairs(veh_first[line], veh_count[line])
-    gap = t[veh] - along[pair]
+    w = np.sqrt(rho * rho - delta * delta)
+    first = np.searchsorted(vehicles, road[line] + 1j * (along - w))
+    found = vehicles[np.minimum(first, vehicles.size - 1)]
+    hit = first < vehicles.size
+    hit &= (found.real == road[line]) & (found.imag <= along + w)
     near = np.zeros(points.shape[0], dtype=bool)
-    near[pt[pair[gap * gap <= rho * rho - delta[pair] ** 2]]] = True
+    near[pt[hit]] = True
     return near
 
 

@@ -14,7 +14,9 @@ from vanetcov import NetworkConfig, simulator, validate
 from vanetcov.simulator import (
     SimPlan,
     _fan_areas,
+    _in_vehicle_region,
     _points_in_cells,
+    _roads_near,
     _voronoi_cells,
     estimate_voronoi_area_moment,
     estimate_zero_cell_areas,
@@ -193,6 +195,53 @@ def test_points_in_cells_uniform_over_fan_triangles():
     observed = np.bincount(k * 4 + band, minlength=4 * m[0])
     expected = np.repeat(tri[0, :m[0]] / tri[0].sum() / 4.0, 4) * n
     assert chisquare(observed, expected).pvalue > 1e-3
+
+
+class _Recorder:
+    """Passes calls through to a Generator and keeps every result."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            out = getattr(self.rng, name)(*args, **kwargs)
+            self.draws.append(out)
+            return out
+        return call
+
+
+def test_vehicle_region_matches_brute_force():
+    # every point against every vehicle drawn for its row, kept road or not
+    cfg = validate(replace(REF_CFG, rho=0.2))
+    rng = np.random.default_rng(17)
+    q, m = _voronoi_cells(cfg.lambda_b, 40, rng, zero_cell=True)
+    rec = _Recorder(rng)
+    roads = _roads_near(cfg, q, rec)
+    counts = np.full(40, 500)
+    points = _points_in_cells(q, m, _fan_areas(q, m), counts, rng)
+    row = np.repeat(np.arange(40), counts)
+    near = _in_vehicle_region(points, row, roads, cfg.rho)
+
+    # the roads hitting the disk of radius (farthest vertex + rho): counts,
+    # displacement and angle per road, vehicle counts, positions along roads
+    n_lines, r_frac, theta, n_veh, t_frac = rec.draws
+    radius = np.sqrt((q ** 2).sum(axis=2).max(axis=1)) + cfg.rho
+    line_row = np.repeat(np.arange(40), n_lines)
+    R = radius[line_row]
+    r = r_frac * R
+    t = t_frac * np.repeat(np.sqrt(R ** 2 - r ** 2), n_veh)
+    r, theta, veh_row = (np.repeat(a, n_veh) for a in (r, theta, line_row))
+    xy = np.column_stack([-r * np.sin(theta) + t * np.cos(theta),
+                          r * np.cos(theta) + t * np.sin(theta)])
+    d_min = np.full(row.size, np.inf)
+    for i in range(40):
+        mine = row == i
+        d = points[mine][:, None, :] - xy[veh_row == i][None, :, :]
+        d_min[mine] = np.sqrt((d ** 2).sum(axis=2).min(axis=1, initial=np.inf))
+    boundary = np.abs(d_min - cfg.rho) < 1e-12
+    assert np.array_equal(near[~boundary], (d_min <= cfg.rho)[~boundary])
+    assert 0.1 < near.mean() < 0.9
 
 
 def test_cell_estimators_bit_reproducible():
