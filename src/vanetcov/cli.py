@@ -5,7 +5,8 @@ In validate mode each row carries the Monte Carlo estimate in the value
 column and a pass/fail verdict; the JSON mirror additionally records the
 analytic value, its quadrature error, and the z-score.  Verdicts derive only
 from |analytic - mc| <= 3 * std_error + quadrature_error; nothing is nudged
-to force agreement.
+to force agreement.  The rule is applied per row, so a report of failures
+also gives how many a correct model would fail by chance alone.
 """
 from __future__ import annotations
 
@@ -22,6 +23,7 @@ from .config import NetworkConfig, ValidationError, config_dict, config_field_na
 from .quadrature import DEFAULT_SPEC, NonConvergenceError
 
 SEED_ENV_VAR = "VANET_SEED"
+VERDICT_SIGMAS = 3.0
 
 MODES = ("analytic", "montecarlo", "validate")
 METRICS = ("assoc", "dl_cov", "sl_cov", "total_cov", "eff_rate", "utility",
@@ -48,7 +50,7 @@ class RunRequest:
 
 def _verdict(analytic_value, analytic_err, mc_mean, mc_se):
     gap = abs(analytic_value - mc_mean)
-    ok = gap <= 3.0 * mc_se + analytic_err
+    ok = gap <= VERDICT_SIGMAS * mc_se + analytic_err
     z = gap / mc_se if mc_se > 0 else (0.0 if gap == 0 else math.inf)
     return ("pass" if ok else "fail"), z
 
@@ -308,6 +310,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _chance_note(n_rows: int) -> str:
+    """Expected failures of n_rows correct rows under the per-row rule: each
+    fails with the two-sided normal tail probability beyond VERDICT_SIGMAS."""
+    expected = n_rows * math.erfc(VERDICT_SIGMAS / math.sqrt(2.0))
+    return (f"about {expected:.2g} expected by chance: "
+            f"{n_rows} rows at {VERDICT_SIGMAS:g} sigma")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     taus: tuple[float, ...] = ()
@@ -333,10 +343,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = [r for r in rows if r.get("error")]
-    verdicts = [r for r in rows if r.get("verdict") == "fail"]
+    judged = [r for r in rows if r.get("verdict")]
+    verdicts = [r for r in judged if r["verdict"] == "fail"]
     print(f"wrote {len(rows)} rows to {req.output_path}")
     if verdicts:
-        print(f"{len(verdicts)} validation rows FAILED", file=sys.stderr)
+        print(f"{len(verdicts)} validation rows FAILED ({_chance_note(len(judged))})",
+              file=sys.stderr)
         return 1
     if failures:
         print(f"{len(failures)} rows recorded errors", file=sys.stderr)

@@ -3,9 +3,15 @@
 The typical user sits at the origin of a disk window.  Per replication the
 kernel draws roads, vehicles, base stations and per-transmitter unit-mean
 exponential fades, resolves the vehicle-first association, and forms the SIR.
-Replications are vectorised in fixed-size batches; each batch owns an RNG
-stream spawned from the master seed, so results are bit-reproducible for a
-given (seed, batch_size) regardless of how batches are scheduled.
+Replications are vectorised in fixed-size batches (1,024 by default); each
+batch owns an RNG stream spawned from the master seed, so results are
+bit-reproducible for a given (seed, batch_size) regardless of how batches are
+scheduled.  ``_map_batches`` runs the batches of one call on a thread pool of
+at most one worker per available CPU: numpy's random fills and ufuncs release
+the interpreter lock, so batches really run at once.  At most
+MAX_IN_FLIGHT = 4,096 replications are in flight, which bounds the kernel's
+memory; a run of a single batch starts no thread, and a pool task never
+submits to a pool.
 
 Within a batch every population is one flat array grouped by replication and
 described by per-replication start offsets; minima and sums are segment
@@ -28,6 +34,7 @@ order of distance, and stop once no farther base station can cut it.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, replace
 
@@ -41,6 +48,7 @@ TOTAL = "Total"
 
 RATE_CAP_BITS = 60.0       # numerical guard on log2(1 + SIR)
 DEGENERATE_ABORT_FRACTION = 1e-6
+MAX_IN_FLIGHT = 4096       # replications drawn at once, over all workers
 
 
 class DegenerateRealizationError(RuntimeError):
@@ -67,11 +75,17 @@ class SimPlan:
     """Sample count, seed and batching of one Monte Carlo run, and the window
     of the SIR kernel.  The cell estimators (Voronoi moment, zero-cell areas
     and load, the effective rate's denominator) build exact cells and ignore
-    ``window_radius``."""
+    ``window_radius``.
+
+    Replications are drawn in batches of ``batch_size``, each with its own
+    random stream, so (seed, batch_size) fixes every result.  Batches run on
+    a thread pool with at most MAX_IN_FLIGHT // batch_size workers (four at
+    the default 1,024, capped by the CPUs available); a plan of one batch, or
+    with batch_size above MAX_IN_FLIGHT, runs without threads."""
     window_radius: float
     n_samples: int
     seed: int
-    batch_size: int = 4096
+    batch_size: int = 1024
     far_field_compensation: bool = True
 
     def __post_init__(self):
@@ -288,12 +302,38 @@ def _batches(plan: SimPlan, seed_sequence=None):
             for size, child in zip(sizes, ss.spawn(len(sizes)))]
 
 
+def _available_cpus():
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_batches(fn, batches):
+    """[fn(size, rng) for (size, rng) in batches], in batch order.
+
+    Batches run on a thread pool made for this call, with one worker per
+    available CPU, no more workers than batches, and no more than
+    MAX_IN_FLIGHT replications in flight (the first batch is the largest).
+    Each batch draws only from its own generator, so the results do not
+    depend on the number of workers.  With one batch or one worker this is a
+    plain loop and starts no thread.  ``fn`` must not call this helper: a
+    pool task never submits to a pool.  The first exception a batch raises
+    propagates, and batches not yet started are cancelled.
+    """
+    workers = min(len(batches), _available_cpus(), MAX_IN_FLIGHT // batches[0][0])
+    if workers <= 1:
+        return [fn(size, rng) for size, rng in batches]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded calls pay the import
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*batches)))
+
+
 def draw_sir_samples(cfg: NetworkConfig, plan: SimPlan,
                      seed_sequence: np.random.SeedSequence | None = None) -> SirBatch:
     """Draw plan.n_samples SIR samples in reproducible fixed-size batches."""
     n = plan.n_samples
-    chunks = [_sir_chunk(cfg, plan, size, rng)
-              for size, rng in _batches(plan, seed_sequence)]
+    chunks = _map_batches(lambda size, rng: _sir_chunk(cfg, plan, size, rng),
+                          _batches(plan, seed_sequence))
     batch = SirBatch(
         np.concatenate([c.is_sl for c in chunks]),
         np.concatenate([c.serving_distance for c in chunks]),
@@ -376,7 +416,8 @@ def _proportion_estimate(indicator, plan) -> Estimate:
 def estimate_association(cfg: NetworkConfig, plan: SimPlan):
     """(sidelink, downlink) association estimates; the per-sample indicators
     are complementary, so the two means sum to one exactly."""
-    parts = [_association_chunk(cfg, size, rng) for size, rng in _batches(plan)]
+    parts = _map_batches(lambda size, rng: _association_chunk(cfg, size, rng),
+                         _batches(plan))
     is_sl = np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
     sl = _proportion_estimate(is_sl, plan)
     return sl, Estimate(1.0 - sl.mean, sl.std_error, sl.n_samples, sl.seed)
@@ -665,11 +706,10 @@ def _zero_cell_chunk(cfg, n, rng, users):
 
 def _zero_cell_loads(cfg, batches):
     """User count outside the vehicle region of each zero cell."""
-    loads = []
-    for size, rng in batches:
+    def loads(size, rng):
         _, n_users, n_near = _zero_cell_chunk(cfg, size, rng, users=True)
-        loads.append(n_users - n_near)
-    return np.concatenate(loads)
+        return n_users - n_near
+    return np.concatenate(_map_batches(loads, batches))
 
 
 def _mean_estimate(values, plan) -> Estimate:
@@ -686,12 +726,11 @@ def estimate_zero_cell_areas(cfg: NetworkConfig, plan: SimPlan):
     Each cell's area is exact; AREA_PROBES probes uniform in the cell split it
     between the two regions.
     """
-    inside, outside = [], []
-    for size, rng in _batches(plan):
+    def split(size, rng):
         area, _, n_near = _zero_cell_chunk(cfg, size, rng, users=False)
         area_in = area * (n_near / AREA_PROBES)
-        inside.append(area_in)
-        outside.append(area - area_in)
+        return area_in, area - area_in
+    inside, outside = zip(*_map_batches(split, _batches(plan)))
     return (_mean_estimate(np.concatenate(inside), plan),
             _mean_estimate(np.concatenate(outside), plan))
 
@@ -712,9 +751,9 @@ def estimate_voronoi_area_moment(lambda_b, plan: SimPlan) -> Estimate:
     """
     if lambda_b <= 0:
         raise ValueError("lambda_b must be positive")
-    areas = [_fan_areas(*_voronoi_cells(lambda_b, size, rng, False)).sum(axis=1)
-             for size, rng in _batches(plan)]
-    return _mean_estimate(np.concatenate(areas) ** 2, plan)
+    def areas(size, rng):
+        return _fan_areas(*_voronoi_cells(lambda_b, size, rng, False)).sum(axis=1)
+    return _mean_estimate(np.concatenate(_map_batches(areas, _batches(plan))) ** 2, plan)
 
 
 def estimate_effective_rate(cfg: NetworkConfig, plan: SimPlan,

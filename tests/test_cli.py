@@ -167,3 +167,15 @@ def test_eff_rate_validate_small(cfg_path, tmp_path):
     assert rc == 0
     rows = _read_rows(out)
     assert rows[0]["verdict"] == "pass"
+
+
+def test_failed_verdicts_report_chance_count(cfg_path, tmp_path, monkeypatch, capsys):
+    # a wrong analytic association makes both assoc rows fail
+    monkeypatch.setattr(cli.analytic, "p_assoc_sl", lambda *args: 0.5)
+    rc = cli.main(["--config", cfg_path, "--mode", "validate", "--metric", "assoc",
+                   "--samples", "1000", "--seed", "7",
+                   "--out", str(tmp_path / "bad.csv")])
+    assert rc == 1
+    assert ("2 validation rows FAILED (about 0.0054 expected by chance: "
+            "2 rows at 3 sigma)") in capsys.readouterr().err
+    assert cli._chance_note(42) == "about 0.11 expected by chance: 42 rows at 3 sigma"
