@@ -442,23 +442,34 @@ def effective_rate(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> f
     return effective_rate_with_error(cfg, spec)[0]
 
 
-def network_utility(cfg: NetworkConfig, w_s=None, w_d=None,
-                    spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Weighted sum of sidelink decoding reliability at the encoding rate
-    epsilon and the effective downlink rate."""
-    w_s = cfg.w_s if w_s is None else w_s
-    w_d = cfg.w_d if w_d is None else w_d
-    if w_s < 0 or w_d < 0:
-        raise ValueError("weights must be nonnegative")
-    tau_eps = 2.0 ** cfg.epsilon - 1.0
-    sidelink = sl_coverage(cfg, tau_eps, spec).value if w_s > 0 else 0.0
-    downlink = effective_rate(cfg, spec) if w_d > 0 else 0.0
-    return w_s * sidelink + w_d * downlink
+def _weighted_links(cfg: NetworkConfig, w_sl, w_dl, spec: QuadratureSpec):
+    """w_sl * P(SIR > 2^epsilon - 1, SL) + w_dl * effective rate, and its
+    quadrature error bound; a term with zero weight is not evaluated."""
+    sl = sl_coverage(cfg, 2.0 ** cfg.epsilon - 1.0, spec) if w_sl > 0 \
+        else CoverageResult(0.0, 0.0)
+    rate, rate_err = effective_rate_with_error(cfg, spec) if w_dl > 0 else (0.0, 0.0)
+    return (w_sl * sl.value + w_dl * rate,
+            w_sl * sl.est_abs_error + w_dl * rate_err)
+
+
+def network_utility_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):
+    """Network utility and its quadrature error bound."""
+    return _weighted_links(cfg, cfg.w_s, cfg.w_d, spec)
+
+
+def network_utility(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """Weighted sum, with the config's weights w_s and w_d, of sidelink
+    decoding reliability at the encoding rate epsilon and the effective
+    downlink rate."""
+    return network_utility_with_error(cfg, spec)[0]
+
+
+def total_rate_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):
+    """Total rate and its quadrature error bound."""
+    return _weighted_links(cfg, cfg.epsilon, 1.0, spec)
 
 
 def total_rate(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     """Total ergodic rate from both links: the sidelink encoding rate times
     its joint decoding probability, plus the effective downlink rate."""
-    tau_eps = 2.0 ** cfg.epsilon - 1.0
-    sidelink = cfg.epsilon * sl_coverage(cfg, tau_eps, spec).value if cfg.epsilon > 0 else 0.0
-    return sidelink + effective_rate(cfg, spec)
+    return total_rate_with_error(cfg, spec)[0]

@@ -3,7 +3,7 @@ sweep parameters, and emit CSV plus a JSON mirror.
 
 In validate mode each row carries the Monte Carlo estimate in the value
 column and a pass/fail verdict; the JSON mirror additionally records the
-analytic value, its quadrature error, and the z-score.  Verdicts derive only
+analytic value, its quadrature error, and the z-score.  Verdicts follow only
 from |analytic - mc| <= 3 * std_error + quadrature_error; nothing is nudged
 to force agreement.  The rule is applied per row, so a report of failures
 also gives how many a correct model would fail by chance alone.
@@ -106,15 +106,9 @@ def _analytic_results(cfg, req, spec=DEFAULT_SPEC):
         value, err = analytic.effective_rate_with_error(cfg, spec)
         out.append(_Result(m, "", value, err))
     elif m in ("utility", "total_rate"):
-        tau_eps = 2.0 ** cfg.epsilon - 1.0
-        sl = analytic.sl_coverage(cfg, tau_eps, spec)
-        rate, rate_err = analytic.effective_rate_with_error(cfg, spec)
-        if m == "utility":
-            value = cfg.w_s * sl.value + cfg.w_d * rate
-            err = cfg.w_s * sl.est_abs_error + cfg.w_d * rate_err
-        else:
-            value = cfg.epsilon * sl.value + rate
-            err = cfg.epsilon * sl.est_abs_error + rate_err
+        fn = analytic.network_utility_with_error if m == "utility" \
+            else analytic.total_rate_with_error
+        value, err = fn(cfg, spec)
         out.append(_Result(m, cfg.epsilon, value, err))
     elif m == "nu":
         out.append(_Result(m, "", analytic.nu(), ""))

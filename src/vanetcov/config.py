@@ -30,15 +30,8 @@ class NetworkConfig:
     p_b: float       # base-station transmit power, linear
     p_v: float       # vehicle transmit power, linear
     epsilon: float   # sidelink encoding rate, bits/s/Hz
-    w_s: float = 0.5    # sidelink utility weight
-    w_d: float = 0.5    # downlink utility weight
-    speed: float = 0.0  # vehicle speed, km per unit time
-
-
-@dataclass(frozen=True)
-class DerivedQuantities:
-    eta: float                   # transmit power ratio p_v / p_b
-    vehicle_area_density: float  # lambda_l * mu, vehicles per km^2
+    w_s: float = 0.5  # sidelink utility weight
+    w_d: float = 0.5  # downlink utility weight
 
 
 def _fail(name: str, message: str) -> None:
@@ -79,24 +72,9 @@ def validate(cfg: NetworkConfig) -> NetworkConfig:
         _fail("w_s", "must be nonnegative")
     if cfg.w_d < 0:
         _fail("w_d", "must be nonnegative")
-    if cfg.speed < 0:
-        _fail("speed", "must be nonnegative")
     if cfg.lambda_u <= cfg.lambda_b:
         _fail("lambda_u", "must exceed lambda_b")
     return cfg
-
-
-def derive(cfg: NetworkConfig) -> DerivedQuantities:
-    """Quantities the formulas consume: power ratio and planar vehicle density.
-
-    lambda_l is the mean road length per unit area, so the road-bound vehicle
-    process has lambda_l * mu points per km^2: a disk of radius R meets
-    2 lambda_l R roads whose mean in-disk length totals pi R^2 lambda_l.
-    """
-    return DerivedQuantities(
-        eta=cfg.p_v / cfg.p_b,
-        vehicle_area_density=cfg.lambda_l * cfg.mu,
-    )
 
 
 def config_field_names() -> list[str]:
@@ -110,8 +88,8 @@ def config_dict(cfg: NetworkConfig) -> dict:
 def load_config(path) -> NetworkConfig:
     """Load a flat JSON document with exactly the NetworkConfig field names.
 
-    Unknown keys are an error so that typos never pass silently.  `speed`,
-    `w_s` and `w_d` may be omitted and take their defaults.
+    Unknown keys are an error so that typos never pass silently.  `w_s` and
+    `w_d` may be omitted and take their defaults.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
@@ -121,7 +99,7 @@ def load_config(path) -> NetworkConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    optional = {"speed", "w_s", "w_d"}
+    optional = {"w_s", "w_d"}
     missing = sorted(known - optional - set(raw))
     if missing:
         raise ValidationError(f"missing config keys: {', '.join(missing)}")

@@ -24,8 +24,7 @@ path-loss exponent close to 2 the far field decays too slowly to ignore at
 any affordable window.  The kernel therefore adds the far field's exact mean
 (Campbell's formula over the window exterior) as a deterministic term; the
 fluctuation it ignores is second order and the window-doubling guard check
-quantifies what remains.  Set ``far_field_compensation=False`` on the plan to
-sample the strictly truncated model instead.
+quantifies what remains.
 
 The cell estimators need no window: they build each replication's Voronoi
 cell exactly, as a convex polygon clipped by one bisector per base station in
@@ -40,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import NetworkConfig, config_dict
+from .config import NetworkConfig
 
 SIDELINK = "SL"
 DOWNLINK = "DL"
@@ -53,13 +52,6 @@ MAX_IN_FLIGHT = 4096       # replications drawn at once, over all workers
 
 class DegenerateRealizationError(RuntimeError):
     """No serving candidate: no base station in window and no vehicle in range."""
-
-
-@dataclass(frozen=True)
-class SirSample:
-    association: str        # SIDELINK or DOWNLINK
-    serving_distance: float
-    sir: float
 
 
 @dataclass(frozen=True)
@@ -86,7 +78,6 @@ class SimPlan:
     n_samples: int
     seed: int
     batch_size: int = 1024
-    far_field_compensation: bool = True
 
     def __post_init__(self):
         if self.window_radius <= 0:
@@ -108,7 +99,7 @@ def default_window_radius(cfg: NetworkConfig) -> float:
 
 
 def make_plan(cfg: NetworkConfig, n_samples: int, seed: int,
-              window_radius: float | None = None, **kwargs) -> SimPlan:
+              window_radius: float | None = None) -> SimPlan:
     """Build a plan, enforcing the window floor for the given scenario."""
     floor = max(10.0 * cfg.rho, 10.0 / math.sqrt(math.pi * cfg.lambda_b))
     if window_radius is None:
@@ -116,7 +107,7 @@ def make_plan(cfg: NetworkConfig, n_samples: int, seed: int,
     elif window_radius < floor:
         raise ValueError(f"window_radius below the bias floor {floor:.3f} km")
     return SimPlan(window_radius=float(window_radius), n_samples=int(n_samples),
-                   seed=int(seed), **kwargs)
+                   seed=int(seed))
 
 
 def far_field_mean(cfg: NetworkConfig, window_radius: float) -> float:
@@ -178,8 +169,6 @@ class SirBatch:
     serving_distance: np.ndarray
     sir: np.ndarray
     n_degenerate: int
-    seed: int
-    window_radius: float
 
     def __len__(self):
         return self.is_sl.size
@@ -272,9 +261,9 @@ def _sir_chunk(cfg, plan, n, rng, depth=0):
 
     fade_v = rng.standard_exponential(d2_v.size)
     fade_b = rng.standard_exponential(d2_b.size)
-    m_far = far_field_mean(cfg, R) if plan.far_field_compensation else 0.0
     is_sl, serving_d, sir, degenerate = _resolve_sir(
-        cfg, m_far, veh_offsets[line_starts], d2_v, fade_v, bs_starts, d2_b, fade_b)
+        cfg, far_field_mean(cfg, R), veh_offsets[line_starts], d2_v, fade_v,
+        bs_starts, d2_b, fade_b)
 
     n_deg = int(np.count_nonzero(degenerate))
     if n_deg:
@@ -287,7 +276,7 @@ def _sir_chunk(cfg, plan, n, rng, depth=0):
         serving_d[where] = redo.serving_distance
         sir[where] = redo.sir
         n_deg += redo.n_degenerate
-    return SirBatch(is_sl, serving_d, sir, n_deg, plan.seed, R)
+    return SirBatch(is_sl, serving_d, sir, n_deg)
 
 
 def _batches(plan: SimPlan, seed_sequence=None):
@@ -339,50 +328,12 @@ def draw_sir_samples(cfg: NetworkConfig, plan: SimPlan,
         np.concatenate([c.serving_distance for c in chunks]),
         np.concatenate([c.sir for c in chunks]),
         sum(c.n_degenerate for c in chunks),
-        plan.seed, plan.window_radius,
     )
     if batch.n_degenerate > DEGENERATE_ABORT_FRACTION * max(n, 1) + 1:
         raise DegenerateRealizationError(
             f"{batch.n_degenerate} degenerate realizations out of {n}; "
             "window too small for the configured densities")
     return batch
-
-
-def sample_sir(real, cfg: NetworkConfig, rng) -> SirSample:
-    """One SIR draw from an explicit realization (window-truncated model).
-
-    Association follows the vehicle-first rule: the nearest vehicle within
-    rho serves if one exists, otherwise the nearest base station.  Fresh
-    unit-mean exponential fades are drawn per transmitter.  An empty
-    interference set yields the +inf sentinel.
-    """
-    eta = cfg.p_v / cfg.p_b
-    d_v = np.hypot(real.vehicles.x, real.vehicles.y)
-    bs = np.atleast_2d(real.base_stations) if len(real.base_stations) else np.empty((0, 2))
-    d_b = np.hypot(bs[:, 0], bs[:, 1]) if bs.size else np.empty(0)
-
-    dv_min = float(np.min(d_v)) if d_v.size else math.inf
-    db_min = float(np.min(d_b)) if d_b.size else math.inf
-    is_sl = dv_min <= cfg.rho
-    if not is_sl and not d_b.size:
-        raise DegenerateRealizationError("no base station and no vehicle within rho")
-
-    pw_v = eta * rng.exponential(1.0, d_v.size) * np.power(d_v, -cfg.alpha) if d_v.size else np.empty(0)
-    pw_b = rng.exponential(1.0, d_b.size) * np.power(d_b, -cfg.alpha) if d_b.size else np.empty(0)
-    # the serving power is left out of the sum, not subtracted from the
-    # total: at a large SIR the subtraction would leave mostly rounding
-    if is_sl:
-        serve = int(np.argmin(d_v))
-        signal = float(pw_v[serve])
-        interference = float(np.delete(pw_v, serve).sum() + pw_b.sum())
-        serving_d = dv_min
-    else:
-        serve = int(np.argmin(d_b))
-        signal = float(pw_b[serve])
-        interference = float(pw_v.sum() + np.delete(pw_b, serve).sum())
-        serving_d = db_min
-    sir = float(signal / interference) if interference > 0 else math.inf
-    return SirSample(SIDELINK if is_sl else DOWNLINK, serving_d, sir)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +366,12 @@ def _proportion_estimate(indicator, plan) -> Estimate:
 
 def estimate_association(cfg: NetworkConfig, plan: SimPlan):
     """(sidelink, downlink) association estimates; the per-sample indicators
-    are complementary, so the two means sum to one exactly."""
-    parts = _map_batches(lambda size, rng: _association_chunk(cfg, size, rng),
-                         _batches(plan))
-    is_sl = np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
+    are complementary, so the two means sum to one exactly.
+
+    The batches run in a plain loop: each costs about 0.1 ms, less than
+    handing it to a thread pool."""
+    is_sl = np.concatenate([_association_chunk(cfg, size, rng)
+                            for size, rng in _batches(plan)])
     sl = _proportion_estimate(is_sl, plan)
     return sl, Estimate(1.0 - sl.mean, sl.std_error, sl.n_samples, sl.seed)
 
@@ -785,13 +738,3 @@ def estimate_effective_rate(cfg: NetworkConfig, plan: SimPlan,
     mean = num / den
     se = abs(mean) * math.sqrt((num_se / num) ** 2 + (den_se / den) ** 2) if num > 0 else num_se / den
     return Estimate(mean, se, plan.n_samples, plan.seed)
-
-
-def summary_row(cfg: NetworkConfig, metric: str, est: Estimate,
-                window_radius: float) -> dict:
-    """Flat per-run summary: config fields plus the estimate."""
-    row = config_dict(cfg)
-    row.update(metric=metric, mean=est.mean, std_error=est.std_error,
-               n_samples=est.n_samples, seed=est.seed,
-               window_radius=window_radius)
-    return row

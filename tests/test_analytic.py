@@ -202,11 +202,11 @@ def test_network_utility_weight_edges():
     tau_eps = 2.0 ** REF_CFG.epsilon - 1.0
     sl = sl_coverage(REF_CFG, tau_eps).value
     t = effective_rate(REF_CFG)
-    assert network_utility(REF_CFG, w_s=0.0, w_d=1.0) == pytest.approx(t, rel=1e-12)
-    assert network_utility(REF_CFG, w_s=1.0, w_d=0.0) == pytest.approx(sl, rel=1e-12)
+    assert network_utility(replace(REF_CFG, w_s=0.0, w_d=1.0)) == pytest.approx(t, rel=1e-12)
+    assert network_utility(replace(REF_CFG, w_s=1.0, w_d=0.0)) == pytest.approx(sl, rel=1e-12)
     assert network_utility(REF_CFG) == pytest.approx(0.5 * sl + 0.5 * t, rel=1e-12)
     with pytest.raises(ValueError):
-        network_utility(REF_CFG, w_s=-0.2, w_d=1.0)
+        network_utility(validate(replace(REF_CFG, w_s=-0.2, w_d=1.0)))
 
 
 def test_total_rate_edges():

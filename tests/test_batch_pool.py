@@ -63,9 +63,9 @@ def test_estimators_identical_with_one_worker_and_several(monkeypatch):
     _RecordingPool.made = []
     _use_pool(monkeypatch, 4, _RecordingPool)
     threaded = _run_all(plan)
-    # SIR draws, association, three cell estimators, and the effective
-    # rate's numerator and denominator each made a pool of three workers
-    assert _RecordingPool.made == [3] * 7
+    # SIR draws, three cell estimators, and the effective rate's numerator
+    # and denominator each made a pool of three workers
+    assert _RecordingPool.made == [3] * 6
     for a, b in zip(serial, threaded):
         if isinstance(a, np.ndarray):
             np.testing.assert_array_equal(a, b)
@@ -95,8 +95,14 @@ def test_worker_count(monkeypatch, cpus, batch_size, want):
     _use_pool(monkeypatch, cpus, _RecordingPool)
     plan = SimPlan(window_radius=1.0, n_samples=10 * batch_size, seed=2,
                    batch_size=batch_size)
-    estimate_association(CFG, plan)
+    estimate_voronoi_area_moment(CFG.lambda_b, plan)
     assert _RecordingPool.made == [want]
+
+
+def test_association_starts_no_pool(monkeypatch):
+    # its batches cost about 0.1 ms each, less than handing them to a pool
+    _use_pool(monkeypatch, 8, _NoPool)
+    estimate_association(CFG, SimPlan(window_radius=1.0, n_samples=8 * 1024, seed=2))
 
 
 def test_results_in_batch_order_and_errors_propagate(monkeypatch):

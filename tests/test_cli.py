@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,7 @@ def cfg_path(tmp_path):
 
 
 def _read_rows(path):
-    lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
+    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
@@ -44,7 +45,7 @@ def test_validate_mode_assoc_passes(cfg_path, tmp_path):
     assert rc == 0
     rows = _read_rows(out)
     assert {r["verdict"] for r in rows} == {"pass"}
-    doc = json.loads(open(str(out)[:-4] + ".json").read())
+    doc = json.loads(out.with_suffix(".json").read_text())
     assert "analytic_value" in doc["rows"][0]
     assert "z_score" in doc["rows"][0]
 

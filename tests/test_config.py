@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from vanetcov import NetworkConfig, ValidationError, derive, load_config, validate
+from vanetcov import NetworkConfig, ValidationError, load_config, validate
 
 REF_KWARGS = dict(lambda_l=5.0, mu=5.0, lambda_b=5.0, lambda_u=200.0, rho=0.05,
                   alpha=3.0, p_b=1.0, p_v=1.0, epsilon=1.0, w_s=0.5, w_d=0.5)
@@ -39,7 +39,6 @@ def test_user_density_must_exceed_bs_density():
     ("p_b", 0.0, "p_b must be positive"),
     ("p_v", -2.0, "p_v must be positive"),
     ("w_s", -0.1, "w_s must be nonnegative"),
-    ("speed", -1.0, "speed must be nonnegative"),
     ("alpha", math.inf, "alpha must be finite"),
 ])
 def test_invariant_messages(field, value, msg):
@@ -53,24 +52,6 @@ def test_roadless_degenerate_configs_allowed():
     validate(NetworkConfig(**{**REF_KWARGS, "mu": 0.0}))
 
 
-def test_derive_equal_powers():
-    cfg = validate(NetworkConfig(**REF_KWARGS))
-    d = derive(cfg)
-    assert d.eta == 1.0
-    assert d.vehicle_area_density == cfg.lambda_l * cfg.mu
-
-
-def test_derive_density_is_length_density_times_mu():
-    # lambda_l km of road per km^2 at mu vehicles per km of road
-    cfg = validate(NetworkConfig(**{**REF_KWARGS, "lambda_l": 2.5, "mu": 0.4}))
-    assert derive(cfg).vehicle_area_density == pytest.approx(1.0, rel=1e-15)
-
-
-def test_derive_power_ratio():
-    cfg = validate(NetworkConfig(**{**REF_KWARGS, "p_v": 0.1}))
-    assert derive(cfg).eta == pytest.approx(0.1, rel=1e-15)
-
-
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(REF_KWARGS))
@@ -78,14 +59,14 @@ def test_load_config_roundtrip(tmp_path):
     assert cfg == validate(NetworkConfig(**REF_KWARGS))
 
 
-def test_load_config_defaults_speed(tmp_path):
+def test_load_config_defaults_weights(tmp_path):
     doc = dict(REF_KWARGS)
     doc.pop("w_s")
     doc.pop("w_d")
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
     cfg = load_config(path)
-    assert cfg.speed == 0.0 and cfg.w_s == 0.5 and cfg.w_d == 0.5
+    assert cfg.w_s == 0.5 and cfg.w_d == 0.5
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracle import sample_network, sample_sir
 from vanetcov import NetworkConfig, validate
 from vanetcov.analytic import (
     NU,
@@ -12,13 +13,14 @@ from vanetcov.analytic import (
     p_assoc_sl,
     sl_coverage,
 )
-from vanetcov.geometry import LineSet, Realization, VehicleSet
 from vanetcov.simulator import (
     DOWNLINK,
     SIDELINK,
     TOTAL,
     DegenerateRealizationError,
     SimPlan,
+    _resolve_sir,
+    _segment_starts,
     default_window_radius,
     draw_sir_samples,
     estimate_association,
@@ -30,8 +32,6 @@ from vanetcov.simulator import (
     estimate_zero_cell_load,
     far_field_mean,
     make_plan,
-    sample_sir,
-    summary_row,
 )
 
 REF_CFG = validate(NetworkConfig(lambda_l=5.0, mu=5.0, lambda_b=5.0,
@@ -39,14 +39,9 @@ REF_CFG = validate(NetworkConfig(lambda_l=5.0, mu=5.0, lambda_b=5.0,
                                  p_b=1.0, p_v=1.0, epsilon=1.0))
 
 
-def _manual_realization(vehicle_dists=(), bs_dists=(), window=1.0):
-    n = len(vehicle_dists)
-    veh = VehicleSet(np.asarray(vehicle_dists, float), np.zeros(n),
-                     np.zeros(n, dtype=int), np.asarray(vehicle_dists, float),
-                     np.ones(n, dtype=int))
-    lines = LineSet(np.zeros(1 if n else 0), np.zeros(1 if n else 0), window)
-    bs = np.array([[d, 0.0] for d in bs_dists]).reshape(-1, 2)
-    return Realization(lines, veh, bs, window, 0)
+def _manual_realization(vehicle_dists=(), bs_dists=()):
+    """Vehicle and base-station positions on the positive x axis."""
+    return ([(d, 0.0) for d in vehicle_dists], [(d, 0.0) for d in bs_dists])
 
 
 def test_plan_floor_and_defaults():
@@ -64,23 +59,23 @@ def test_sample_sir_association_rules():
     rng = np.random.default_rng(0)
     # vehicle inside rho wins over any base station
     real = _manual_realization(vehicle_dists=[0.01], bs_dists=[0.2, 0.5])
-    s = sample_sir(real, REF_CFG, rng)
+    s = sample_sir(*real, REF_CFG, rng)
     assert s.association == SIDELINK and s.serving_distance == pytest.approx(0.01)
     # nearest of several in-range vehicles serves
     real = _manual_realization(vehicle_dists=[0.04, 0.02], bs_dists=[0.2])
-    s = sample_sir(real, REF_CFG, rng)
+    s = sample_sir(*real, REF_CFG, rng)
     assert s.association == SIDELINK and s.serving_distance == pytest.approx(0.02)
     # otherwise nearest base station
     real = _manual_realization(vehicle_dists=[0.2], bs_dists=[0.3, 0.1])
-    s = sample_sir(real, REF_CFG, rng)
+    s = sample_sir(*real, REF_CFG, rng)
     assert s.association == DOWNLINK and s.serving_distance == pytest.approx(0.1)
 
 
 def test_sample_sir_degenerate_and_infinite():
     rng = np.random.default_rng(0)
     with pytest.raises(DegenerateRealizationError):
-        sample_sir(_manual_realization(), REF_CFG, rng)
-    lone = sample_sir(_manual_realization(bs_dists=[0.2]), REF_CFG, rng)
+        sample_sir(*_manual_realization(), REF_CFG, rng)
+    lone = sample_sir(*_manual_realization(bs_dists=[0.2]), REF_CFG, rng)
     assert lone.sir == math.inf  # empty interference sentinel
 
 
@@ -187,17 +182,13 @@ def test_far_field_mean_value():
 def test_far_field_mean_matches_sampled_exterior():
     # Campbell's formula over the window exterior, checked against a wide
     # sampled annulus (truncated at R_out, hence the small deficit allowance)
-    from vanetcov.geometry import sample_lines, sample_vehicles, sample_planar_ppp
     rng = np.random.default_rng(515)
     R_in, R_out, n_rep = 2.5, 50.0, 200
     tot = 0.0
     for _ in range(n_rep):
-        lines = sample_lines(REF_CFG.lambda_l, R_out, rng)
-        veh = sample_vehicles(lines, REF_CFG.mu, rng)
-        d_v = np.hypot(veh.x, veh.y)
-        bs = sample_planar_ppp(REF_CFG.lambda_b, R_out, rng)
-        d_b = np.hypot(bs[:, 0], bs[:, 1]) if len(bs) else np.empty(0)
-        d = np.concatenate([d_v[d_v > R_in], d_b[d_b > R_in]])
+        vehicles, bs = sample_network(REF_CFG, R_out, rng)
+        d = np.hypot(*np.concatenate([vehicles, bs]).T)
+        d = d[d > R_in]
         tot += float(np.sum(d ** -REF_CFG.alpha))
     sampled = tot / n_rep
     want = far_field_mean(REF_CFG, R_in) - far_field_mean(REF_CFG, R_out)
@@ -205,12 +196,22 @@ def test_far_field_mean_matches_sampled_exterior():
 
 
 def test_compensation_toggle_changes_sir():
-    plan_on = make_plan(REF_CFG, 2000, seed=9)
-    plan_off = make_plan(REF_CFG, 2000, seed=9, far_field_compensation=False)
-    on = draw_sir_samples(REF_CFG, plan_on)
-    off = draw_sir_samples(REF_CFG, plan_off)
-    assert np.array_equal(on.is_sl, off.is_sl)
-    assert np.all(on.sir <= off.sir)  # extra interference can only lower SIR
+    rng = np.random.default_rng(9)
+    n, R = 2000, default_window_radius(REF_CFG)
+    area = math.pi * R * R
+    veh_starts = _segment_starts(rng.poisson(REF_CFG.lambda_l * REF_CFG.mu * area, n))
+    bs_starts = _segment_starts(rng.poisson(REF_CFG.lambda_b * area, n))
+    d2_v, d2_b = R * R * rng.random(veh_starts[-1]), R * R * rng.random(bs_starts[-1])
+    fade_v, fade_b = rng.standard_exponential(d2_v.size), rng.standard_exponential(d2_b.size)
+
+    def resolve(m_far):
+        # _resolve_sir overwrites its distance and fade arrays
+        return _resolve_sir(REF_CFG, m_far, veh_starts, d2_v.copy(), fade_v.copy(),
+                            bs_starts, d2_b.copy(), fade_b.copy())
+    on_sl, _, on_sir, _ = resolve(far_field_mean(REF_CFG, R))
+    off_sl, _, off_sir, _ = resolve(0.0)
+    assert np.array_equal(on_sl, off_sl)
+    assert np.all(on_sir <= off_sir)  # extra interference can only lower SIR
 
 
 def test_voronoi_area_moment_scaling():
@@ -269,10 +270,3 @@ def test_effective_rate_classic_no_roads():
     want, _ = effective_rate_with_error(cfg)
     assert abs(est.mean - want) < 3 * est.std_error
 
-
-def test_summary_row_shape():
-    est = estimate_association(REF_CFG, make_plan(REF_CFG, 1000, seed=5))[0]
-    row = summary_row(REF_CFG, "assoc_sl", est, 2.5)
-    assert row["metric"] == "assoc_sl"
-    assert row["lambda_l"] == REF_CFG.lambda_l
-    assert set(["mean", "std_error", "n_samples", "seed", "window_radius"]) <= set(row)

@@ -1,5 +1,5 @@
-"""The vectorised SIR kernel against the scalar reference ``sample_sir``, and
-the kernel's degenerate-resample path."""
+"""The vectorised SIR kernel against the scalar reference
+``oracle.sample_sir``, and the kernel's degenerate-resample path."""
 import math
 from dataclasses import replace
 
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracle import sample_sir
 from vanetcov import NetworkConfig, validate
-from vanetcov.geometry import LineSet, Realization, VehicleSet
 from vanetcov.simulator import (
     SIDELINK,
     DegenerateRealizationError,
@@ -18,7 +18,6 @@ from vanetcov.simulator import (
     _segment_starts,
     _sir_chunk,
     draw_sir_samples,
-    sample_sir,
 )
 
 CFG = validate(NetworkConfig(lambda_l=5.0, mu=5.0, lambda_b=5.0,
@@ -36,17 +35,6 @@ class _QueuedFades:
         fades = self.queue.pop(0)
         assert scale == 1.0 and fades.size == size
         return fades.copy()
-
-
-def _realization(vehicles, base_stations):
-    """Realization from (x, y) points; every vehicle rides one dummy road."""
-    n = len(vehicles)
-    v = np.asarray(vehicles, float).reshape(-1, 2)
-    veh = VehicleSet(v[:, 0], v[:, 1], np.zeros(n, dtype=int), np.zeros(n),
-                     np.ones(n, dtype=int))
-    lines = LineSet(np.zeros(1 if n else 0), np.zeros(1 if n else 0), 1.0)
-    bs = np.asarray(base_stations, float).reshape(-1, 2)
-    return Realization(lines, veh, bs, 1.0, 0)
 
 
 # (distance, angle, fade) over six decades each: both sides sum the other
@@ -90,14 +78,14 @@ def test_kernel_matches_scalar_reference(replications, alpha):
         cfg, 0.0, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b)
 
     for i, (vehicles, bss) in enumerate(replications):
-        real = _realization(_points(vehicles), _points(bss))
+        real = (_points(vehicles), _points(bss))
         rng = _QueuedFades(np.array([f for _, _, f in vehicles]),
                            np.array([f for _, _, f in bss]))
         if degenerate[i]:
             with pytest.raises(DegenerateRealizationError):
-                sample_sir(real, cfg, rng)
+                sample_sir(*real, cfg, rng)
             continue
-        ref = sample_sir(real, cfg, rng)
+        ref = sample_sir(*real, cfg, rng)
         assert is_sl[i] == (ref.association == SIDELINK)
         assert abs(serving_d[i] - ref.serving_distance) <= 1e-12
         if math.isinf(ref.sir):
@@ -130,7 +118,7 @@ def test_scalar_reference_interference_at_huge_sir(serving):
     bss = [(0.5, 0.5), (-0.9, 0.2)] + (near if serving == "base_station" else [])
     fade_v = np.array([1.3, 0.7, 1.0][:len(vehicles)])
     fade_b = np.array([0.9, 1.1, 1.0][:len(bss)])
-    ref = sample_sir(_realization(vehicles, bss), CFG, _QueuedFades(fade_v, fade_b))
+    ref = sample_sir(vehicles, bss, CFG, _QueuedFades(fade_v, fade_b))
 
     eta = CFG.p_v / CFG.p_b
     pw = [eta * f * math.hypot(*p) ** -CFG.alpha for p, f in zip(vehicles, fade_v)]
