@@ -6,15 +6,13 @@ from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integ
 from .analytic import (
     CoverageResult,
     dl_coverage,
-    effective_rate,
+    effective_rate_with_error,
     mean_zero_cell_areas,
-    network_utility,
+    network_utility_with_error,
     nu,
-    p_assoc_dl,
     p_assoc_sl,
     sl_coverage,
-    total_coverage,
-    total_rate,
+    total_rate_with_error,
 )
 from .simulator import (
     DOWNLINK,
@@ -24,7 +22,6 @@ from .simulator import (
     SimPlan,
     default_window_radius,
     estimate_association,
-    estimate_coverage,
     estimate_coverage_grid,
     estimate_effective_rate,
     estimate_voronoi_area_moment,
@@ -38,11 +35,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CoverageResult", "DEFAULT_SPEC", "DOWNLINK", "Estimate", "NetworkConfig",
     "NonConvergenceError", "QuadratureSpec", "SIDELINK", "SimPlan", "TOTAL",
-    "ValidationError", "default_window_radius", "dl_coverage", "effective_rate",
-    "estimate_association", "estimate_coverage", "estimate_coverage_grid",
-    "estimate_effective_rate", "estimate_voronoi_area_moment",
-    "estimate_zero_cell_areas", "estimate_zero_cell_load", "integrate",
-    "load_config", "make_plan", "mean_zero_cell_areas", "network_utility",
-    "nu", "p_assoc_dl", "p_assoc_sl", "sl_coverage",
-    "total_coverage", "total_rate", "validate",
+    "ValidationError", "default_window_radius", "dl_coverage",
+    "effective_rate_with_error", "estimate_association",
+    "estimate_coverage_grid", "estimate_effective_rate",
+    "estimate_voronoi_area_moment", "estimate_zero_cell_areas",
+    "estimate_zero_cell_load", "integrate", "load_config", "make_plan",
+    "mean_zero_cell_areas", "network_utility_with_error", "nu", "p_assoc_sl",
+    "sl_coverage", "total_rate_with_error", "validate",
 ]

@@ -248,11 +248,6 @@ def p_assoc_sl(lambda_l, mu, rho, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     return 1.0 - math.exp(-2.0 * lambda_l * inner)
 
 
-def p_assoc_dl(lambda_l, mu, rho, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Complement of :func:`p_assoc_sl`."""
-    return 1.0 - p_assoc_sl(lambda_l, mu, rho, spec)
-
-
 def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> CoverageResult:
     """Joint probability that the typical user is base-station associated and
     its downlink SIR exceeds ``tau``.
@@ -322,9 +317,11 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
             r = x[:, None] * np.sin(s)
             a = x[:, None] * np.cos(s)
             j = _interference_tail(r, amp[:, None], alpha, m, a)
-            serving = 4.0 * lambda_l * mu * x * (np.exp(-2.0 * mu * (a + j)) @ sw)
-            road_sum = (_near_line_sum(x, amp, mu, alpha, m)
-                        + _far_line_sum(x, amp, mu, alpha, m))
+            # the serving road's factor and the near-road sum (as in
+            # _near_line_sum at radius x) share one tail tensor
+            e = np.exp(-2.0 * mu * (a + j))
+            serving = 4.0 * lambda_l * mu * x * (e @ sw)
+            road_sum = ((1.0 - e) * a) @ sw + _far_line_sum(x, amp, mu, alpha, m)
             return serving * np.exp(-bs_quad * x * x - 2.0 * lambda_l * road_sum)
         return f
 
@@ -349,11 +346,6 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
         return f
 
     return _leveled_outer(make_integrand_y, 0.0, y_end, spec, tail_bound, True)
-
-
-def total_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """SIR coverage regardless of association: sum of the two joint terms."""
-    return dl_coverage(cfg, tau, spec).value + sl_coverage(cfg, tau, spec).value
 
 
 def nu() -> float:
@@ -428,18 +420,13 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
 
 
 def effective_rate_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Effective downlink rate and its quadrature error bound."""
+    """Long-term downlink rate per user, bits/s/Hz, and its quadrature error
+    bound: the mean Shannon rate on the base-station association, divided by
+    the mean number of users that share the serving base station."""
     num, num_err = _rate_numerator(cfg, spec)
-    p_dl = p_assoc_dl(cfg.lambda_l, cfg.mu, cfg.rho, spec)
+    p_dl = 1.0 - p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho, spec)
     den = NU * cfg.lambda_u * p_dl
     return num / den, num_err / den
-
-
-def effective_rate(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Long-term downlink rate per user, bits/s/Hz: the mean Shannon rate on
-    the base-station association, divided by the mean number of users that
-    share the serving base station."""
-    return effective_rate_with_error(cfg, spec)[0]
 
 
 def _weighted_links(cfg: NetworkConfig, w_sl, w_dl, spec: QuadratureSpec):
@@ -453,23 +440,14 @@ def _weighted_links(cfg: NetworkConfig, w_sl, w_dl, spec: QuadratureSpec):
 
 
 def network_utility_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Network utility and its quadrature error bound."""
+    """Weighted sum, with the config's weights w_s and w_d, of sidelink
+    decoding reliability at the encoding rate epsilon and the effective
+    downlink rate; and its quadrature error bound."""
     return _weighted_links(cfg, cfg.w_s, cfg.w_d, spec)
 
 
-def network_utility(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Weighted sum, with the config's weights w_s and w_d, of sidelink
-    decoding reliability at the encoding rate epsilon and the effective
-    downlink rate."""
-    return network_utility_with_error(cfg, spec)[0]
-
-
 def total_rate_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Total rate and its quadrature error bound."""
+    """Total ergodic rate from both links, the sidelink encoding rate times
+    its joint decoding probability plus the effective downlink rate; and its
+    quadrature error bound."""
     return _weighted_links(cfg, cfg.epsilon, 1.0, spec)
-
-
-def total_rate(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Total ergodic rate from both links: the sidelink encoding rate times
-    its joint decoding probability, plus the effective downlink rate."""
-    return total_rate_with_error(cfg, spec)[0]

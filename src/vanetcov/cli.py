@@ -138,8 +138,8 @@ def _mc_results(cfg, req, seed):
         out.append(_Result(m, "", est.mean, est.std_error, est.n_samples, seed))
     elif m in ("utility", "total_rate"):
         tau_eps = 2.0 ** cfg.epsilon - 1.0
-        sl = simulator.estimate_coverage(cfg, tau_eps, simulator.SIDELINK, plan) \
-            if tau_eps > 0 else simulator.Estimate(0.0, 0.0, plan.n_samples, seed)
+        sl = simulator.Estimate(0.0, 0.0, plan.n_samples) if tau_eps <= 0 else \
+            simulator.estimate_coverage_grid(cfg, (tau_eps,), plan)[(simulator.SIDELINK, tau_eps)]
         rate = simulator.estimate_effective_rate(cfg, plan)
         if m == "utility":
             value = cfg.w_s * sl.mean + cfg.w_d * rate.mean

@@ -6,8 +6,8 @@ error estimate meets max(abs_tol, rel_tol * |value|).  Semi-infinite upper
 limits are mapped onto [0, 1) through u = a + s / (1 - s); the rule's nodes
 are interior, so the endpoint is never sampled.
 
-Integrands are called with a numpy array of nodes and should return the
-matching array; plain scalar functions are detected and looped over.
+Integrands are called with a numpy array of nodes and must return the
+matching array; any other shape raises ValueError.
 """
 from __future__ import annotations
 
@@ -61,30 +61,14 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
-class _Evaluator:
-    """Calls f on node arrays, falling back to per-point calls if needed."""
-
-    def __init__(self, f):
-        self.f = f
-        self.vectorized = None
-
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        if self.vectorized is not False:
-            try:
-                ys = np.asarray(self.f(xs), dtype=float)
-                if ys.shape == xs.shape:
-                    self.vectorized = True
-                    return ys
-            except (TypeError, ValueError):
-                pass
-            self.vectorized = False
-        return np.array([float(self.f(float(x))) for x in xs])
-
-
-def _panel(evaluate, a, b):
+def _panel(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    ys = evaluate(mid + half * _KRONROD_NODES)
+    ys = np.asarray(f(mid + half * _KRONROD_NODES), dtype=float)
+    if ys.shape != _KRONROD_NODES.shape:
+        raise ValueError(f"integrand returned shape {ys.shape} for nodes of "
+                         f"shape {_KRONROD_NODES.shape}; it must map a node "
+                         "array to an array of the same shape")
     if not np.all(np.isfinite(ys)):
         raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
     k15 = half * float(_KRONROD_WEIGHTS @ ys)
@@ -92,9 +76,9 @@ def _panel(evaluate, a, b):
     return k15, abs(k15 - g7)
 
 
-def _adaptive(evaluate: _Evaluator, lower, upper, spec: QuadratureSpec):
+def _adaptive(f, lower, upper, spec: QuadratureSpec):
     """Worst-panel refinement; returns (value, error, panel edge list)."""
-    val, err = _panel(evaluate, lower, upper)
+    val, err = _panel(f, lower, upper)
     panels = [(lower, upper, 0, val, err)]
     while True:
         total = math.fsum(p[3] for p in panels)
@@ -112,8 +96,8 @@ def _adaptive(evaluate: _Evaluator, lower, upper, spec: QuadratureSpec):
             raise NonConvergenceError(
                 f"panel budget {_MAX_PANELS} exhausted with error {total_err:.3e}")
         mid = 0.5 * (a + b)
-        v1, e1 = _panel(evaluate, a, mid)
-        v2, e2 = _panel(evaluate, mid, b)
+        v1, e1 = _panel(f, a, mid)
+        v2, e2 = _panel(f, mid, b)
         panels[worst] = (a, mid, depth + 1, v1, e1)
         panels.append((mid, b, depth + 1, v2, e2))
 
@@ -123,16 +107,14 @@ def integrate_with_panels(f, lower, upper, spec: QuadratureSpec | None = None):
     panel edges so a perturbed integrand can be re-summed on the same grid."""
     if spec is None:
         spec = DEFAULT_SPEC
-    evaluate = f if isinstance(f, _Evaluator) else _Evaluator(f)
-    return _adaptive(evaluate, float(lower), float(upper), spec)
+    return _adaptive(f, float(lower), float(upper), spec)
 
 
 def resum_panels(f, panels):
     """GK15 sum of f over an existing panel set; returns (value, error)."""
-    evaluate = f if isinstance(f, _Evaluator) else _Evaluator(f)
     values, errors = [], []
     for a, b in panels:
-        v, e = _panel(evaluate, a, b)
+        v, e = _panel(f, a, b)
         values.append(v)
         errors.append(e)
     return math.fsum(values), math.fsum(errors)
@@ -152,11 +134,8 @@ def integrate(f, lower, upper, spec: QuadratureSpec | None = None):
     if not math.isfinite(lower):
         raise ValueError("lower limit must be finite")
     if math.isinf(upper):
-        ev = _Evaluator(f)
-
         def mapped(s):
-            s = np.asarray(s, dtype=float)
-            return ev(lower + s / (1.0 - s)) / (1.0 - s) ** 2
+            return f(lower + s / (1.0 - s)) / (1.0 - s) ** 2
 
         return integrate(mapped, 0.0, 1.0, spec)
     upper = float(upper)
@@ -165,6 +144,5 @@ def integrate(f, lower, upper, spec: QuadratureSpec | None = None):
     if upper < lower:
         value, err = integrate(f, upper, lower, spec)
         return -value, err
-    evaluate = f if isinstance(f, _Evaluator) else _Evaluator(f)
-    value, err, _ = _adaptive(evaluate, lower, upper, spec)
+    value, err, _ = _adaptive(f, lower, upper, spec)
     return value, err

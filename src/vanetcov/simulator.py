@@ -3,15 +3,14 @@
 The typical user sits at the origin of a disk window.  Per replication the
 kernel draws roads, vehicles, base stations and per-transmitter unit-mean
 exponential fades, resolves the vehicle-first association, and forms the SIR.
-Replications are vectorised in fixed-size batches (1,024 by default); each
-batch owns an RNG stream spawned from the master seed, so results are
-bit-reproducible for a given (seed, batch_size) regardless of how batches are
-scheduled.  ``_map_batches`` runs the batches of one call on a thread pool of
-at most one worker per available CPU: numpy's random fills and ufuncs release
-the interpreter lock, so batches really run at once.  At most
-MAX_IN_FLIGHT = 4,096 replications are in flight, which bounds the kernel's
-memory; a run of a single batch starts no thread, and a pool task never
-submits to a pool.
+Replications are vectorised in batches of BATCH_SIZE = 1,024; each batch
+owns an RNG stream spawned from the master seed, so the seed alone fixes
+every result, however the batches are scheduled.  ``_map_batches`` runs the
+batches of one call on a thread pool with one worker per available CPU:
+numpy's random fills and ufuncs release the interpreter lock, so batches
+really run at once.  At most MAX_WORKERS = 4 batches in flight bound the
+kernel's memory; a run of a single batch starts no thread, and a pool task
+never submits to a pool.
 
 Within a batch every population is one flat array grouped by replication and
 described by per-replication start offsets; minima and sums are segment
@@ -47,7 +46,8 @@ TOTAL = "Total"
 
 RATE_CAP_BITS = 60.0       # numerical guard on log2(1 + SIR)
 DEGENERATE_ABORT_FRACTION = 1e-6
-MAX_IN_FLIGHT = 4096       # replications drawn at once, over all workers
+BATCH_SIZE = 1024          # replications per batch, each with its own stream
+MAX_WORKERS = 4            # batches in flight at once
 
 
 class DegenerateRealizationError(RuntimeError):
@@ -59,40 +59,41 @@ class Estimate:
     mean: float
     std_error: float
     n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
 class SimPlan:
-    """Sample count, seed and batching of one Monte Carlo run, and the window
-    of the SIR kernel.  The cell estimators (Voronoi moment, zero-cell areas
-    and load, the effective rate's denominator) build exact cells and ignore
+    """Sample count and seed of one Monte Carlo run, and the window of the
+    SIR kernel.  The cell estimators (Voronoi moment, zero-cell areas and
+    load, the effective rate's denominator) build exact cells and ignore
     ``window_radius``.
 
-    Replications are drawn in batches of ``batch_size``, each with its own
-    random stream, so (seed, batch_size) fixes every result.  Batches run on
-    a thread pool with at most MAX_IN_FLIGHT // batch_size workers (four at
-    the default 1,024, capped by the CPUs available); a plan of one batch, or
-    with batch_size above MAX_IN_FLIGHT, runs without threads."""
+    Replications are drawn in batches of BATCH_SIZE, each with its own random
+    stream, so the seed fixes every result.  Batches run on a thread pool of
+    at most MAX_WORKERS workers, capped by the CPUs available; a plan of one
+    batch runs without threads."""
     window_radius: float
     n_samples: int
     seed: int
-    batch_size: int = 1024
 
     def __post_init__(self):
         if self.window_radius <= 0:
             raise ValueError("window_radius must be positive")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+
+
+def _window_floor(cfg: NetworkConfig) -> float:
+    """The smallest unbiased window: ten association radii and ten mean
+    base-station spacings."""
+    return max(10.0 * cfg.rho, 10.0 / math.sqrt(math.pi * cfg.lambda_b))
 
 
 def default_window_radius(cfg: NetworkConfig) -> float:
     """Window keeping the serving distance and dominant interferers at least
-    an order of magnitude inside the boundary: ten association radii, ten
-    mean base-station spacings, and ten mean vehicle spacings."""
-    w = max(10.0 * cfg.rho, 10.0 / math.sqrt(math.pi * cfg.lambda_b))
+    an order of magnitude inside the boundary: the window floor, and ten
+    mean vehicle spacings."""
+    w = _window_floor(cfg)
     if cfg.lambda_l > 0 and cfg.mu > 0:
         w = max(w, 10.0 / math.sqrt(cfg.lambda_l * cfg.mu))
     return w
@@ -101,7 +102,7 @@ def default_window_radius(cfg: NetworkConfig) -> float:
 def make_plan(cfg: NetworkConfig, n_samples: int, seed: int,
               window_radius: float | None = None) -> SimPlan:
     """Build a plan, enforcing the window floor for the given scenario."""
-    floor = max(10.0 * cfg.rho, 10.0 / math.sqrt(math.pi * cfg.lambda_b))
+    floor = _window_floor(cfg)
     if window_radius is None:
         window_radius = default_window_radius(cfg)
     elif window_radius < floor:
@@ -284,9 +285,9 @@ def _batches(plan: SimPlan, seed_sequence=None):
     child stream spawned from the seed sequence (default: the plan seed)."""
     ss = seed_sequence if seed_sequence is not None else np.random.SeedSequence(plan.seed)
     n = plan.n_samples
-    sizes = [plan.batch_size] * (n // plan.batch_size)
-    if n % plan.batch_size:
-        sizes.append(n % plan.batch_size)
+    sizes = [BATCH_SIZE] * (n // BATCH_SIZE)
+    if n % BATCH_SIZE:
+        sizes.append(n % BATCH_SIZE)
     return [(size, np.random.default_rng(child))
             for size, child in zip(sizes, ss.spawn(len(sizes)))]
 
@@ -301,15 +302,14 @@ def _map_batches(fn, batches):
     """[fn(size, rng) for (size, rng) in batches], in batch order.
 
     Batches run on a thread pool made for this call, with one worker per
-    available CPU, no more workers than batches, and no more than
-    MAX_IN_FLIGHT replications in flight (the first batch is the largest).
+    available CPU, no more workers than batches, and at most MAX_WORKERS.
     Each batch draws only from its own generator, so the results do not
     depend on the number of workers.  With one batch or one worker this is a
     plain loop and starts no thread.  ``fn`` must not call this helper: a
     pool task never submits to a pool.  The first exception a batch raises
     propagates, and batches not yet started are cancelled.
     """
-    workers = min(len(batches), _available_cpus(), MAX_IN_FLIGHT // batches[0][0])
+    workers = min(len(batches), _available_cpus(), MAX_WORKERS)
     if workers <= 1:
         return [fn(size, rng) for size, rng in batches]
     from concurrent.futures import ThreadPoolExecutor  # only threaded calls pay the import
@@ -357,11 +357,11 @@ def _association_chunk(cfg, n, rng):
     return hits > 0
 
 
-def _proportion_estimate(indicator, plan) -> Estimate:
+def _proportion_estimate(indicator) -> Estimate:
     n = indicator.size
     p = float(np.count_nonzero(indicator)) / n
     se = math.sqrt(p * (1.0 - p) / n)
-    return Estimate(p, se, n, plan.seed)
+    return Estimate(p, se, n)
 
 
 def estimate_association(cfg: NetworkConfig, plan: SimPlan):
@@ -372,8 +372,8 @@ def estimate_association(cfg: NetworkConfig, plan: SimPlan):
     handing it to a thread pool."""
     is_sl = np.concatenate([_association_chunk(cfg, size, rng)
                             for size, rng in _batches(plan)])
-    sl = _proportion_estimate(is_sl, plan)
-    return sl, Estimate(1.0 - sl.mean, sl.std_error, sl.n_samples, sl.seed)
+    sl = _proportion_estimate(is_sl)
+    return sl, Estimate(1.0 - sl.mean, sl.std_error, sl.n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -386,31 +386,23 @@ def _coverage_indicator(batch: SirBatch, tau, link):
         return above & batch.is_sl
     if link == DOWNLINK:
         return above & ~batch.is_sl
-    if link == TOTAL:
-        return above
-    raise ValueError(f"unknown link {link!r}")
-
-
-def estimate_coverage(cfg: NetworkConfig, tau, link, plan: SimPlan,
-                      samples: SirBatch | None = None) -> Estimate:
-    """Joint probability of (SIR > tau together with the given association);
-    link=Total gives the samplewise sum of the two joint events."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    batch = samples if samples is not None else draw_sir_samples(cfg, plan)
-    return _proportion_estimate(_coverage_indicator(batch, tau, link), plan)
+    return above
 
 
 def estimate_coverage_grid(cfg: NetworkConfig, taus, plan: SimPlan,
                            samples: SirBatch | None = None):
-    """Estimates for every (link, tau) pair from one common sample set,
-    so decomposition and tau-monotonicity hold exactly samplewise."""
+    """Joint probability of (SIR > tau together with each association) for
+    every (link, tau) pair, link=Total being the samplewise sum of the two
+    joint events.  All pairs share one sample set, so decomposition and
+    tau-monotonicity hold exactly samplewise."""
+    if any(tau <= 0 for tau in taus):
+        raise ValueError("tau must be positive")
     batch = samples if samples is not None else draw_sir_samples(cfg, plan)
     out = {}
     for tau in taus:
         for link in (SIDELINK, DOWNLINK, TOTAL):
             out[(link, float(tau))] = _proportion_estimate(
-                _coverage_indicator(batch, tau, link), plan)
+                _coverage_indicator(batch, tau, link))
     return out
 
 
@@ -665,11 +657,11 @@ def _zero_cell_loads(cfg, batches):
     return np.concatenate(_map_batches(loads, batches))
 
 
-def _mean_estimate(values, plan) -> Estimate:
+def _mean_estimate(values) -> Estimate:
     values = np.asarray(values, dtype=float)
     n = values.size
     se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return Estimate(float(np.mean(values)), se, n, plan.seed)
+    return Estimate(float(np.mean(values)), se, n)
 
 
 def estimate_zero_cell_areas(cfg: NetworkConfig, plan: SimPlan):
@@ -684,15 +676,15 @@ def estimate_zero_cell_areas(cfg: NetworkConfig, plan: SimPlan):
         area_in = area * (n_near / AREA_PROBES)
         return area_in, area - area_in
     inside, outside = zip(*_map_batches(split, _batches(plan)))
-    return (_mean_estimate(np.concatenate(inside), plan),
-            _mean_estimate(np.concatenate(outside), plan))
+    return (_mean_estimate(np.concatenate(inside)),
+            _mean_estimate(np.concatenate(outside)))
 
 
 def estimate_zero_cell_load(cfg: NetworkConfig, plan: SimPlan) -> Estimate:
     """Mean number of users sharing the typical user's base station: an
     independent user process is drawn in the serving cell and counted outside
     the vehicle region."""
-    return _mean_estimate(_zero_cell_loads(cfg, _batches(plan)), plan)
+    return _mean_estimate(_zero_cell_loads(cfg, _batches(plan)))
 
 
 def estimate_voronoi_area_moment(lambda_b, plan: SimPlan) -> Estimate:
@@ -706,7 +698,7 @@ def estimate_voronoi_area_moment(lambda_b, plan: SimPlan) -> Estimate:
         raise ValueError("lambda_b must be positive")
     def areas(size, rng):
         return _fan_areas(*_voronoi_cells(lambda_b, size, rng, False)).sum(axis=1)
-    return _mean_estimate(np.concatenate(_map_batches(areas, _batches(plan))) ** 2, plan)
+    return _mean_estimate(np.concatenate(_map_batches(areas, _batches(plan))) ** 2)
 
 
 def estimate_effective_rate(cfg: NetworkConfig, plan: SimPlan,
@@ -725,16 +717,15 @@ def estimate_effective_rate(cfg: NetworkConfig, plan: SimPlan,
         warnings.warn(f"{cap_hits} of {len(batch)} rate samples hit the "
                       f"{RATE_CAP_BITS} bits/s/Hz cap", RuntimeWarning,
                       stacklevel=2)
-    num = float(np.mean(rate))
-    num_se = float(np.std(rate, ddof=1) / math.sqrt(rate.size))
+    num = _mean_estimate(rate)
 
     reps = load_replications if load_replications is not None \
         else max(1000, plan.n_samples // 20)
-    loads = _zero_cell_loads(cfg, _batches(replace(plan, n_samples=reps), ss_den))
-    den = float(np.mean(loads))
-    den_se = float(np.std(loads, ddof=1) / math.sqrt(reps))
-    if den <= 0:
+    den = _mean_estimate(_zero_cell_loads(
+        cfg, _batches(replace(plan, n_samples=reps), ss_den)))
+    if den.mean <= 0:
         raise ZeroDivisionError("zero-cell load estimate is zero; raise lambda_u")
-    mean = num / den
-    se = abs(mean) * math.sqrt((num_se / num) ** 2 + (den_se / den) ** 2) if num > 0 else num_se / den
-    return Estimate(mean, se, plan.n_samples, plan.seed)
+    mean = num.mean / den.mean
+    se = abs(mean) * math.sqrt((num.std_error / num.mean) ** 2 + (den.std_error / den.mean) ** 2) \
+        if num.mean > 0 else num.std_error / den.mean
+    return Estimate(mean, se, plan.n_samples)

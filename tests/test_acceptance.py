@@ -12,12 +12,10 @@ from vanetcov import NetworkConfig, validate
 from vanetcov.analytic import (
     NU,
     dl_coverage,
-    effective_rate,
     effective_rate_with_error,
-    p_assoc_dl,
     p_assoc_sl,
     sl_coverage,
-    total_rate,
+    total_rate_with_error,
 )
 from vanetcov.simulator import (
     DOWNLINK,
@@ -173,7 +171,7 @@ def test_criterion_8_effective_rate():
     est = estimate_effective_rate(REF_CFG, plan, load_replications=10_000)
     gap = abs(est.mean - ana)
     assert gap <= 3 * est.std_error + ana_err, (gap, est.std_error)
-    doubled = effective_rate(validate(replace(REF_CFG, lambda_u=400.0)))
+    doubled, _ = effective_rate_with_error(validate(replace(REF_CFG, lambda_u=400.0)))
     assert doubled == pytest.approx(ana / 2, rel=1e-12)
     print(f"ACCEPTANCE 8 PASS: effective rate mc={est.mean:.6f} "
           f"ana={ana:.6f} |z|={gap/est.std_error:.2f}; exact halving holds")
@@ -191,7 +189,7 @@ def test_criterion_9_qualitative_sweep_shapes():
     for eta in etas:
         cfg = validate(NetworkConfig(**{**BASE, "rho": 0.2, "p_v": eta}))
         sl_vals.append(sl_coverage(cfg, 2.0 ** cfg.epsilon - 1.0).value)
-        rate_vals.append(effective_rate(cfg))
+        rate_vals.append(effective_rate_with_error(cfg)[0])
     for w_s in weights:
         utilities = [w_s * s + w_d * t for s, t in zip(sl_vals, rate_vals)]
         assert all(b >= a for a, b in zip(utilities, utilities[1:])), w_s
@@ -200,7 +198,7 @@ def test_criterion_9_qualitative_sweep_shapes():
             for w in weights]
     assert all(b > a for a, b in zip(gain, gain[1:]))
     # lighter load (fewer users per base station) means more total rate
-    rates = [total_rate(validate(NetworkConfig(**{**BASE, "lambda_u": 5.0 * r})))
+    rates = [total_rate_with_error(validate(NetworkConfig(**{**BASE, "lambda_u": 5.0 * r})))[0]
              for r in (20.0, 100.0, 200.0)]
     assert rates[0] > rates[1] > rates[2]
     print(f"ACCEPTANCE 9 PASS: utility non-decreasing in power ratio for "
@@ -226,8 +224,7 @@ def test_criterion_10_invariant_suite(coverage_runs):
         assert grid[(SIDELINK, float(tau))].mean <= p_sl_mc
         assert grid[(DOWNLINK, float(tau))].mean <= 1.0 - p_sl_mc
         assert sl_coverage(cfg, tau).value <= p_sl_ana + 1e-8
-        assert dl_coverage(cfg, tau).value <= p_assoc_dl(
-            cfg.lambda_l, cfg.mu, cfg.rho) + 1e-8
+        assert dl_coverage(cfg, tau).value <= (1.0 - p_sl_ana) + 1e-8
     # tau -> 0 limits recover the association probabilities
     assert abs(sl_coverage(cfg, 1e-9).value - p_sl_ana) < 1e-5
     assert abs(dl_coverage(cfg, 1e-9).value - (1 - p_sl_ana)) < 1e-5

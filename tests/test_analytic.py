@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vanetcov import NetworkConfig, analytic, validate
+from vanetcov import NetworkConfig, analytic, cli, validate
 from vanetcov.analytic import (
     NU,
     CoverageResult,
@@ -18,16 +18,13 @@ from vanetcov.analytic import (
     _rate_numerator_of,
     _scaled_power_integral,
     dl_coverage,
-    effective_rate,
     effective_rate_with_error,
     mean_zero_cell_areas,
-    network_utility,
+    network_utility_with_error,
     nu,
-    p_assoc_dl,
     p_assoc_sl,
     sl_coverage,
-    total_coverage,
-    total_rate,
+    total_rate_with_error,
 )
 from vanetcov.quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec
 
@@ -44,6 +41,30 @@ BRUTE_FROZEN = {
     ("sl", 0.3): 0.131402511648,
     ("sl", 1.0): 0.108284916686,
 }
+
+
+def effective_rate(cfg):
+    return effective_rate_with_error(cfg)[0]
+
+
+def network_utility(cfg):
+    return network_utility_with_error(cfg)[0]
+
+
+def total_rate(cfg):
+    return total_rate_with_error(cfg)[0]
+
+
+def _cli_rows(cfg, metric, taus=()):
+    """The CLI's analytic results for one config."""
+    req = cli.RunRequest(config_path="", mode="analytic", metric=metric,
+                         output_path="", tau_grid=taus)
+    return cli._analytic_results(cfg, req)
+
+
+def total_coverage(cfg, tau):
+    (row,) = _cli_rows(cfg, "total_cov", (tau,))
+    return row.value
 
 
 def classic_rayleigh_coverage(tau):
@@ -63,7 +84,9 @@ def test_association_complementarity():
     for mu in (0.5, 2.0, 20.0):
         sl = p_assoc_sl(5.0, mu, 0.05)
         assert 0.0 < sl < 1.0
-        assert sl + p_assoc_dl(5.0, mu, 0.05) == pytest.approx(1.0, abs=1e-15)
+        rows = _cli_rows(validate(replace(REF_CFG, mu=mu)), "assoc")
+        assert [r.metric for r in rows] == ["assoc_sl", "assoc_dl"]
+        assert rows[0].value + rows[1].value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_association_dense_road_limit():

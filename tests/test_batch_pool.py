@@ -1,5 +1,5 @@
 """Batches on the thread pool: the same results with one worker or several,
-no thread for a single batch, and the in-flight cap on the worker count."""
+no thread for a single batch, and the cap on the worker count."""
 import concurrent.futures
 
 import numpy as np
@@ -7,7 +7,8 @@ import pytest
 
 from vanetcov import NetworkConfig, simulator, validate
 from vanetcov.simulator import (
-    MAX_IN_FLIGHT,
+    BATCH_SIZE,
+    MAX_WORKERS,
     SimPlan,
     _batches,
     _map_batches,
@@ -56,8 +57,8 @@ def _use_pool(monkeypatch, cpus, pool):
 
 def test_estimators_identical_with_one_worker_and_several(monkeypatch):
     # two full batches plus a remainder
-    plan = SimPlan(window_radius=default_window_radius(CFG), n_samples=700,
-                   seed=31, batch_size=256)
+    plan = SimPlan(window_radius=default_window_radius(CFG),
+                   n_samples=2 * BATCH_SIZE + 188, seed=31)
     _use_pool(monkeypatch, 1, _NoPool)
     serial = _run_all(plan)
     _RecordingPool.made = []
@@ -73,28 +74,25 @@ def test_estimators_identical_with_one_worker_and_several(monkeypatch):
             assert a == b
 
 
-@pytest.mark.parametrize("n_samples, batch_size", [
-    (1024, 1024),                              # one default batch
-    (300, 1024),                               # one short batch
-    (MAX_IN_FLIGHT + 100, MAX_IN_FLIGHT + 1),  # two batches above the cap
+@pytest.mark.parametrize("n_samples", [
+    BATCH_SIZE,   # one full batch
+    300,          # one short batch
 ])
-def test_single_worker_plans_start_no_thread(monkeypatch, n_samples, batch_size):
+def test_single_worker_plans_start_no_thread(monkeypatch, n_samples):
     _use_pool(monkeypatch, 8, _NoPool)
     _run_all(SimPlan(window_radius=default_window_radius(CFG),
-                     n_samples=n_samples, seed=5, batch_size=batch_size))
+                     n_samples=n_samples, seed=5))
 
 
-@pytest.mark.parametrize("cpus, batch_size, want", [
-    (8, 1024, 4),    # the in-flight cap: 4,096 replications
-    (8, 512, 8),
-    (2, 256, 2),     # one worker per CPU
-    (64, 256, 10),   # no more workers than batches
+@pytest.mark.parametrize("cpus, n_batches, want", [
+    (8, 10, MAX_WORKERS),   # the cap on batches in flight
+    (2, 10, 2),             # one worker per CPU
+    (64, 3, 3),             # no more workers than batches
 ])
-def test_worker_count(monkeypatch, cpus, batch_size, want):
+def test_worker_count(monkeypatch, cpus, n_batches, want):
     _RecordingPool.made = []
     _use_pool(monkeypatch, cpus, _RecordingPool)
-    plan = SimPlan(window_radius=1.0, n_samples=10 * batch_size, seed=2,
-                   batch_size=batch_size)
+    plan = SimPlan(window_radius=1.0, n_samples=n_batches * BATCH_SIZE, seed=2)
     estimate_voronoi_area_moment(CFG.lambda_b, plan)
     assert _RecordingPool.made == [want]
 
@@ -102,12 +100,12 @@ def test_worker_count(monkeypatch, cpus, batch_size, want):
 def test_association_starts_no_pool(monkeypatch):
     # its batches cost about 0.1 ms each, less than handing them to a pool
     _use_pool(monkeypatch, 8, _NoPool)
-    estimate_association(CFG, SimPlan(window_radius=1.0, n_samples=8 * 1024, seed=2))
+    estimate_association(CFG, SimPlan(window_radius=1.0, n_samples=8 * BATCH_SIZE, seed=2))
 
 
 def test_results_in_batch_order_and_errors_propagate(monkeypatch):
     monkeypatch.setattr(simulator, "_available_cpus", lambda: 4)
-    plan = SimPlan(window_radius=1.0, n_samples=1000, seed=3, batch_size=100)
+    plan = SimPlan(window_radius=1.0, n_samples=10 * BATCH_SIZE, seed=3)
     want = [rng.random() for _, rng in _batches(plan)]
     assert _map_batches(lambda size, rng: rng.random(), _batches(plan)) == want
 

@@ -92,6 +92,18 @@ def test_tau_must_be_positive(cfg_path, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_nonpositive_tau_gives_an_error_row_in_every_mode(cfg_path, tmp_path, mode):
+    # a request that bypasses the parser's check: no mode may report the
+    # plain association fraction as coverage at a negative threshold
+    req = cli.RunRequest(config_path=cfg_path, mode=mode, metric="dl_cov",
+                         output_path=str(tmp_path / "x.csv"), tau_grid=(-1.0,),
+                         seed=1, n_samples=2000, timestamp=False)
+    (row,) = cli.run(req)
+    assert row["error"].startswith("ValueError: tau must be")
+    assert row["value"] == ""
+
+
 def test_db_threshold_conversion(cfg_path, tmp_path):
     out = tmp_path / "db.csv"
     rc = cli.main(["--config", cfg_path, "--mode", "analytic", "--metric", "dl_cov",

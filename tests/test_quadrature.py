@@ -58,9 +58,12 @@ def test_reversed_limits_negate():
     assert v1 == pytest.approx(-v2, rel=1e-12)
 
 
-def test_scalar_integrand_fallback():
-    value, _ = integrate(lambda x: math.exp(-x), 0.0, np.inf)
-    assert value == pytest.approx(1.0, abs=1e-6)
+def test_scalar_only_integrand_raises():
+    # integrands map node arrays to arrays; nothing loops over scalars
+    with pytest.raises(TypeError):
+        integrate(lambda x: math.exp(-x), 0.0, np.inf)
+    with pytest.raises(ValueError, match=r"shape \(\) for nodes of shape \(15,\)"):
+        integrate(lambda x: 1.0, 0.0, 1.0)
 
 
 def test_nonconvergence_raised():

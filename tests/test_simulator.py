@@ -24,7 +24,6 @@ from vanetcov.simulator import (
     default_window_radius,
     draw_sir_samples,
     estimate_association,
-    estimate_coverage,
     estimate_coverage_grid,
     estimate_effective_rate,
     estimate_voronoi_area_moment,
@@ -111,10 +110,11 @@ def fig_samples():
 
 def test_coverage_cross_validates(fig_samples):
     plan, batch = fig_samples
+    grid = estimate_coverage_grid(REF_CFG, (0.1, 1.0, 10.0), plan, samples=batch)
     for tau in (0.1, 1.0, 10.0):
         for link, ana in ((DOWNLINK, dl_coverage(REF_CFG, tau).value),
                           (SIDELINK, sl_coverage(REF_CFG, tau).value)):
-            est = estimate_coverage(REF_CFG, tau, link, plan, samples=batch)
+            est = grid[(link, tau)]
             assert abs(est.mean - ana) < 3 * est.std_error + 1e-6, (tau, link)
 
 
@@ -142,13 +142,14 @@ def test_joint_coverage_below_association(fig_samples):
 
 def test_coverage_rejects_bad_tau(fig_samples):
     plan, batch = fig_samples
-    with pytest.raises(ValueError):
-        estimate_coverage(REF_CFG, 0.0, DOWNLINK, plan, samples=batch)
+    for taus in ([0.0], [1.0, -1.0]):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            estimate_coverage_grid(REF_CFG, taus, plan, samples=batch)
 
 
 def test_huge_tau_estimate_near_zero(fig_samples):
     plan, batch = fig_samples
-    est = estimate_coverage(REF_CFG, 1e9, TOTAL, plan, samples=batch)
+    est = estimate_coverage_grid(REF_CFG, [1e9], plan, samples=batch)[(TOTAL, 1e9)]
     assert est.mean < 1e-3
 
 
@@ -167,8 +168,8 @@ def test_window_doubling_guard():
     wide = make_plan(REF_CFG, n, seed=56,
                      window_radius=2 * base.window_radius)
     tau = 1.0
-    est_a = estimate_coverage(REF_CFG, tau, TOTAL, base)
-    est_b = estimate_coverage(REF_CFG, tau, TOTAL, wide)
+    est_a = estimate_coverage_grid(REF_CFG, [tau], base)[(TOTAL, tau)]
+    est_b = estimate_coverage_grid(REF_CFG, [tau], wide)[(TOTAL, tau)]
     combined = math.hypot(est_a.std_error, est_b.std_error)
     assert abs(est_a.mean - est_b.mean) < 2 * combined
 
