@@ -11,6 +11,7 @@ also gives how many a correct model would fail by chance alone.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 from . import analytic, simulator
-from .config import NetworkConfig, ValidationError, config_dict, config_field_names, load_config, validate
+from .config import ValidationError, config_dict, config_field_names, load_config, validate
 from .quadrature import DEFAULT_SPEC, NonConvergenceError
 
 SEED_ENV_VAR = "VANET_SEED"
@@ -55,25 +56,14 @@ def _verdict(analytic_value, analytic_err, mc_mean, mc_se):
     return ("pass" if ok else "fail"), z
 
 
-def _blank_row(cfg: NetworkConfig) -> dict:
-    row = {k: "" for k in _COLUMNS}
-    row.update(config_dict(cfg))
-    return row
-
-
-class _Result:
-    """One logical output row before CSV flattening."""
-
-    def __init__(self, metric, tau_or_epsilon, value, err, n_samples="",
-                 seed="", verdict="", extra=None):
-        self.metric = metric
-        self.tau_or_epsilon = tau_or_epsilon
-        self.value = value
-        self.err = err
-        self.n_samples = n_samples
-        self.seed = seed
-        self.verdict = verdict
-        self.extra = extra or {}
+# coverage metric -> (analytic terms summed, Monte Carlo link).  The terms are
+# attribute names, looked up on each call, so a wrapped or patched
+# ``analytic.dl_coverage`` sees every call.
+_COVERAGE = {
+    "dl_cov": (("dl_coverage",), simulator.DOWNLINK),
+    "sl_cov": (("sl_coverage",), simulator.SIDELINK),
+    "total_cov": (("dl_coverage", "sl_coverage"), simulator.TOTAL),
+}
 
 
 def _require_taus(req: RunRequest):
@@ -83,110 +73,84 @@ def _require_taus(req: RunRequest):
 
 
 def _analytic_results(cfg, req, spec=DEFAULT_SPEC):
-    out = []
+    """(metric, tau_or_epsilon, value, quad_error) per row; quad_error is ""
+    where the value is closed form or its error is not tracked."""
     m = req.metric
     if m == "assoc":
         sl = analytic.p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho, spec)
-        out.append(_Result("assoc_sl", "", sl, ""))
-        out.append(_Result("assoc_dl", "", 1.0 - sl, ""))
-    elif m in ("dl_cov", "sl_cov", "total_cov"):
+        return [("assoc_sl", "", sl, ""), ("assoc_dl", "", 1.0 - sl, "")]
+    if m in _COVERAGE:
+        out = []
         for tau in _require_taus(req):
-            if m == "dl_cov":
-                res = analytic.dl_coverage(cfg, tau, spec)
-                out.append(_Result(m, tau, res.value, res.est_abs_error))
-            elif m == "sl_cov":
-                res = analytic.sl_coverage(cfg, tau, spec)
-                out.append(_Result(m, tau, res.value, res.est_abs_error))
-            else:
-                dl = analytic.dl_coverage(cfg, tau, spec)
-                sl = analytic.sl_coverage(cfg, tau, spec)
-                out.append(_Result(m, tau, dl.value + sl.value,
-                                   dl.est_abs_error + sl.est_abs_error))
-    elif m == "eff_rate":
-        value, err = analytic.effective_rate_with_error(cfg, spec)
-        out.append(_Result(m, "", value, err))
-    elif m in ("utility", "total_rate"):
+            terms = [getattr(analytic, name)(cfg, tau, spec) for name in _COVERAGE[m][0]]
+            out.append((m, tau, sum(t.value for t in terms),
+                        sum(t.est_abs_error for t in terms)))
+        return out
+    if m == "eff_rate":
+        return [(m, "", *analytic.effective_rate_with_error(cfg, spec))]
+    if m in ("utility", "total_rate"):
         fn = analytic.network_utility_with_error if m == "utility" \
             else analytic.total_rate_with_error
-        value, err = fn(cfg, spec)
-        out.append(_Result(m, cfg.epsilon, value, err))
-    elif m == "nu":
-        out.append(_Result(m, "", analytic.nu(), ""))
-    else:
-        raise ValidationError(f"unknown metric {m!r}")
-    return out
+        return [(m, cfg.epsilon, *fn(cfg, spec))]
+    if m == "nu":
+        return [(m, "", analytic.nu(), "")]
+    raise ValidationError(f"unknown metric {m!r}")
 
 
 def _mc_results(cfg, req, seed):
-    out = []
+    """(metric, tau_or_epsilon, Estimate) per row, in the order of
+    ``_analytic_results``."""
     m = req.metric
     plan = simulator.make_plan(cfg, req.n_samples, seed)
     if m == "assoc":
         sl, dl = simulator.estimate_association(cfg, plan)
-        out.append(_Result("assoc_sl", "", sl.mean, sl.std_error, sl.n_samples, seed))
-        out.append(_Result("assoc_dl", "", dl.mean, dl.std_error, dl.n_samples, seed))
-    elif m in ("dl_cov", "sl_cov", "total_cov"):
+        return [("assoc_sl", "", sl), ("assoc_dl", "", dl)]
+    if m in _COVERAGE:
         taus = _require_taus(req)
         grid = simulator.estimate_coverage_grid(cfg, taus, plan)
-        link = {"dl_cov": simulator.DOWNLINK, "sl_cov": simulator.SIDELINK,
-                "total_cov": simulator.TOTAL}[m]
-        for tau in taus:
-            est = grid[(link, float(tau))]
-            out.append(_Result(m, tau, est.mean, est.std_error, est.n_samples, seed))
-    elif m == "eff_rate":
-        est = simulator.estimate_effective_rate(cfg, plan)
-        out.append(_Result(m, "", est.mean, est.std_error, est.n_samples, seed))
-    elif m in ("utility", "total_rate"):
+        return [(m, tau, grid[(_COVERAGE[m][1], float(tau))]) for tau in taus]
+    if m == "eff_rate":
+        return [(m, "", simulator.estimate_effective_rate(cfg, plan))]
+    if m in ("utility", "total_rate"):
+        # as in analytic._weighted_links, a term with zero weight is not
+        # evaluated; at epsilon = 0 the sidelink term is the association
+        w_sl, w_dl = (cfg.w_s, cfg.w_d) if m == "utility" else (cfg.epsilon, 1.0)
+        zero = simulator.Estimate(0.0, 0.0, plan.n_samples)
         tau_eps = 2.0 ** cfg.epsilon - 1.0
-        sl = simulator.Estimate(0.0, 0.0, plan.n_samples) if tau_eps <= 0 else \
-            simulator.estimate_coverage_grid(cfg, (tau_eps,), plan)[(simulator.SIDELINK, tau_eps)]
-        rate = simulator.estimate_effective_rate(cfg, plan)
-        if m == "utility":
-            value = cfg.w_s * sl.mean + cfg.w_d * rate.mean
-            err = math.hypot(cfg.w_s * sl.std_error, cfg.w_d * rate.std_error)
-        else:
-            value = cfg.epsilon * sl.mean + rate.mean
-            err = math.hypot(cfg.epsilon * sl.std_error, rate.std_error)
-        out.append(_Result(m, cfg.epsilon, value, err, plan.n_samples, seed))
-    elif m == "nu":
+        sl = simulator.estimate_coverage_grid(cfg, (tau_eps,), plan)[
+            (simulator.SIDELINK, tau_eps)] if w_sl > 0 else zero
+        rate = simulator.estimate_effective_rate(cfg, plan) if w_dl > 0 else zero
+        return [(m, cfg.epsilon, simulator.Estimate(
+            w_sl * sl.mean + w_dl * rate.mean,
+            math.hypot(w_sl * sl.std_error, w_dl * rate.std_error), plan.n_samples))]
+    if m == "nu":
         est = simulator.estimate_voronoi_area_moment(cfg.lambda_b, plan)
         scale = cfg.lambda_b ** 2
-        out.append(_Result(m, "", scale * est.mean, scale * est.std_error,
-                           est.n_samples, seed))
-    else:
-        raise ValidationError(f"unknown metric {m!r}")
-    return out
+        return [(m, "", simulator.Estimate(scale * est.mean, scale * est.std_error,
+                                           est.n_samples))]
+    raise ValidationError(f"unknown metric {m!r}")
 
 
-def _validate_results(cfg, req, seed):
-    ana = {(r.metric, r.tau_or_epsilon): r for r in _analytic_results(cfg, req)}
-    out = []
-    for mc in _mc_results(cfg, req, seed):
-        ref = ana[(mc.metric, mc.tau_or_epsilon)]
-        ana_err = ref.err if isinstance(ref.err, float) else 0.0
-        mc.verdict, z = _verdict(ref.value, ana_err, mc.value, mc.err)
-        mc.extra = {"analytic_value": ref.value, "analytic_error": ana_err,
-                    "z_score": z}
-        out.append(mc)
-    return out
+def _row(cfg, **fields) -> dict:
+    return {**dict.fromkeys(_COLUMNS, ""), **config_dict(cfg), **fields}
 
 
 def _rows_for_config(cfg, req, seed):
     if req.mode == "analytic":
-        results = _analytic_results(cfg, req)
-    elif req.mode == "montecarlo":
-        results = _mc_results(cfg, req, seed)
-    else:
-        results = _validate_results(cfg, req, seed)
-    rows = []
-    for res in results:
-        row = _blank_row(cfg)
-        row.update(metric=res.metric, tau_or_epsilon=res.tau_or_epsilon,
-                   value=res.value, std_error_or_quad_error=res.err,
-                   n_samples=res.n_samples, seed=res.seed,
-                   verdict=res.verdict, error="")
-        row.update(res.extra)
-        rows.append(row)
+        return [_row(cfg, metric=m, tau_or_epsilon=t, value=value,
+                     std_error_or_quad_error=err)
+                for m, t, value, err in _analytic_results(cfg, req)]
+    refs = _analytic_results(cfg, req) if req.mode == "validate" else None
+    rows = [_row(cfg, metric=m, tau_or_epsilon=t, value=est.mean,
+                 std_error_or_quad_error=est.std_error,
+                 n_samples=est.n_samples, seed=seed)
+            for m, t, est in _mc_results(cfg, req, seed)]
+    if refs is not None:
+        for row, (_, _, value, err) in zip(rows, refs, strict=True):
+            err = err or 0.0  # "" for rows without a quadrature error
+            row["verdict"], z = _verdict(value, err, row["value"],
+                                         row["std_error_or_quad_error"])
+            row.update(analytic_value=value, analytic_error=err, z_score=z)
     return rows
 
 
@@ -226,43 +190,37 @@ def run(req: RunRequest) -> list[dict]:
         field, values = req.sweep
         if field not in config_field_names():
             raise ValidationError(f"sweep parameter {field!r} is not a config field")
-        variants = [(field, v) for v in values]
+        variants = [{field: v} for v in values]
     else:
-        variants = [None]
+        variants = [{}]
 
     rows: list[dict] = []
     for variant in variants:
         cfg = base_cfg
         try:
-            if variant is not None:
-                cfg = validate(replace(base_cfg, **{variant[0]: variant[1]}))
+            cfg = validate(replace(base_cfg, **variant))
             rows.extend(_rows_for_config(cfg, req, seed))
         except (ValidationError, NonConvergenceError, ValueError) as exc:
-            row = _blank_row(cfg)
-            if variant is not None:
-                row[variant[0]] = variant[1]
-            row.update(metric=req.metric, error=f"{type(exc).__name__}: {exc}")
-            rows.append(row)
+            rows.append(_row(cfg, **variant, metric=req.metric,
+                             error=f"{type(exc).__name__}: {exc}"))
     _write_outputs(req, rows)
     return rows
 
 
 def _write_outputs(req: RunRequest, rows: list[dict]) -> None:
-    lines = []
-    if req.timestamp:
-        lines.append("# generated " + datetime.now(timezone.utc).isoformat())
-    lines.append(",".join(_COLUMNS))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col, "")) for col in _COLUMNS))
-    csv_text = "\n".join(lines) + "\n"
-    with open(req.output_path, "w", encoding="utf-8") as fh:
-        fh.write(csv_text)
+    generated = datetime.now(timezone.utc).isoformat()
+    with open(req.output_path, "w", encoding="utf-8", newline="") as fh:
+        if req.timestamp:
+            fh.write(f"# generated {generated}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(_COLUMNS)
+        writer.writerows([_fmt(row[col]) for col in _COLUMNS] for row in rows)
 
     json_path = (req.output_path[:-4] if req.output_path.endswith(".csv")
                  else req.output_path) + ".json"
     doc = {"columns": _COLUMNS, "rows": rows}
     if req.timestamp:
-        doc["generated"] = datetime.now(timezone.utc).isoformat()
+        doc["generated"] = generated
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, default=str)
         fh.write("\n")

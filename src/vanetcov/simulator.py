@@ -15,8 +15,7 @@ never submits to a pool.
 Within a batch every population is one flat array grouped by replication and
 described by per-replication start offsets; minima and sums are segment
 reductions over it.  The kernel works on squared distances throughout: path
-loss is (d^2)^(-alpha/2), association compares with rho^2, and only the
-serving distance takes a square root.
+loss is (d^2)^(-alpha/2) and association compares with rho^2.
 
 Interference beyond the window would bias SIR low-side truncation: with a
 path-loss exponent close to 2 the far field decays too slowly to ignore at
@@ -165,9 +164,8 @@ def _first_min_index(d2, starts, d2_min, rows):
 
 @dataclass
 class SirBatch:
-    """Vectorised draws of (association, serving distance, SIR)."""
+    """Vectorised draws of (association, SIR)."""
     is_sl: np.ndarray
-    serving_distance: np.ndarray
     sir: np.ndarray
     n_degenerate: int
 
@@ -200,15 +198,15 @@ def _received_power(fade, d2, alpha):
 
 
 def _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
-    """Association, serving distance and SIR per replication.
+    """Association and SIR per replication.
 
     Vehicles and base stations are flat arrays of squared distances and
     unit-mean fades grouped by replication (segment i of each population is
     [starts[i], starts[i + 1])).  ``m_far`` is the deterministic far-field
-    interference added to every row.  Returns (is_sl, serving_distance, sir,
-    degenerate); degenerate rows have no vehicle within rho and no base
-    station, and their other outputs are meaningless.  The fade arrays are
-    overwritten with received powers and the d2 arrays with scratch values.
+    interference added to every row.  Returns (is_sl, sir, degenerate);
+    degenerate rows have no vehicle within rho and no base station, and their
+    other outputs are meaningless.  The fade arrays are overwritten with
+    received powers and the d2 arrays with scratch values.
     """
     dv2_min = _segment_reduce(np.minimum, d2_v, veh_starts, np.inf)
     db2_min = _segment_reduce(np.minimum, d2_b, bs_starts, np.inf)
@@ -236,8 +234,7 @@ def _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
     interference += m_far
     with np.errstate(divide="ignore", invalid="ignore"):
         sir = np.divide(serving_pw, interference, out=serving_pw)
-    serving_d = np.sqrt(np.where(is_sl, dv2_min, db2_min))
-    return is_sl, serving_d, sir, degenerate
+    return is_sl, sir, degenerate
 
 
 def _sir_chunk(cfg, plan, n, rng, depth=0):
@@ -262,7 +259,7 @@ def _sir_chunk(cfg, plan, n, rng, depth=0):
 
     fade_v = rng.standard_exponential(d2_v.size)
     fade_b = rng.standard_exponential(d2_b.size)
-    is_sl, serving_d, sir, degenerate = _resolve_sir(
+    is_sl, sir, degenerate = _resolve_sir(
         cfg, far_field_mean(cfg, R), veh_offsets[line_starts], d2_v, fade_v,
         bs_starts, d2_b, fade_b)
 
@@ -274,10 +271,9 @@ def _sir_chunk(cfg, plan, n, rng, depth=0):
         redo = _sir_chunk(cfg, plan, n_deg, rng, depth + 1)
         where = np.flatnonzero(degenerate)
         is_sl[where] = redo.is_sl
-        serving_d[where] = redo.serving_distance
         sir[where] = redo.sir
         n_deg += redo.n_degenerate
-    return SirBatch(is_sl, serving_d, sir, n_deg)
+    return SirBatch(is_sl, sir, n_deg)
 
 
 def _batches(plan: SimPlan, seed_sequence=None):
@@ -325,7 +321,6 @@ def draw_sir_samples(cfg: NetworkConfig, plan: SimPlan,
                           _batches(plan, seed_sequence))
     batch = SirBatch(
         np.concatenate([c.is_sl for c in chunks]),
-        np.concatenate([c.serving_distance for c in chunks]),
         np.concatenate([c.sir for c in chunks]),
         sum(c.n_degenerate for c in chunks),
     )
@@ -394,9 +389,14 @@ def estimate_coverage_grid(cfg: NetworkConfig, taus, plan: SimPlan,
     """Joint probability of (SIR > tau together with each association) for
     every (link, tau) pair, link=Total being the samplewise sum of the two
     joint events.  All pairs share one sample set, so decomposition and
-    tau-monotonicity hold exactly samplewise."""
-    if any(tau <= 0 for tau in taus):
-        raise ValueError("tau must be positive")
+    tau-monotonicity hold exactly samplewise.
+
+    tau = 0 asks for SIR > 0, which holds wherever the serving signal is
+    nonzero: the grid then gives the association fractions, as ``analytic.sl_coverage`` and
+    ``dl_coverage`` give the association probabilities at tau = 0.
+    """
+    if any(tau < 0 for tau in taus):
+        raise ValueError("tau must be nonnegative")
     batch = samples if samples is not None else draw_sir_samples(cfg, plan)
     out = {}
     for tau in taus:

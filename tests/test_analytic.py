@@ -63,8 +63,8 @@ def _cli_rows(cfg, metric, taus=()):
 
 
 def total_coverage(cfg, tau):
-    (row,) = _cli_rows(cfg, "total_cov", (tau,))
-    return row.value
+    ((_, _, value, _),) = _cli_rows(cfg, "total_cov", (tau,))
+    return value
 
 
 def classic_rayleigh_coverage(tau):
@@ -85,8 +85,8 @@ def test_association_complementarity():
         sl = p_assoc_sl(5.0, mu, 0.05)
         assert 0.0 < sl < 1.0
         rows = _cli_rows(validate(replace(REF_CFG, mu=mu)), "assoc")
-        assert [r.metric for r in rows] == ["assoc_sl", "assoc_dl"]
-        assert rows[0].value + rows[1].value == pytest.approx(1.0, abs=1e-15)
+        assert [r[0] for r in rows] == ["assoc_sl", "assoc_dl"]
+        assert rows[0][2] + rows[1][2] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_association_dense_road_limit():

@@ -42,7 +42,7 @@ class _NoPool:
 def _run_all(plan):
     """Every estimator that runs through _map_batches, as plain values."""
     batch = draw_sir_samples(CFG, plan)
-    return [batch.is_sl, batch.serving_distance, batch.sir, batch.n_degenerate,
+    return [batch.is_sl, batch.sir, batch.n_degenerate,
             estimate_association(CFG, plan),
             estimate_voronoi_area_moment(CFG.lambda_b, plan),
             estimate_zero_cell_areas(CFG, plan),

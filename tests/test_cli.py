@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -104,6 +105,19 @@ def test_nonpositive_tau_gives_an_error_row_in_every_mode(cfg_path, tmp_path, mo
     assert row["value"] == ""
 
 
+def test_validate_utility_at_zero_epsilon_passes(cfg_path, tmp_path):
+    # at epsilon = 0 the sidelink term is P(SIR > 0, SL), the association
+    # probability, in both pipelines
+    out = tmp_path / "u.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", "validate", "--metric", "utility",
+                   "--sweep", "epsilon=0", "--samples", "4096", "--seed", "3",
+                   "--out", str(out), "--no-timestamp"])
+    assert rc == 0
+    (row,) = _read_rows(out)
+    assert row["verdict"] == "pass"
+    assert float(row["value"]) > 0.5 * p_assoc_sl(5.0, 5.0, 0.05)
+
+
 def test_db_threshold_conversion(cfg_path, tmp_path):
     out = tmp_path / "db.csv"
     rc = cli.main(["--config", cfg_path, "--mode", "analytic", "--metric", "dl_cov",
@@ -131,6 +145,20 @@ def test_sweep_records_row_errors_and_continues(cfg_path, tmp_path):
     good = [r for r in rows if not r["error"]]
     assert len(bad) == 1 and "alpha must exceed 2" in bad[0]["error"]
     assert len(good) == 2  # assoc_sl + assoc_dl for alpha=3
+
+
+def test_error_text_with_commas_stays_one_csv_field(cfg_path, tmp_path, monkeypatch):
+    def bad(*args):
+        raise ValueError('bad, "value"')
+    monkeypatch.setattr(cli.analytic, "p_assoc_sl", bad)
+    out = tmp_path / "err.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", "analytic", "--metric", "assoc",
+                   "--sweep", "mu=1,5", "--out", str(out)])
+    assert rc == 1
+    with open(out, newline="") as fh:
+        lines = [line for line in csv.reader(fh) if not line[0].startswith("#")]
+    assert [len(line) for line in lines] == [len(cli._COLUMNS)] * 3
+    assert [line[-1] for line in lines[1:]] == ['ValueError: bad, "value"'] * 2
 
 
 def test_unknown_config_key_rejected(tmp_path):
@@ -161,6 +189,15 @@ def test_json_mirror_matches_csv(cfg_path, tmp_path):
     assert len(doc["rows"]) == len(csv_rows)
     for jrow, crow in zip(doc["rows"], csv_rows):
         assert float(jrow["value"]) == pytest.approx(float(crow["value"]), rel=1e-10)
+
+
+def test_csv_and_json_share_one_timestamp(cfg_path, tmp_path):
+    out = tmp_path / "t.csv"
+    assert cli.main(["--config", cfg_path, "--mode", "analytic", "--metric", "nu",
+                     "--out", str(out)]) == 0
+    header = out.read_text().splitlines()[0]
+    doc = json.loads((tmp_path / "t.json").read_text())
+    assert header == "# generated " + doc["generated"]
 
 
 def test_singleton_sweep_matches_plain_run(cfg_path, tmp_path):

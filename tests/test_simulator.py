@@ -142,9 +142,13 @@ def test_joint_coverage_below_association(fig_samples):
 
 def test_coverage_rejects_bad_tau(fig_samples):
     plan, batch = fig_samples
-    for taus in ([0.0], [1.0, -1.0]):
-        with pytest.raises(ValueError, match="tau must be positive"):
-            estimate_coverage_grid(REF_CFG, taus, plan, samples=batch)
+    with pytest.raises(ValueError, match="tau must be nonnegative"):
+        estimate_coverage_grid(REF_CFG, [1.0, -1.0], plan, samples=batch)
+    # tau = 0 asks for SIR > 0: the association fractions, exactly
+    grid = estimate_coverage_grid(REF_CFG, [0.0], plan, samples=batch)
+    n = len(batch)
+    assert grid[(SIDELINK, 0.0)].mean == np.count_nonzero(batch.is_sl) / n
+    assert grid[(DOWNLINK, 0.0)].mean == np.count_nonzero(~batch.is_sl) / n
 
 
 def test_huge_tau_estimate_near_zero(fig_samples):
@@ -209,8 +213,8 @@ def test_compensation_toggle_changes_sir():
         # _resolve_sir overwrites its distance and fade arrays
         return _resolve_sir(REF_CFG, m_far, veh_starts, d2_v.copy(), fade_v.copy(),
                             bs_starts, d2_b.copy(), fade_b.copy())
-    on_sl, _, on_sir, _ = resolve(far_field_mean(REF_CFG, R))
-    off_sl, _, off_sir, _ = resolve(0.0)
+    on_sl, on_sir, _ = resolve(far_field_mean(REF_CFG, R))
+    off_sl, off_sir, _ = resolve(0.0)
     assert np.array_equal(on_sl, off_sl)
     assert np.all(on_sir <= off_sir)  # extra interference can only lower SIR
 
