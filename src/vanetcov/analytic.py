@@ -6,14 +6,21 @@ the Laplace transform of vehicle interference accumulated road by road.  The
 integrals are evaluated with the adaptive engine in :mod:`.quadrature` on the
 outside and vectorised fixed-order Gauss-Legendre tensors on the inside.
 
+One road-level kernel, :func:`_road_sums`, serves both links: the downlink
+evaluates it at the exclusion radius rho, the sidelink at the serving
+distance x, where it also yields the serving road's factor.
+
 Two substitutions keep every inner integrand bounded and the error estimates
 trustworthy:
 
 * square-root factors sqrt(radius^2 - r^2) vanish under r = radius * sin(s),
   which also removes the 1/sqrt(x^2 - r^2) serving-line singularity;
 * semi-infinite interference tails map onto [0, 1) via u = a + t / (1 - t);
-  the integrands decay like u^(1 - alpha) with alpha > 2, so the mapped
-  integrand stays bounded.
+  a tail integrand decays like u^(-alpha) with alpha > 2, so the mapped
+  integrand stays bounded.  The far-road sum decays only like r^(1 - alpha)
+  and stays bounded under the same map only for alpha >= 3; at alpha = 2.9
+  or less its inner grids may not stabilise, and the coverage then raises
+  NonConvergenceError.
 
 Inner grids double (24, 48, 96, 192 nodes per axis) until the outer integral
 value is stable within tolerance; the observed change joins the reported
@@ -141,33 +148,30 @@ def _interference_tail(r, amp, alpha, m, start=None):
     return out
 
 
-def _near_line_sum(radius, amp, mu, alpha, m):
-    """Integral over r in [0, radius] of
-    1 - exp(-2 mu sqrt(radius^2 - r^2) - 2 mu J(r)),
-    where J(r) is the interference tail beyond the exclusion chord.
+def _road_sums(radius, amp, mu, alpha, m):
+    """(serving, road_sum) at radius ``radius``, one entry per outer node.
 
-    Roads closer than ``radius`` are known to carry no vehicle within the
-    exclusion disk; the first exponent is that void factor, the second the
-    fading-averaged interference of the remaining vehicles on the road.
+    A road at distance r < radius carries no vehicle on its chord of the
+    exclusion disk, a void of half-length a = sqrt(radius^2 - r^2); J_near(r)
+    is the interference tail beyond it and J_full(r) that of a whole road.
+    With r = radius sin(s), a = radius cos(s):
+    serving = Int_0^(pi/2) exp(-2 mu (a + J_near)) ds, the serving road's
+    residual-interference factor, and road_sum = Int_0^radius 1 -
+    exp(-2 mu (a + J_near)) dr + Int_radius^inf 1 - exp(-2 mu J_full) dr, the
+    exponent of the road-level Laplace functional.  The first two share one
+    near tensor; the far sum has its own.
     """
     t01, w01 = _gl01(m)
     s = 0.5 * math.pi * t01
     sw = 0.5 * math.pi * w01
+    amp = amp[:, None]
     r = radius[:, None] * np.sin(s)
     a = radius[:, None] * np.cos(s)
-    j = _interference_tail(r, amp[:, None], alpha, m, a)
-    g = (1.0 - np.exp(-2.0 * mu * (a + j))) * a  # dr = radius cos(s) ds
-    return g @ sw
-
-
-def _far_line_sum(start, amp, mu, alpha, m):
-    """Integral over r in (start, inf) of 1 - exp(-2 mu J_full(r)), the
-    road-level interference factor for roads farther than ``start``."""
+    near = np.exp(-2.0 * mu * (a + _interference_tail(r, amp, alpha, m, a)))
     nodes, weights = _tail_grid(m)
-    r = start[:, None] + nodes
-    j = _interference_tail(r, amp[:, None], alpha, m)
-    g = 1.0 - np.exp(-2.0 * mu * j)
-    return g @ weights
+    far = 1.0 - np.exp(-2.0 * mu * _interference_tail(
+        radius[:, None] + nodes, amp, alpha, m))
+    return near @ sw, ((1.0 - near) * a) @ sw + far @ weights
 
 
 @lru_cache(maxsize=4096)
@@ -207,16 +211,14 @@ def _bs_full_coeff(amp, alpha, spec):
     return amp ** (2.0 / alpha) * _scaled_power_integral(0.0, alpha, spec)
 
 
-def _leveled_outer(make_integrand, lower, upper, spec, tail_bound, refine):
+def _leveled_outer(make_integrand, lower, upper, spec, tail_bound):
     """Adaptive outer integral with inner-grid doubling until stable.
 
     The adaptive pass at the coarsest inner grid fixes the panel set; finer
     inner grids re-sum the same panels, so successive differences measure the
-    inner-grid error alone, free of adaptive stopping noise.
+    inner-grid error alone, free of adaptive stopping noise.  An integrand
+    that does not depend on the inner grid stops after one re-sum.
     """
-    if not refine:
-        value, err = integrate(make_integrand(_INNER_LEVELS[0]), lower, upper, spec)
-        return CoverageResult(value, err + tail_bound)
     prev, outer_err, panels = integrate_with_panels(
         make_integrand(_INNER_LEVELS[0]), lower, upper, spec)
     for m in _INNER_LEVELS[1:]:
@@ -255,8 +257,8 @@ def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     The outer variable is the nearest-base-station distance.  Substituting
     y = x * sqrt(pi lambda_b (1 + bs_tail)) turns the base-station factor
     into 2 y exp(-y^2) / (1 + bs_tail), which keeps the integrand's mass on
-    an O(1) range for every tau; the vehicle factor multiplies in the two
-    road-level sums (roads nearer / farther than rho).
+    an O(1) range for every tau; the vehicle factor is the road-level sum at
+    radius rho.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -276,17 +278,13 @@ def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
             if has_vehicles:
                 x = x_scale * y
                 amp = tau * eta * np.power(x, cfg.alpha)
-                road_sum = _far_line_sum(np.full_like(x, cfg.rho), amp,
+                _, road_sum = _road_sums(np.full_like(x, cfg.rho), amp,
                                          cfg.mu, cfg.alpha, m)
-                if cfg.rho > 0:
-                    road_sum = road_sum + _near_line_sum(
-                        np.full_like(x, cfg.rho), amp, cfg.mu, cfg.alpha, m)
                 expo = expo + 2.0 * cfg.lambda_l * road_sum
             return (2.0 / k_tot) * y * np.exp(-expo)
         return f
 
-    refine = has_vehicles and tau > 0
-    return _leveled_outer(make_integrand, 0.0, y_max, spec, tail_bound, refine)
+    return _leveled_outer(make_integrand, 0.0, y_max, spec, tail_bound)
 
 
 def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> CoverageResult:
@@ -297,7 +295,7 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     integrand combines the serving-road factor (density of the nearest
     vehicle on its road, with that road's residual interference), the
     base-station interference exponent (quadratic in x, with the inverse
-    power ratio), and the same two road-level sums evaluated at radius x.
+    power ratio), and the road-level sum at radius x.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -310,25 +308,15 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     def make_integrand_x(m):
         def f(x):
             x = np.asarray(x, dtype=float)
-            amp = tau * np.power(x, alpha)
-            t01, w01 = _gl01(m)
-            s = 0.5 * math.pi * t01
-            sw = 0.5 * math.pi * w01
-            r = x[:, None] * np.sin(s)
-            a = x[:, None] * np.cos(s)
-            j = _interference_tail(r, amp[:, None], alpha, m, a)
-            # the serving road's factor and the near-road sum (as in
-            # _near_line_sum at radius x) share one tail tensor
-            e = np.exp(-2.0 * mu * (a + j))
-            serving = 4.0 * lambda_l * mu * x * (e @ sw)
-            road_sum = ((1.0 - e) * a) @ sw + _far_line_sum(x, amp, mu, alpha, m)
-            return serving * np.exp(-bs_quad * x * x - 2.0 * lambda_l * road_sum)
+            serving, road_sum = _road_sums(x, tau * np.power(x, alpha), mu, alpha, m)
+            return 4.0 * lambda_l * mu * x * serving * np.exp(
+                -bs_quad * x * x - 2.0 * lambda_l * road_sum)
         return f
 
     # For large tau the integrand concentrates near 0 on the 1/sqrt(bs_quad)
     # scale; rescaling keeps its mass visible to the adaptive rule.
     if bs_quad * rho * rho <= 25.0:
-        return _leveled_outer(make_integrand_x, 0.0, rho, spec, 0.0, True)
+        return _leveled_outer(make_integrand_x, 0.0, rho, spec, 0.0)
     root = math.sqrt(bs_quad)
     y_end = rho * root
     y_max = math.sqrt(-math.log(min(spec.abs_tol, 1e-10)))
@@ -345,7 +333,7 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
             return fx(np.asarray(y, dtype=float) / root) / root
         return f
 
-    return _leveled_outer(make_integrand_y, 0.0, y_end, spec, tail_bound, True)
+    return _leveled_outer(make_integrand_y, 0.0, y_end, spec, tail_bound)
 
 
 def nu() -> float:
@@ -366,17 +354,11 @@ def mean_zero_cell_areas(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC
     return inside, whole - inside
 
 
-def _rate_numerator(cfg: NetworkConfig, spec: QuadratureSpec):
-    """lambda_b * Int_0^inf P[bs associated, SIR > 2^x - 1] dx and its error
-    bound.  lambda_u never enters; results are cached on the parameters
-    that do, so sweeps over the user density reuse the integral."""
-    return _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,
-                              cfg.alpha, cfg.p_v / cfg.p_b, spec)
-
-
 @lru_cache(maxsize=256)
 def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
-    """:func:`_rate_numerator` on a canonical config with power ratio eta.
+    """lambda_b * Int_0^inf P[bs associated, SIR > 2^x - 1] dx and its error
+    bound, on a canonical config with power ratio eta = p_v / p_b.  lambda_u
+    never enters, so sweeps over the user density hit the cache.
 
     The range extends in doublings until the integrand stays below
     _RATE_INTEGRAND_FLOOR at the ends of two consecutive panels; if that
@@ -423,7 +405,8 @@ def effective_rate_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT
     """Long-term downlink rate per user, bits/s/Hz, and its quadrature error
     bound: the mean Shannon rate on the base-station association, divided by
     the mean number of users that share the serving base station."""
-    num, num_err = _rate_numerator(cfg, spec)
+    num, num_err = _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,
+                                      cfg.alpha, cfg.p_v / cfg.p_b, spec)
     p_dl = 1.0 - p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho, spec)
     den = NU * cfg.lambda_u * p_dl
     return num / den, num_err / den

@@ -21,7 +21,7 @@ from datetime import datetime, timezone
 
 from . import analytic, simulator
 from .config import ValidationError, config_dict, config_field_names, load_config, validate
-from .quadrature import DEFAULT_SPEC, NonConvergenceError
+from .quadrature import NonConvergenceError
 
 SEED_ENV_VAR = "VANET_SEED"
 VERDICT_SIGMAS = 3.0
@@ -72,26 +72,26 @@ def _require_taus(req: RunRequest):
     return req.tau_grid
 
 
-def _analytic_results(cfg, req, spec=DEFAULT_SPEC):
+def _analytic_results(cfg, req):
     """(metric, tau_or_epsilon, value, quad_error) per row; quad_error is ""
     where the value is closed form or its error is not tracked."""
     m = req.metric
     if m == "assoc":
-        sl = analytic.p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho, spec)
+        sl = analytic.p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho)
         return [("assoc_sl", "", sl, ""), ("assoc_dl", "", 1.0 - sl, "")]
     if m in _COVERAGE:
         out = []
         for tau in _require_taus(req):
-            terms = [getattr(analytic, name)(cfg, tau, spec) for name in _COVERAGE[m][0]]
+            terms = [getattr(analytic, name)(cfg, tau) for name in _COVERAGE[m][0]]
             out.append((m, tau, sum(t.value for t in terms),
                         sum(t.est_abs_error for t in terms)))
         return out
     if m == "eff_rate":
-        return [(m, "", *analytic.effective_rate_with_error(cfg, spec))]
+        return [(m, "", *analytic.effective_rate_with_error(cfg))]
     if m in ("utility", "total_rate"):
         fn = analytic.network_utility_with_error if m == "utility" \
             else analytic.total_rate_with_error
-        return [(m, cfg.epsilon, *fn(cfg, spec))]
+        return [(m, cfg.epsilon, *fn(cfg))]
     if m == "nu":
         return [(m, "", analytic.nu(), "")]
     raise ValidationError(f"unknown metric {m!r}")

@@ -4,7 +4,8 @@ A 15-point Kronrod rule with its embedded 7-point Gauss rule drives panel
 subdivision: the worst panel (largest |K15 - G7|) splits until the summed
 error estimate meets max(abs_tol, rel_tol * |value|).  Semi-infinite upper
 limits are mapped onto [0, 1) through u = a + s / (1 - s); the rule's nodes
-are interior, so the endpoint is never sampled.
+are interior, so the endpoint is never sampled: a panel too narrow for its
+nodes to stay inside it in floating point raises NonConvergenceError.
 
 Integrands are called with a numpy array of nodes and must return the
 matching array; any other shape raises ValueError.
@@ -64,7 +65,12 @@ _GAUSS_WEIGHTS = np.array([
 def _panel(f, a, b):
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    ys = np.asarray(f(mid + half * _KRONROD_NODES), dtype=float)
+    xs = mid + half * _KRONROD_NODES
+    if not (a < xs[0] and xs[-1] < b):
+        # the outer nodes rounded onto the edges, where f may be singular
+        raise NonConvergenceError(
+            f"panel [{a}, {b}] is below floating-point resolution")
+    ys = np.asarray(f(xs), dtype=float)
     if ys.shape != _KRONROD_NODES.shape:
         raise ValueError(f"integrand returned shape {ys.shape} for nodes of "
                          f"shape {_KRONROD_NODES.shape}; it must map a node "
@@ -102,11 +108,9 @@ def _adaptive(f, lower, upper, spec: QuadratureSpec):
         panels.append((mid, b, depth + 1, v2, e2))
 
 
-def integrate_with_panels(f, lower, upper, spec: QuadratureSpec | None = None):
+def integrate_with_panels(f, lower, upper, spec: QuadratureSpec = DEFAULT_SPEC):
     """Like :func:`integrate` over a finite range, also returning the refined
     panel edges so a perturbed integrand can be re-summed on the same grid."""
-    if spec is None:
-        spec = DEFAULT_SPEC
     return _adaptive(f, float(lower), float(upper), spec)
 
 
@@ -120,16 +124,15 @@ def resum_panels(f, panels):
     return math.fsum(values), math.fsum(errors)
 
 
-def integrate(f, lower, upper, spec: QuadratureSpec | None = None):
+def integrate(f, lower, upper, spec: QuadratureSpec = DEFAULT_SPEC):
     """Integrate f over [lower, upper]; returns (value, error_bound).
 
     ``upper`` may be numpy.inf; ``lower`` must be finite.  The integrand may
     carry integrable endpoint singularities, which cost subdivision depth.
     Raises :class:`NonConvergenceError` when max_depth is exhausted with the
-    error estimate above tolerance.
+    error estimate above tolerance, or when a panel is too narrow to place
+    its nodes inside it.
     """
-    if spec is None:
-        spec = DEFAULT_SPEC
     lower = float(lower)
     if not math.isfinite(lower):
         raise ValueError("lower limit must be finite")

@@ -14,8 +14,8 @@ from vanetcov.analytic import (
     _gl01,
     _half_power,
     _interference_tail,
-    _rate_numerator,
     _rate_numerator_of,
+    _road_sums,
     _scaled_power_integral,
     dl_coverage,
     effective_rate_with_error,
@@ -270,6 +270,38 @@ def test_interference_tail_matches_reference(alpha, m):
     assert np.all(got[0] == 0.0)
 
 
+def _quad_road_sums(radius, amp, mu, alpha):
+    """The serving factor, near sum and far sum behind _road_sums, each by
+    nested scipy quad in its defining variable."""
+    from scipy.integrate import quad
+
+    def q(f, lo, hi):
+        return quad(f, lo, hi, epsabs=0.0, epsrel=1e-12)[0]
+
+    def tail(r, start):
+        return q(lambda u: amp / ((r * r + u * u) ** (alpha / 2) + amp), start, np.inf)
+
+    def void(r):
+        return math.sqrt(radius * radius - r * r)
+
+    serving = q(lambda s: math.exp(-2 * mu * (radius * math.cos(s) + tail(
+        radius * math.sin(s), radius * math.cos(s)))), 0.0, math.pi / 2)
+    near = q(lambda r: 1 - math.exp(-2 * mu * (void(r) + tail(r, void(r)))), 0.0, radius)
+    far = q(lambda r: 1 - math.exp(-2 * mu * tail(r, 0.0)), radius, np.inf)
+    return serving, near + far
+
+
+@pytest.mark.parametrize("alpha", [3.0, 4.0])
+def test_road_sums_match_nested_quad(alpha):
+    # (radius, amp, mu): zero radius and zero amplitude included
+    cases = [(0.0, 0.0, 5.0), (0.0, 1e-3, 5.0), (0.05, 0.0, 5.0), (0.05, 1e-4, 5.0),
+             (0.15, 1e-2, 1.0), (0.3, 1.0, 5.0), (0.05, 10.0, 20.0)]
+    for radius, amp, mu in cases:
+        got = _road_sums(np.array([radius]), np.array([amp]), mu, alpha, 96)
+        want = _quad_road_sums(radius, amp, mu, alpha)
+        np.testing.assert_allclose(np.concatenate(got), want, rtol=1e-10, atol=0.0)
+
+
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.7, 4.0, 5.0, 6.0])
 def test_half_power_matches_pow(alpha):
     x = 10.0 ** np.random.default_rng(7).uniform(-6, 6, 1000)
@@ -285,7 +317,8 @@ def test_rate_range_cap_raises(monkeypatch):
                         lambda cfg, tau, spec=DEFAULT_SPEC: CoverageResult(0.5, 0.0))
     cfg = validate(replace(REF_CFG, mu=7.25))  # a key no other test caches
     with pytest.raises(NonConvergenceError, match="range cap"):
-        _rate_numerator(cfg, DEFAULT_SPEC)
+        _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,
+                           cfg.alpha, cfg.p_v / cfg.p_b, DEFAULT_SPEC)
 
 
 def test_cold_rate_fits_bounded_caches():

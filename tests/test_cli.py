@@ -161,6 +161,19 @@ def test_error_text_with_commas_stays_one_csv_field(cfg_path, tmp_path, monkeypa
     assert [line[-1] for line in lines[1:]] == ['ValueError: bad, "value"'] * 2
 
 
+@pytest.mark.parametrize("metric", ["dl_cov", "sl_cov"])
+def test_alpha_near_two_records_nonconvergence(cfg_path, tmp_path, metric):
+    out = tmp_path / "a2.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", "analytic", "--metric", metric,
+                   "--tau", "1", "--sweep", "alpha=2.001", "--out", str(out),
+                   "--no-timestamp"])
+    assert rc == 1
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    assert rows[0]["error"].startswith("NonConvergenceError")
+
+
 def test_unknown_config_key_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**REF_DOC, "lambd_l": 1.0}))

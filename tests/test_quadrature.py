@@ -85,6 +85,13 @@ def test_divergent_integral_raises():
         integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
 
+def test_panel_below_resolution_raises_before_sampling_the_edge():
+    # a tail decaying barely faster than 1/w: the panels near the mapped
+    # endpoint s = 1 shrink until a node would round onto it
+    with pytest.raises(NonConvergenceError, match="below floating-point resolution"):
+        integrate(lambda w: w / (w ** 2.001 + 1.0), 0.0, np.inf)
+
+
 def test_infinite_lower_rejected():
     with pytest.raises(ValueError, match="lower limit"):
         integrate(lambda x: np.exp(x), -np.inf, 0.0)
