@@ -266,8 +266,7 @@ def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     k_tail = _bs_tail_coeff(tau, cfg.alpha, spec)
     k_tot = 1.0 + k_tail
     x_scale = 1.0 / math.sqrt(math.pi * cfg.lambda_b * k_tot)
-    tail_eps = min(spec.abs_tol, 1e-10)
-    y_max = math.sqrt(-math.log(tail_eps))
+    y_max = math.sqrt(-math.log(min(spec.abs_tol, 1e-10)))
     tail_bound = math.exp(-y_max * y_max) / k_tot
     has_vehicles = cfg.lambda_l > 0 and cfg.mu > 0
 
@@ -305,7 +304,7 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     lambda_l, mu, alpha, rho = cfg.lambda_l, cfg.mu, cfg.alpha, cfg.rho
     bs_quad = 2.0 * math.pi * cfg.lambda_b * _bs_full_coeff(tau / eta, alpha, spec)
 
-    def make_integrand_x(m):
+    def make_integrand(m):
         def f(x):
             x = np.asarray(x, dtype=float)
             serving, road_sum = _road_sums(x, tau * np.power(x, alpha), mu, alpha, m)
@@ -314,26 +313,15 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
         return f
 
     # For large tau the integrand concentrates near 0 on the 1/sqrt(bs_quad)
-    # scale; rescaling keeps its mass visible to the adaptive rule.
-    if bs_quad * rho * rho <= 25.0:
-        return _leveled_outer(make_integrand_x, 0.0, rho, spec, 0.0)
-    root = math.sqrt(bs_quad)
-    y_end = rho * root
+    # scale.  The adaptive rule bisects any affine image of the range alike, so
+    # only the cut matters: past x_end the Gaussian envelope is below tolerance.
     y_max = math.sqrt(-math.log(min(spec.abs_tol, 1e-10)))
-    tail_bound = 0.0
-    if y_end > y_max:
-        # envelope: integrand_x <= 2 pi lambda_l mu x exp(-bs_quad x^2)
+    x_end, tail_bound = rho, 0.0
+    if bs_quad * rho * rho > y_max * y_max:
+        # envelope: integrand <= 2 pi lambda_l mu x exp(-bs_quad x^2)
+        x_end = y_max / math.sqrt(bs_quad)
         tail_bound = (math.pi * lambda_l * mu / bs_quad) * math.exp(-y_max * y_max)
-        y_end = y_max
-
-    def make_integrand_y(m):
-        fx = make_integrand_x(m)
-
-        def f(y):
-            return fx(np.asarray(y, dtype=float) / root) / root
-        return f
-
-    return _leveled_outer(make_integrand_y, 0.0, y_end, spec, tail_bound)
+    return _leveled_outer(make_integrand, 0.0, x_end, spec, tail_bound)
 
 
 def nu() -> float:
@@ -404,10 +392,14 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
 def effective_rate_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):
     """Long-term downlink rate per user, bits/s/Hz, and its quadrature error
     bound: the mean Shannon rate on the base-station association, divided by
-    the mean number of users that share the serving base station."""
+    the mean number of users that share the serving base station.  Raises
+    ValueError when no user is served by a base station."""
+    p_dl = 1.0 - p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho, spec)
+    if p_dl <= 0:
+        raise ValueError("P[base-station association] is 0: no downlink user, "
+                         "so the effective rate is undefined")
     num, num_err = _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,
                                       cfg.alpha, cfg.p_v / cfg.p_b, spec)
-    p_dl = 1.0 - p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho, spec)
     den = NU * cfg.lambda_u * p_dl
     return num / den, num_err / den
 

@@ -74,7 +74,8 @@ def _require_taus(req: RunRequest):
 
 def _analytic_results(cfg, req):
     """(metric, tau_or_epsilon, value, quad_error) per row; quad_error is ""
-    where the value is closed form or its error is not tracked."""
+    where the value is closed form or its error is not tracked.  A coverage
+    threshold whose integral fails has the exception as its value."""
     m = req.metric
     if m == "assoc":
         sl = analytic.p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho)
@@ -82,7 +83,11 @@ def _analytic_results(cfg, req):
     if m in _COVERAGE:
         out = []
         for tau in _require_taus(req):
-            terms = [getattr(analytic, name)(cfg, tau) for name in _COVERAGE[m][0]]
+            try:
+                terms = [getattr(analytic, name)(cfg, tau) for name in _COVERAGE[m][0]]
+            except NonConvergenceError as exc:
+                out.append((m, tau, exc, ""))
+                continue
             out.append((m, tau, sum(t.value for t in terms),
                         sum(t.est_abs_error for t in terms)))
         return out
@@ -135,9 +140,15 @@ def _row(cfg, **fields) -> dict:
     return {**dict.fromkeys(_COLUMNS, ""), **config_dict(cfg), **fields}
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _rows_for_config(cfg, req, seed):
     if req.mode == "analytic":
-        return [_row(cfg, metric=m, tau_or_epsilon=t, value=value,
+        return [_row(cfg, metric=m, tau_or_epsilon=t, error=_error_text(value))
+                if isinstance(value, Exception) else
+                _row(cfg, metric=m, tau_or_epsilon=t, value=value,
                      std_error_or_quad_error=err)
                 for m, t, value, err in _analytic_results(cfg, req)]
     refs = _analytic_results(cfg, req) if req.mode == "validate" else None
@@ -147,6 +158,9 @@ def _rows_for_config(cfg, req, seed):
             for m, t, est in _mc_results(cfg, req, seed)]
     if refs is not None:
         for row, (_, _, value, err) in zip(rows, refs, strict=True):
+            if isinstance(value, Exception):
+                row["error"] = _error_text(value)
+                continue
             err = err or 0.0  # "" for rows without a quadrature error
             row["verdict"], z = _verdict(value, err, row["value"],
                                          row["std_error_or_quad_error"])
@@ -202,7 +216,7 @@ def run(req: RunRequest) -> list[dict]:
             rows.extend(_rows_for_config(cfg, req, seed))
         except (ValidationError, NonConvergenceError, ValueError) as exc:
             rows.append(_row(cfg, **variant, metric=req.metric,
-                             error=f"{type(exc).__name__}: {exc}"))
+                             error=_error_text(exc)))
     _write_outputs(req, rows)
     return rows
 
@@ -301,11 +315,9 @@ def main(argv=None) -> int:
     if verdicts:
         print(f"{len(verdicts)} validation rows FAILED ({_chance_note(len(judged))})",
               file=sys.stderr)
-        return 1
     if failures:
         print(f"{len(failures)} rows recorded errors", file=sys.stderr)
-        return 1
-    return 0
+    return 1 if verdicts or failures else 0
 
 
 if __name__ == "__main__":

@@ -3,6 +3,8 @@
 The typical user sits at the origin of a disk window.  Per replication the
 kernel draws roads, vehicles, base stations and per-transmitter unit-mean
 exponential fades, resolves the vehicle-first association, and forms the SIR.
+Every estimator draws the road network with one sampler, ``_roads`` and
+``_chord_vehicles``.
 Replications are vectorised in batches of BATCH_SIZE = 1,024; each batch
 owns an RNG stream spawned from the master seed, so the seed alone fixes
 every result, however the batches are scheduled.  ``_map_batches`` runs the
@@ -159,6 +161,33 @@ def _first_min_index(d2, starts, d2_min, rows):
 
 
 # ---------------------------------------------------------------------------
+# the road network: a Poisson line Cox process
+# ---------------------------------------------------------------------------
+
+def _roads(lambda_l, radius, n, rng):
+    """The roads hitting a disk of radius R around each of n origins.  Roads
+    form a stationary, isotropic Poisson line process of lambda_l km per
+    km^2, so about any origin they are Poisson(2 lambda_l R), at
+    displacements r uniform on (-R, R) and uniform angles, which callers draw
+    if they need them.  R is ``radius``, a scalar or one per origin.
+    Poisson(0) draws nothing, so a road-free network consumes no stream.
+    Returns (starts, r, chord half-lengths), roads grouped by origin."""
+    starts = _segment_starts(rng.poisson(2.0 * lambda_l * radius, n))
+    radius = np.repeat(radius, np.diff(starts)) if np.ndim(radius) else radius
+    r = rng.uniform(-radius, radius, starts[-1])
+    return starts, r, np.sqrt(np.maximum(radius * radius - r * r, 0.0))
+
+
+def _chord_vehicles(mu, half, rng):
+    """Poisson(2 mu half) vehicles per chord of half-length ``half``, uniform
+    along it; returns their counts and signed positions, grouped by chord."""
+    counts = rng.poisson(2.0 * mu * half)
+    t = rng.uniform(-1.0, 1.0, counts.sum())
+    t *= np.repeat(half, counts)
+    return counts, t
+
+
+# ---------------------------------------------------------------------------
 # SIR sampling
 # ---------------------------------------------------------------------------
 
@@ -240,18 +269,12 @@ def _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
 def _sir_chunk(cfg, plan, n, rng, depth=0):
     """One vectorised batch of n replications; resamples degenerate rows."""
     R = plan.window_radius
-    # Poisson(0) draws nothing, so road-free configs consume no stream here
-    line_starts = _segment_starts(rng.poisson(2.0 * cfg.lambda_l * R, n))
-    r_l = rng.uniform(-R, R, line_starts[-1])
-    r2 = r_l * r_l
-    half = np.sqrt(np.maximum(R * R - r2, 0.0))
-    n_veh = rng.poisson(2.0 * cfg.mu * half)
+    line_starts, r_l, half = _roads(cfg.lambda_l, R, n, rng)
+    n_veh, d2_v = _chord_vehicles(cfg.mu, half, rng)
     veh_offsets = _segment_starts(n_veh)
-    # a vehicle at chord position s*half on the line at distance r_l
-    d2_v = rng.uniform(-1.0, 1.0, veh_offsets[-1])
-    d2_v *= np.repeat(half, n_veh)
+    # a vehicle at chord position t on the line at distance r_l
     d2_v *= d2_v
-    d2_v += np.repeat(r2, n_veh)
+    d2_v += np.repeat(r_l * r_l, n_veh)
 
     bs_starts = _segment_starts(rng.poisson(cfg.lambda_b * math.pi * R * R, n))
     d2_b = rng.random(bs_starts[-1])
@@ -335,23 +358,6 @@ def draw_sir_samples(cfg: NetworkConfig, plan: SimPlan,
 # association
 # ---------------------------------------------------------------------------
 
-def _association_chunk(cfg, n, rng):
-    """Exact draw of the vehicle-association indicator.
-
-    The event depends only on the vehicle process inside the association
-    disk, whose restriction is sampled directly: roads hitting the disk are
-    Poisson(2 lambda_l rho) and each carries Poisson vehicles on its chord.
-    """
-    if cfg.rho == 0 or cfg.lambda_l == 0 or cfg.mu == 0:
-        return np.zeros(n, dtype=bool)
-    k = rng.poisson(2.0 * cfg.lambda_l * cfg.rho, n)
-    rep = np.repeat(np.arange(n), k)
-    r = rng.uniform(-cfg.rho, cfg.rho, rep.size)
-    occupied = rng.poisson(2.0 * cfg.mu * np.sqrt(cfg.rho ** 2 - r * r)) > 0
-    hits = np.bincount(rep, weights=occupied, minlength=n)
-    return hits > 0
-
-
 def _proportion_estimate(indicator) -> Estimate:
     n = indicator.size
     p = float(np.count_nonzero(indicator)) / n
@@ -361,12 +367,15 @@ def _proportion_estimate(indicator) -> Estimate:
 
 def estimate_association(cfg: NetworkConfig, plan: SimPlan):
     """(sidelink, downlink) association estimates; the per-sample indicators
-    are complementary, so the two means sum to one exactly.
-
-    The batches run in a plain loop: each costs about 0.1 ms, less than
-    handing it to a thread pool."""
-    is_sl = np.concatenate([_association_chunk(cfg, size, rng)
-                            for size, rng in _batches(plan)])
+    are complementary, so the two means sum to one exactly.  A user is vehicle
+    associated iff a road hitting its association disk carries a vehicle on
+    its chord.  The batches run in a plain loop: each costs about 0.1 ms,
+    less than handing it to a thread pool."""
+    def vehicle_associated(size, rng):
+        starts, _, half = _roads(cfg.lambda_l, cfg.rho, size, rng)
+        n_veh, _ = _chord_vehicles(cfg.mu, half, rng)
+        return _segment_reduce(np.maximum, n_veh, starts, 0) > 0
+    is_sl = np.concatenate([vehicle_associated(*batch) for batch in _batches(plan)])
     sl = _proportion_estimate(is_sl)
     return sl, Estimate(1.0 - sl.mean, sl.std_error, sl.n_samples)
 
@@ -374,15 +383,6 @@ def estimate_association(cfg: NetworkConfig, plan: SimPlan):
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
-
-def _coverage_indicator(batch: SirBatch, tau, link):
-    above = batch.sir > tau
-    if link == SIDELINK:
-        return above & batch.is_sl
-    if link == DOWNLINK:
-        return above & ~batch.is_sl
-    return above
-
 
 def estimate_coverage_grid(cfg: NetworkConfig, taus, plan: SimPlan,
                            samples: SirBatch | None = None):
@@ -398,11 +398,12 @@ def estimate_coverage_grid(cfg: NetworkConfig, taus, plan: SimPlan,
     if any(tau < 0 for tau in taus):
         raise ValueError("tau must be nonnegative")
     batch = samples if samples is not None else draw_sir_samples(cfg, plan)
+    links = {SIDELINK: batch.is_sl, DOWNLINK: ~batch.is_sl, TOTAL: True}
     out = {}
     for tau in taus:
-        for link in (SIDELINK, DOWNLINK, TOTAL):
-            out[(link, float(tau))] = _proportion_estimate(
-                _coverage_indicator(batch, tau, link))
+        above = batch.sir > tau
+        for link, associated in links.items():
+            out[(link, float(tau))] = _proportion_estimate(above & associated)
     return out
 
 
@@ -549,14 +550,11 @@ def _pairs(first, count):
 def _roads_near(cfg, q, rng):
     """The roads that carry a vehicle and pass within rho of each cell.
 
-    Roads are drawn in the disk of radius (farthest vertex + rho) around each
-    nucleus, which by convexity holds every point within rho of the cell.
-    The vehicle process is stationary and isotropic, so around any nucleus
-    the roads hitting a disk of radius R are Poisson(2 lambda_l R), with
-    displacement uniform on (-R, R) and angle uniform on (0, pi), and each
-    chord carries Poisson(mu) vehicles per km.  A road is kept if it carries
-    a vehicle and comes within rho of the cell, whose signed distances to it
-    range between those of its vertices.
+    Roads are drawn by ``_roads`` in the disk of radius (farthest vertex +
+    rho) around each nucleus, which by convexity holds every point within rho
+    of the cell, each with an angle uniform on (0, pi).  A road is kept if it
+    carries a vehicle and comes within rho of the cell, whose signed
+    distances to it range between those of its vertices.
 
     Returns (starts, nx, ny, r, road, vehicles): kept roads grouped by row,
     each the line x . (nx, ny) = r in nucleus-relative coordinates with its
@@ -570,16 +568,11 @@ def _roads_near(cfg, q, rng):
         none = np.empty(0)
         return np.zeros(n + 1, dtype=np.int64), none, none, none, none, none
     reach = np.sqrt(np.einsum("kvj,kvj->kv", q, q).max(axis=1))
-    radius = reach + cfg.rho
-    n_lines = rng.poisson(2.0 * cfg.lambda_l * radius)
-    row = np.repeat(np.arange(n), n_lines)
-    R = radius[row]
-    r = rng.uniform(-1.0, 1.0, R.size) * R
-    theta = rng.uniform(0.0, math.pi, R.size)
-    half = np.sqrt(np.maximum(R * R - r * r, 0.0))
-    veh_count = rng.poisson(2.0 * cfg.mu * half)
-    t = rng.uniform(-1.0, 1.0, veh_count.sum()) * np.repeat(half, veh_count)
-    vehicles = np.sort(np.repeat(np.arange(R.size), veh_count) + 1j * t)
+    line_starts, r, half = _roads(cfg.lambda_l, reach + cfg.rho, n, rng)
+    theta = rng.uniform(0.0, math.pi, r.size)
+    veh_count, t = _chord_vehicles(cfg.mu, half, rng)
+    row = np.repeat(np.arange(n), np.diff(line_starts))
+    vehicles = np.sort(np.repeat(np.arange(r.size), veh_count) + 1j * t)
     nx, ny = -np.sin(theta), np.cos(theta)
     s = q[row, :, 0] * nx[:, None] + q[row, :, 1] * ny[:, None] - r[:, None]
     keep = (veh_count > 0) & (s.min(axis=1) <= cfg.rho) & (s.max(axis=1) >= -cfg.rho)
@@ -724,7 +717,8 @@ def estimate_effective_rate(cfg: NetworkConfig, plan: SimPlan,
     den = _mean_estimate(_zero_cell_loads(
         cfg, _batches(replace(plan, n_samples=reps), ss_den)))
     if den.mean <= 0:
-        raise ZeroDivisionError("zero-cell load estimate is zero; raise lambda_u")
+        raise ValueError(f"no user is served by a base station in {reps} zero "
+                         "cells: the effective rate is undefined")
     mean = num.mean / den.mean
     se = abs(mean) * math.sqrt((num.std_error / num.mean) ** 2 + (den.std_error / den.mean) ** 2) \
         if num.mean > 0 else num.std_error / den.mean

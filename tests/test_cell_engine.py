@@ -207,7 +207,7 @@ class _Recorder:
     def __getattr__(self, name):
         def call(*args, **kwargs):
             out = getattr(self.rng, name)(*args, **kwargs)
-            self.draws.append(out)
+            self.draws.append(np.copy(out))  # the caller may scale it in place
             return out
         return call
 
@@ -226,11 +226,10 @@ def test_vehicle_region_matches_brute_force():
 
     # the roads hitting the disk of radius (farthest vertex + rho): counts,
     # displacement and angle per road, vehicle counts, positions along roads
-    n_lines, r_frac, theta, n_veh, t_frac = rec.draws
+    n_lines, r, theta, n_veh, t_frac = rec.draws
     radius = np.sqrt((q ** 2).sum(axis=2).max(axis=1)) + cfg.rho
     line_row = np.repeat(np.arange(40), n_lines)
     R = radius[line_row]
-    r = r_frac * R
     t = t_frac * np.repeat(np.sqrt(R ** 2 - r ** 2), n_veh)
     r, theta, veh_row = (np.repeat(a, n_veh) for a in (r, theta, line_row))
     xy = np.column_stack([-r * np.sin(theta) + t * np.cos(theta),

@@ -2,6 +2,7 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vanetcov.analytic import p_assoc_sl
@@ -242,3 +243,69 @@ def test_failed_verdicts_report_chance_count(cfg_path, tmp_path, monkeypatch, ca
     assert ("2 validation rows FAILED (about 0.0054 expected by chance: "
             "2 rows at 3 sigma)") in capsys.readouterr().err
     assert cli._chance_note(42) == "about 0.11 expected by chance: 42 rows at 3 sigma"
+
+
+@pytest.mark.parametrize("metric", ["eff_rate", "utility", "total_rate"])
+def test_undefined_effective_rate_gives_an_error_row(tmp_path, metric):
+    # at lambda_l = mu = 20, rho = 1 every user is within rho of a vehicle:
+    # P[bs assoc] rounds to 0 and the effective rate has no denominator
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps({**REF_DOC, "mu": 20.0, "rho": 1.0}))
+    assert p_assoc_sl(20.0, 20.0, 1.0) == 1.0
+    out = tmp_path / "rate.csv"
+    rc = cli.main(["--config", str(path), "--mode", "analytic", "--metric", metric,
+                   "--sweep", "lambda_l=0,20", "--out", str(out), "--no-timestamp"])
+    assert rc == 1
+    with open(out, newline="") as fh:
+        good, bad = csv.DictReader(fh)
+    assert float(good["value"]) > 0 and not good["error"]
+    assert bad["value"] == ""
+    assert bad["error"].startswith("ValueError: P[base-station association] is 0")
+    assert len(json.loads(out.with_suffix(".json").read_text())["rows"]) == 2
+
+
+def test_montecarlo_zero_load_gives_an_error_row(cfg_path, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.simulator, "_zero_cell_loads",
+                        lambda cfg, batches: np.zeros(sum(n for n, _ in batches)))
+    out = tmp_path / "rate.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", "montecarlo", "--metric", "eff_rate",
+                   "--samples", "200", "--seed", "1", "--out", str(out),
+                   "--no-timestamp"])
+    assert rc == 1
+    (row,) = _read_rows(out)
+    assert row["error"].startswith("ValueError: no user is served by a base station")
+
+
+@pytest.mark.parametrize("mode", ["analytic", "validate"])
+def test_one_failing_threshold_keeps_the_others(cfg_path, tmp_path, mode, capsys):
+    # at alpha = 2.9 the downlink integral converges at tau = 0.01 but its
+    # inner grids do not stabilise at tau = 1
+    out = tmp_path / "a29.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", mode, "--metric", "dl_cov",
+                   "--tau", "0.01,1", "--sweep", "alpha=2.9", "--samples", "2000",
+                   "--seed", "5", "--out", str(out), "--no-timestamp"])
+    assert rc == 1
+    good, bad = json.loads(out.with_suffix(".json").read_text())["rows"]
+    assert good["tau_or_epsilon"] == 0.01 and not good["error"]
+    analytic_value = good["value"] if mode == "analytic" else good["analytic_value"]
+    assert analytic_value == pytest.approx(0.630576, abs=1e-6)
+    assert bad["tau_or_epsilon"] == 1.0
+    assert bad["error"].startswith("NonConvergenceError")
+    assert bad["verdict"] == ""
+    if mode == "validate":
+        assert good["verdict"] == "pass"
+        assert 0.0 < bad["value"] < 1.0 and bad["n_samples"] == 2000
+    else:
+        assert bad["value"] == ""
+    assert "1 rows recorded errors" in capsys.readouterr().err
+
+
+def test_main_reports_failed_verdicts_and_error_rows(cfg_path, tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.setattr(cli.analytic, "p_assoc_sl", lambda *args: 0.5)
+    rc = cli.main(["--config", cfg_path, "--mode", "validate", "--metric", "assoc",
+                   "--sweep", "alpha=2,3", "--samples", "1000", "--seed", "7",
+                   "--out", str(tmp_path / "both.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "2 validation rows FAILED" in err and "1 rows recorded errors" in err
