@@ -4,7 +4,7 @@ Monte Carlo estimation, and closed-form evaluation with cross-validation."""
 from .config import NetworkConfig, ValidationError, load_config, validate
 from .quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate
 from .analytic import (
-    CoverageResult,
+    AnalyticResult,
     dl_coverage,
     effective_rate_with_error,
     mean_zero_cell_areas,
@@ -33,7 +33,7 @@ from .simulator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoverageResult", "DEFAULT_SPEC", "DOWNLINK", "Estimate", "NetworkConfig",
+    "AnalyticResult", "DEFAULT_SPEC", "DOWNLINK", "Estimate", "NetworkConfig",
     "NonConvergenceError", "QuadratureSpec", "SIDELINK", "SimPlan", "TOTAL",
     "ValidationError", "default_window_radius", "dl_coverage",
     "effective_rate_with_error", "estimate_association",

@@ -34,14 +34,18 @@ one square root for integer alpha, the general pow otherwise), then the
 bounded ratio, and a single contraction with weights that already carry the
 (1 - t)^-2 Jacobian of the tail map.
 
+Every evaluator that states an error returns one named tuple,
+:class:`AnalyticResult` (value, est_abs_error).  ``p_assoc_sl``, ``nu`` and
+``mean_zero_cell_areas`` return bare floats: their errors are not carried yet.
+
 All evaluators are pure functions of their arguments; the memo caches are
 bounded (functools.lru_cache), so concurrent use is safe.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,9 +71,8 @@ _RATE_INTEGRAND_FLOOR = 1e-10
 _RATE_RANGE_CAP = 512.0
 
 
-@dataclass(frozen=True)
-class CoverageResult:
-    """A probability plus the quadrature error ledger that produced it."""
+class AnalyticResult(NamedTuple):
+    """A value plus the absolute error bound of the ledger that produced it."""
     value: float
     est_abs_error: float
 
@@ -179,40 +182,33 @@ def _scaled_power_integral(lo, alpha, spec):
     """Int_lo^inf w / (w^alpha + 1) dw: the scale-free core of every
     base-station interference exponent.  The integrand's knee is pinned at
     w = 1, so the adaptive rule handles any lo, and w^alpha overflowing to
-    inf merely flushes the tail to zero.  A cold effective rate asks for
-    about 280 distinct lo, so the cache holds a dozen rates' worth."""
+    inf merely flushes the tail to zero.  Returns (value, error).  A cold
+    effective rate asks for about 280 distinct lo, so the cache holds a dozen
+    rates' worth."""
     def f(w):
         return w / (w ** alpha + 1.0)
-    return integrate(f, lo, np.inf, spec)[0]
+    return integrate(f, lo, np.inf, spec)
 
 
-def _bs_tail_coeff(tau, alpha, spec):
-    """Scale-free base-station interference exponent: the nearest-server
-    exclusion integral 2 * Int_1^inf tau s / (s^alpha + tau) ds, evaluated
-    as 2 tau^(2/alpha) * Int_{tau^(-1/alpha)}^inf w / (w^alpha + 1) dw so
-    arbitrarily large thresholds stay in range.
-
-    The full exponent is pi * lambda_b * x^2 * (1 + this); computed once per
-    (tau, alpha) because the x dependence factors out.
-    """
-    if tau == 0:
-        return 0.0
-    return 2.0 * tau ** (2.0 / alpha) * _scaled_power_integral(
-        tau ** (-1.0 / alpha), alpha, spec)
-
-
-def _bs_full_coeff(amp, alpha, spec):
-    """Full-plane base-station interference exponent per unit x^2:
-    Int_0^inf amp w / (w^alpha + amp) dw = amp^(2/alpha) * the scale-free
-    core from zero; no exclusion because a vehicle-served user has base
-    stations arbitrarily close."""
+def _bs_coeff(amp, alpha, spec, exclusion):
+    """Int_s0^inf amp s / (s^alpha + amp) ds and its error bound: the
+    base-station interference exponent per unit 2 pi lambda_b x^2, distances
+    in units of the serving distance x.  s0 = 1 under nearest-server
+    exclusion (a base-station-served user), else 0: a vehicle-served user has
+    base stations arbitrarily close.  Evaluated as amp^(2/alpha) *
+    Int_{s0 amp^(-1/alpha)}^inf w / (w^alpha + 1) dw so arbitrarily large
+    amplitudes stay in range."""
     if amp == 0:
-        return 0.0
-    return amp ** (2.0 / alpha) * _scaled_power_integral(0.0, alpha, spec)
+        return AnalyticResult(0.0, 0.0)
+    scale = amp ** (2.0 / alpha)
+    core, err = _scaled_power_integral(
+        amp ** (-1.0 / alpha) if exclusion else 0.0, alpha, spec)
+    return AnalyticResult(scale * core, scale * err)
 
 
-def _leveled_outer(make_integrand, lower, upper, spec, tail_bound):
-    """Adaptive outer integral with inner-grid doubling until stable.
+def _leveled_outer(make_integrand, lower, upper, spec, known_err):
+    """Adaptive outer integral with inner-grid doubling until stable;
+    ``known_err`` (truncation, inexact coefficients) joins the error bound.
 
     The adaptive pass at the coarsest inner grid fixes the panel set; finer
     inner grids re-sum the same panels, so successive differences measure the
@@ -225,7 +221,7 @@ def _leveled_outer(make_integrand, lower, upper, spec, tail_bound):
         value, outer_err = resum_panels(make_integrand(m), panels)
         diff = abs(value - prev)
         if diff <= 0.5 * max(spec.abs_tol, spec.rel_tol * abs(value)):
-            return CoverageResult(value, outer_err + diff + tail_bound)
+            return AnalyticResult(value, outer_err + diff + known_err)
         prev = value
     raise NonConvergenceError(
         f"inner grids up to {_INNER_LEVELS[-1]} nodes did not stabilise the "
@@ -250,21 +246,21 @@ def p_assoc_sl(lambda_l, mu, rho, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     return 1.0 - math.exp(-2.0 * lambda_l * inner)
 
 
-def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> CoverageResult:
+def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
     """Joint probability that the typical user is base-station associated and
     its downlink SIR exceeds ``tau``.
 
     The outer variable is the nearest-base-station distance.  Substituting
-    y = x * sqrt(pi lambda_b (1 + bs_tail)) turns the base-station factor
-    into 2 y exp(-y^2) / (1 + bs_tail), which keeps the integrand's mass on
-    an O(1) range for every tau; the vehicle factor is the road-level sum at
-    radius rho.
+    y = x * sqrt(pi lambda_b k_tot), k_tot = 1 + 2 * bs_coeff, turns the
+    base-station factor into 2 y exp(-y^2) / k_tot, which keeps the
+    integrand's mass on an O(1) range for every tau; the vehicle factor is
+    the road-level sum at radius rho.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     eta = cfg.p_v / cfg.p_b
-    k_tail = _bs_tail_coeff(tau, cfg.alpha, spec)
-    k_tot = 1.0 + k_tail
+    bs = _bs_coeff(tau, cfg.alpha, spec, exclusion=True)
+    k_tot = 1.0 + 2.0 * bs.value
     x_scale = 1.0 / math.sqrt(math.pi * cfg.lambda_b * k_tot)
     y_max = math.sqrt(-math.log(min(spec.abs_tol, 1e-10)))
     tail_bound = math.exp(-y_max * y_max) / k_tot
@@ -283,10 +279,13 @@ def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
             return (2.0 / k_tot) * y * np.exp(-expo)
         return f
 
-    return _leveled_outer(make_integrand, 0.0, y_max, spec, tail_bound)
+    # the vehicle factor is at most 1, so |dP/dk_tot| <= 1 / k_tot^2 carries
+    # the coefficient's error to first order
+    coeff_err = 2.0 * bs.est_abs_error / (k_tot * k_tot)
+    return _leveled_outer(make_integrand, 0.0, y_max, spec, tail_bound + coeff_err)
 
 
-def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> CoverageResult:
+def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
     """Joint probability that the typical user is vehicle associated and its
     sidelink SIR exceeds ``tau``.
 
@@ -299,10 +298,11 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     if cfg.rho == 0 or cfg.lambda_l == 0 or cfg.mu == 0:
-        return CoverageResult(0.0, 0.0)
+        return AnalyticResult(0.0, 0.0)
     eta = cfg.p_v / cfg.p_b
     lambda_l, mu, alpha, rho = cfg.lambda_l, cfg.mu, cfg.alpha, cfg.rho
-    bs_quad = 2.0 * math.pi * cfg.lambda_b * _bs_full_coeff(tau / eta, alpha, spec)
+    bs = _bs_coeff(tau / eta, alpha, spec, exclusion=False)
+    bs_quad = 2.0 * math.pi * cfg.lambda_b * bs.value
 
     def make_integrand(m):
         def f(x):
@@ -321,7 +321,10 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
         # envelope: integrand <= 2 pi lambda_l mu x exp(-bs_quad x^2)
         x_end = y_max / math.sqrt(bs_quad)
         tail_bound = (math.pi * lambda_l * mu / bs_quad) * math.exp(-y_max * y_max)
-    return _leveled_outer(make_integrand, 0.0, x_end, spec, tail_bound)
+    res = _leveled_outer(make_integrand, 0.0, x_end, spec, tail_bound)
+    # |dP/d bs_quad| <= x_end^2 P carries the coefficient's error to first order
+    bs_quad_err = 2.0 * math.pi * cfg.lambda_b * bs.est_abs_error
+    return AnalyticResult(res.value, res.est_abs_error + x_end * x_end * res.value * bs_quad_err)
 
 
 def nu() -> float:
@@ -386,7 +389,7 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
         lo, hi = hi, hi * 2.0
     err = outer_err + (max(inner_errors) if inner_errors else 0.0) * hi \
         + _RATE_INTEGRAND_FLOOR
-    return cfg.lambda_b * total, cfg.lambda_b * err
+    return AnalyticResult(cfg.lambda_b * total, cfg.lambda_b * err)
 
 
 def effective_rate_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):
@@ -401,17 +404,17 @@ def effective_rate_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT
     num, num_err = _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,
                                       cfg.alpha, cfg.p_v / cfg.p_b, spec)
     den = NU * cfg.lambda_u * p_dl
-    return num / den, num_err / den
+    return AnalyticResult(num / den, num_err / den)
 
 
 def _weighted_links(cfg: NetworkConfig, w_sl, w_dl, spec: QuadratureSpec):
     """w_sl * P(SIR > 2^epsilon - 1, SL) + w_dl * effective rate, and its
     quadrature error bound; a term with zero weight is not evaluated."""
-    sl = sl_coverage(cfg, 2.0 ** cfg.epsilon - 1.0, spec) if w_sl > 0 \
-        else CoverageResult(0.0, 0.0)
-    rate, rate_err = effective_rate_with_error(cfg, spec) if w_dl > 0 else (0.0, 0.0)
-    return (w_sl * sl.value + w_dl * rate,
-            w_sl * sl.est_abs_error + w_dl * rate_err)
+    zero = AnalyticResult(0.0, 0.0)
+    sl = sl_coverage(cfg, 2.0 ** cfg.epsilon - 1.0, spec) if w_sl > 0 else zero
+    rate = effective_rate_with_error(cfg, spec) if w_dl > 0 else zero
+    return AnalyticResult(w_sl * sl.value + w_dl * rate.value,
+                          w_sl * sl.est_abs_error + w_dl * rate.est_abs_error)
 
 
 def network_utility_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):

@@ -66,40 +66,34 @@ _COVERAGE = {
 }
 
 
-def _require_taus(req: RunRequest):
-    if not req.tau_grid:
-        raise ValidationError(f"metric {req.metric} needs --tau values")
-    return req.tau_grid
-
-
 def _analytic_results(cfg, req):
-    """(metric, tau_or_epsilon, value, quad_error) per row; quad_error is ""
-    where the value is closed form or its error is not tracked.  A coverage
-    threshold whose integral fails has the exception as its value."""
+    """(metric, tau_or_epsilon, AnalyticResult) per row.  The assoc and nu
+    rows state an error of 0: the error of ``p_assoc_sl`` and the bound of
+    ``nu`` are not carried yet.  A coverage threshold whose integral fails
+    has the exception in place of its result."""
     m = req.metric
     if m == "assoc":
         sl = analytic.p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho)
-        return [("assoc_sl", "", sl, ""), ("assoc_dl", "", 1.0 - sl, "")]
+        return [("assoc_sl", "", analytic.AnalyticResult(sl, 0.0)),
+                ("assoc_dl", "", analytic.AnalyticResult(1.0 - sl, 0.0))]
     if m in _COVERAGE:
         out = []
-        for tau in _require_taus(req):
+        for tau in req.tau_grid:
             try:
                 terms = [getattr(analytic, name)(cfg, tau) for name in _COVERAGE[m][0]]
             except NonConvergenceError as exc:
-                out.append((m, tau, exc, ""))
+                out.append((m, tau, exc))
                 continue
-            out.append((m, tau, sum(t.value for t in terms),
-                        sum(t.est_abs_error for t in terms)))
+            out.append((m, tau, analytic.AnalyticResult(
+                sum(t.value for t in terms), sum(t.est_abs_error for t in terms))))
         return out
     if m == "eff_rate":
-        return [(m, "", *analytic.effective_rate_with_error(cfg))]
+        return [(m, "", analytic.effective_rate_with_error(cfg))]
     if m in ("utility", "total_rate"):
         fn = analytic.network_utility_with_error if m == "utility" \
             else analytic.total_rate_with_error
-        return [(m, cfg.epsilon, *fn(cfg))]
-    if m == "nu":
-        return [(m, "", analytic.nu(), "")]
-    raise ValidationError(f"unknown metric {m!r}")
+        return [(m, cfg.epsilon, fn(cfg))]
+    return [(m, "", analytic.AnalyticResult(analytic.nu(), 0.0))]
 
 
 def _mc_results(cfg, req, seed):
@@ -111,9 +105,8 @@ def _mc_results(cfg, req, seed):
         sl, dl = simulator.estimate_association(cfg, plan)
         return [("assoc_sl", "", sl), ("assoc_dl", "", dl)]
     if m in _COVERAGE:
-        taus = _require_taus(req)
-        grid = simulator.estimate_coverage_grid(cfg, taus, plan)
-        return [(m, tau, grid[(_COVERAGE[m][1], float(tau))]) for tau in taus]
+        grid = simulator.estimate_coverage_grid(cfg, req.tau_grid, plan)
+        return [(m, tau, grid[(_COVERAGE[m][1], float(tau))]) for tau in req.tau_grid]
     if m == "eff_rate":
         return [(m, "", simulator.estimate_effective_rate(cfg, plan))]
     if m in ("utility", "total_rate"):
@@ -128,12 +121,10 @@ def _mc_results(cfg, req, seed):
         return [(m, cfg.epsilon, simulator.Estimate(
             w_sl * sl.mean + w_dl * rate.mean,
             math.hypot(w_sl * sl.std_error, w_dl * rate.std_error), plan.n_samples))]
-    if m == "nu":
-        est = simulator.estimate_voronoi_area_moment(cfg.lambda_b, plan)
-        scale = cfg.lambda_b ** 2
-        return [(m, "", simulator.Estimate(scale * est.mean, scale * est.std_error,
-                                           est.n_samples))]
-    raise ValidationError(f"unknown metric {m!r}")
+    est = simulator.estimate_voronoi_area_moment(cfg.lambda_b, plan)
+    scale = cfg.lambda_b ** 2
+    return [(m, "", simulator.Estimate(scale * est.mean, scale * est.std_error,
+                                       est.n_samples))]
 
 
 def _row(cfg, **fields) -> dict:
@@ -146,25 +137,25 @@ def _error_text(exc: Exception) -> str:
 
 def _rows_for_config(cfg, req, seed):
     if req.mode == "analytic":
-        return [_row(cfg, metric=m, tau_or_epsilon=t, error=_error_text(value))
-                if isinstance(value, Exception) else
-                _row(cfg, metric=m, tau_or_epsilon=t, value=value,
-                     std_error_or_quad_error=err)
-                for m, t, value, err in _analytic_results(cfg, req)]
+        return [_row(cfg, metric=m, tau_or_epsilon=t, error=_error_text(res))
+                if isinstance(res, Exception) else
+                _row(cfg, metric=m, tau_or_epsilon=t, value=res.value,
+                     std_error_or_quad_error=res.est_abs_error)
+                for m, t, res in _analytic_results(cfg, req)]
     refs = _analytic_results(cfg, req) if req.mode == "validate" else None
     rows = [_row(cfg, metric=m, tau_or_epsilon=t, value=est.mean,
                  std_error_or_quad_error=est.std_error,
                  n_samples=est.n_samples, seed=seed)
             for m, t, est in _mc_results(cfg, req, seed)]
     if refs is not None:
-        for row, (_, _, value, err) in zip(rows, refs, strict=True):
-            if isinstance(value, Exception):
-                row["error"] = _error_text(value)
+        for row, (_, _, res) in zip(rows, refs, strict=True):
+            if isinstance(res, Exception):
+                row["error"] = _error_text(res)
                 continue
-            err = err or 0.0  # "" for rows without a quadrature error
-            row["verdict"], z = _verdict(value, err, row["value"],
+            row["verdict"], z = _verdict(res.value, res.est_abs_error, row["value"],
                                          row["std_error_or_quad_error"])
-            row.update(analytic_value=value, analytic_error=err, z_score=z)
+            row.update(analytic_value=res.value, analytic_error=res.est_abs_error,
+                       z_score=z)
     return rows
 
 
@@ -195,6 +186,8 @@ def run(req: RunRequest) -> list[dict]:
         raise ValidationError(f"unknown mode {req.mode!r}")
     if req.metric not in METRICS:
         raise ValidationError(f"unknown metric {req.metric!r}")
+    if req.metric in _COVERAGE and not req.tau_grid:
+        raise ValidationError(f"metric {req.metric} needs --tau values")
     base_cfg = load_config(req.config_path)
     seed = _resolve_seed(req)
     if req.mode in ("montecarlo", "validate") and req.n_samples < 1:

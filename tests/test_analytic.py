@@ -8,9 +8,8 @@ import pytest
 from vanetcov import NetworkConfig, analytic, cli, validate
 from vanetcov.analytic import (
     NU,
-    CoverageResult,
-    _bs_full_coeff,
-    _bs_tail_coeff,
+    AnalyticResult,
+    _bs_coeff,
     _gl01,
     _half_power,
     _interference_tail,
@@ -63,8 +62,8 @@ def _cli_rows(cfg, metric, taus=()):
 
 
 def total_coverage(cfg, tau):
-    ((_, _, value, _),) = _cli_rows(cfg, "total_cov", (tau,))
-    return value
+    ((_, _, result),) = _cli_rows(cfg, "total_cov", (tau,))
+    return result.value
 
 
 def classic_rayleigh_coverage(tau):
@@ -86,7 +85,7 @@ def test_association_complementarity():
         assert 0.0 < sl < 1.0
         rows = _cli_rows(validate(replace(REF_CFG, mu=mu)), "assoc")
         assert [r[0] for r in rows] == ["assoc_sl", "assoc_dl"]
-        assert rows[0][2] + rows[1][2] == pytest.approx(1.0, abs=1e-15)
+        assert rows[0][2].value + rows[1][2].value == pytest.approx(1.0, abs=1e-15)
 
 
 def test_association_dense_road_limit():
@@ -102,14 +101,14 @@ def test_association_monotone_in_mu():
 
 def test_bs_tail_coeff_closed_form_alpha4():
     for tau in (0.1, 1.0, 10.0, 250.0):
-        got = _bs_tail_coeff(tau, 4.0, DEFAULT_SPEC)
+        got = 2.0 * _bs_coeff(tau, 4.0, DEFAULT_SPEC, exclusion=True).value
         want = math.sqrt(tau) * (math.pi / 2 - math.atan(1.0 / math.sqrt(tau)))
         assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_bs_full_coeff_closed_form():
     for amp, alpha in ((1.0, 3.0), (0.37, 3.5), (5.0, 4.0)):
-        got = _bs_full_coeff(amp, alpha, DEFAULT_SPEC)
+        got = _bs_coeff(amp, alpha, DEFAULT_SPEC, exclusion=False).value
         want = amp ** (2 / alpha) * (math.pi / alpha) / math.sin(2 * math.pi / alpha)
         assert got == pytest.approx(want, rel=1e-6)
 
@@ -175,6 +174,34 @@ def test_total_coverage_is_component_sum():
     tau = 0.7
     total = total_coverage(REF_CFG, tau)
     assert total == dl_coverage(REF_CFG, tau).value + sl_coverage(REF_CFG, tau).value
+
+
+@pytest.mark.parametrize("alpha", [3.7, 4.0])
+def test_coverage_error_carries_the_base_station_coefficient(monkeypatch, alpha):
+    # shifting the coefficient's core integral by its own error estimate must
+    # move the downlink coverage by no more than the error it reported
+    cfg = validate(replace(REF_CFG, alpha=alpha))
+    base = dl_coverage(cfg, 1.0)
+    exact = analytic._scaled_power_integral
+
+    def shifted(lo, alpha, spec):
+        value, err = exact(lo, alpha, spec)
+        return value + err, err
+    monkeypatch.setattr(analytic, "_scaled_power_integral", shifted)
+    moved = dl_coverage(cfg, 1.0)
+    assert moved.value != base.value
+    assert abs(moved.value - base.value) <= base.est_abs_error
+
+
+def test_every_error_stating_evaluator_returns_one_type():
+    results = [dl_coverage(REF_CFG, 1.0), sl_coverage(REF_CFG, 1.0),
+               effective_rate_with_error(REF_CFG), network_utility_with_error(REF_CFG),
+               total_rate_with_error(REF_CFG)]
+    for res in results:
+        assert type(res) is AnalyticResult
+        value, err = res
+        assert (value, err) == (res.value, res.est_abs_error)
+        assert math.isfinite(value) and 0.0 < err < 1e-5
 
 
 def test_tighter_tolerance_stays_within_reported_error():
@@ -314,7 +341,7 @@ def test_half_power_matches_pow(alpha):
 def test_rate_range_cap_raises(monkeypatch):
     # a coverage that never decays keeps the rate integrand above the floor
     monkeypatch.setattr(analytic, "dl_coverage",
-                        lambda cfg, tau, spec=DEFAULT_SPEC: CoverageResult(0.5, 0.0))
+                        lambda cfg, tau, spec=DEFAULT_SPEC: AnalyticResult(0.5, 0.0))
     cfg = validate(replace(REF_CFG, mu=7.25))  # a key no other test caches
     with pytest.raises(NonConvergenceError, match="range cap"):
         _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,

@@ -3,7 +3,7 @@ and each question has one entry point per pipeline."""
 import vanetcov
 
 REMOVED = ("effective_rate", "network_utility", "total_rate", "total_coverage",
-           "p_assoc_dl", "estimate_coverage")
+           "p_assoc_dl", "estimate_coverage", "CoverageResult")
 
 
 def test_every_exported_name_resolves():

@@ -309,3 +309,39 @@ def test_main_reports_failed_verdicts_and_error_rows(cfg_path, tmp_path, monkeyp
     assert rc == 1
     err = capsys.readouterr().err
     assert "2 validation rows FAILED" in err and "1 rows recorded errors" in err
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_coverage_metric_without_tau_is_a_request_error(cfg_path, tmp_path, mode, capsys):
+    out = tmp_path / "x.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", mode, "--metric", "dl_cov",
+                   "--sweep", "mu=1,5", "--samples", "100", "--seed", "1",
+                   "--out", str(out)])
+    assert rc == 2
+    assert "metric dl_cov needs --tau values" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("metric", cli.METRICS)
+def test_every_analytic_row_states_a_numeric_error(cfg_path, tmp_path, metric):
+    out = tmp_path / "e.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", "analytic", "--metric", metric,
+                   "--tau", "1", "--out", str(out), "--no-timestamp"])
+    assert rc == 0
+    rows = _read_rows(out)
+    assert rows
+    for row in rows:
+        assert 0.0 <= float(row["std_error_or_quad_error"]) < 1e-5, row
+
+
+@pytest.mark.parametrize("metric", ["assoc", "dl_cov", "nu"])
+def test_every_validate_row_states_a_numeric_analytic_error(cfg_path, tmp_path, metric):
+    out = tmp_path / "v.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", "validate", "--metric", metric,
+                   "--tau", "1", "--samples", "500", "--seed", "2", "--out", str(out),
+                   "--no-timestamp"])
+    assert rc in (0, 1)
+    rows = json.loads(out.with_suffix(".json").read_text())["rows"]
+    assert rows
+    for row in rows:
+        assert isinstance(row["analytic_error"], float), row
