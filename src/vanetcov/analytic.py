@@ -27,19 +27,37 @@ value is stable within tolerance; the observed change joins the reported
 error bound.  Outer integrals over semi-infinite ranges are truncated where
 a Gaussian envelope drops below abs_tol, and that envelope joins the bound.
 
-The vehicle-interference tail is the innermost tensor, (outer nodes x m x m)
-elements per call, and nearly all of the run time.  It is computed in place
-on one buffer: the squared distance, then its alpha/2 power (products and
-one square root for integer alpha, the general pow otherwise), then the
-bounded ratio, and a single contraction with weights that already carry the
-(1 - t)^-2 Jacobian of the tail map.
+The vehicle-interference tail is the innermost tensor, (nodes x m x m)
+elements per road-sum call.  It is computed in place on one buffer: the
+squared distance, then its alpha/2 power (products and one square root for
+integer alpha, the general pow otherwise), then the bounded ratio, and a
+single contraction with weights that already carry the (1 - t)^-2 Jacobian
+of the tail map.
+
+The downlink evaluates that tensor only to fill a table.  Its road sum is
+taken at the fixed radius rho, so at a given inner grid m it is a function
+H_m(k) of one scalar, k = amp^(1/alpha).  ``_road_sum_table`` interpolates
+H_m in u = k / (k + c), c = max(2 rho, k_max / 20), at nested
+Chebyshev-Lobatto nodes that double until the error bound eps_H read from
+the series' coefficients falls below 1e-10 of the table's scale.  The range
+is 0 <= k <= k_max with k_max = y_max eta^(1/alpha) / sqrt(2 C_alpha pi
+lambda_b), C_alpha = (pi / alpha) / sin(2 pi / alpha), widened by a small
+margin: the base-station coefficient obeys k_tot >= 2 C_alpha tau^(2/alpha),
+so every threshold of a config, and every node of its effective rate, reads
+one table per inner grid.  A k above k_max raises.  The vehicle factor's
+derivative in the road sum is at most 2 lambda_l, so 2 lambda_l eps_H /
+k_tot joins the coverage's error bound.  The sidelink's radius is the
+serving distance, which varies, so it keeps the tensor.
 
 Every evaluator that states an error returns one named tuple,
 :class:`AnalyticResult` (value, est_abs_error).  ``p_assoc_sl``, ``nu`` and
-``mean_zero_cell_areas`` return bare floats: their errors are not carried yet.
+``mean_zero_cell_areas`` return bare floats; the error of ``p_assoc_sl``
+reaches the CLI's association rows and the effective rate through
+``_p_assoc_sl``.
 
-All evaluators are pure functions of their arguments; the memo caches are
-bounded (functools.lru_cache), so concurrent use is safe.
+All evaluators are pure functions of their arguments; the memo caches,
+road-sum tables included, are bounded (functools.lru_cache), so memory stays
+bounded and concurrent use is safe.
 """
 from __future__ import annotations
 
@@ -69,6 +87,17 @@ _INNER_LEVELS = (24, 48, 96, 192)
 # and the range (in bits/s/Hz) past which it gives up instead.
 _RATE_INTEGRAND_FLOOR = 1e-10
 _RATE_RANGE_CAP = 512.0
+
+# Downlink road-sum tables: Chebyshev-Lobatto degrees double from the first
+# to the second until the error bound meets _TABLE_REL_TOL of the table's
+# scale; filling them, _road_sums is called with at most _TABLE_CHUNK tensor
+# elements, about one 15-node panel at m = 96.  _K_MAX_MARGIN widens the
+# table's range past the bound on k so that a base-station coefficient off by
+# its own quadrature error stays inside it.
+_TABLE_DEGREES = (16, 256)
+_TABLE_REL_TOL = 1e-10
+_TABLE_CHUNK = 1 << 17
+_K_MAX_MARGIN = 1.0625
 
 
 class AnalyticResult(NamedTuple):
@@ -177,6 +206,89 @@ def _road_sums(radius, amp, mu, alpha, m):
     return near @ sw, ((1.0 - near) * a) @ sw + far @ weights
 
 
+class _RoadSumTable(NamedTuple):
+    """H(k) on [0, k_max], interpolated at the Chebyshev-Lobatto nodes
+    z_i = cos(pi i / n) of z = 2 u / u_max - 1, u = k / (k + c); ``weights``
+    holds the barycentric products w_i H(z_i) and the weights w_i =
+    (-1)^i (halved at both ends) as two columns, and ``err`` bounds the
+    interpolant's error.  Call it on an array of k."""
+    nodes: np.ndarray
+    weights: np.ndarray
+    err: float
+    c: float
+    k_max: float
+
+    def __call__(self, k):
+        """The interpolant at k by the barycentric formula: the same
+        polynomial as the Chebyshev series, without a cosine per node and
+        term."""
+        if k.max() > self.k_max:
+            raise ValueError(f"road-sum table reaches k = {self.k_max:.6g}, "
+                             f"asked for {k.max():.6g}")
+        u_max = self.k_max / (self.k_max + self.c)
+        d = np.subtract.outer(2.0 * k / ((k + self.c) * u_max) - 1.0, self.nodes)
+        # at a node itself, that node's term outweighs the rest to the last bit
+        d[d == 0.0] = 1e-200
+        np.divide(1.0, d, out=d)
+        num, den = self.weights.T @ d.T
+        return num / den
+
+
+@lru_cache(maxsize=256)
+def _road_sum_table(rho, mu, alpha, k_max, m):
+    """The downlink road sum H_m(k) = _road_sums(rho, k^alpha, mu, alpha, m)[1]
+    on k in [0, k_max], interpolated in u = k / (k + c).
+
+    c = max(2 rho, k_max / 20): at rho = 0 H_m has a power-law cusp at
+    k = 0, which c = k_max / 20 resolves; an exclusion radius rounds the cusp
+    off on the scale rho, and c = 2 rho spreads the nodes over it.  The
+    Lobatto nodes of degree n are half of those of degree 2 n, so each
+    doubling evaluates only the new half.
+
+    The bound has two terms.  Twice the sum of the Chebyshev coefficients
+    above 3 n / 4 bounds the interpolation error (Trefethen, Approximation
+    Theory and Approximation Practice, ch. 3-4: twice the coefficient tail
+    beyond n), as long as the coefficients halve at least once over the last
+    quarter of the degree, which a series that meets the tolerance does.
+    And 4 m^2 eps of the table's scale covers the rounding of the samples
+    themselves: the road-sum tensor sums m^2 terms, and the rounding it shows
+    grows like m^2 (0.1 to 1.6 m^2 eps measured for m = 24 to 192)."""
+    c = max(2.0 * rho, k_max / 20.0)
+    u_max = k_max / (k_max + c)
+    step = max(1, _TABLE_CHUNK // (m * m))
+
+    def sample(z):
+        u = 0.5 * u_max * (z + 1.0)
+        amp = (c * u / (1.0 - u)) ** alpha
+        return np.concatenate([
+            _road_sums(np.full(part.size, float(rho)), part, mu, alpha, m)[1]
+            for part in np.split(amp, range(step, amp.size, step))])
+
+    n, n_max = _TABLE_DEGREES
+    z = np.cos(np.pi * np.arange(n + 1) / n)
+    values = sample(z)
+    while True:
+        ends = np.ones(n + 1)
+        ends[[0, n]] = 0.5
+        # Chebyshev coefficients 3 n / 4 < j <= n of the interpolant, from
+        # T_j(z_i) = cos(j pi i / n)
+        j = np.arange(3 * n // 4 + 1, n + 1)
+        tail = np.cos(np.outer(j, np.pi / n * np.arange(n + 1))) @ (ends * values)
+        tail[-1] *= 0.5
+        scale = float(np.abs(values).max())
+        err = (4.0 / n) * float(np.abs(tail).sum()) + 4.0 * m * m * np.finfo(float).eps * scale
+        if err <= _TABLE_REL_TOL * max(1.0, scale) or n >= n_max:
+            w = ends * (-1.0) ** np.arange(n + 1)
+            weights = np.stack([w * values, w], axis=1)
+            weights.flags.writeable = False
+            z.flags.writeable = False
+            return _RoadSumTable(z, weights, err, c, k_max)
+        fresh = np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n))
+        z = np.insert(z, np.arange(1, n + 1), fresh)
+        values = np.insert(values, np.arange(1, n + 1), sample(fresh))
+        n *= 2
+
+
 @lru_cache(maxsize=4096)
 def _scaled_power_integral(lo, alpha, spec):
     """Int_lo^inf w / (w^alpha + 1) dw: the scale-free core of every
@@ -228,22 +340,33 @@ def _leveled_outer(make_integrand, lower, upper, spec, known_err):
         f"outer integral (last value {prev:.6e})")
 
 
-def p_assoc_sl(lambda_l, mu, rho, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
-    """Probability that the typical user lies within rho of some vehicle.
+@lru_cache(maxsize=256)
+def _p_assoc_sl(lambda_l, mu, rho, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
+    """Probability that the typical user lies within rho of some vehicle, and
+    its error bound.
 
     1 - exp(-2 lambda_l * Int_0^rho 1 - exp(-2 mu sqrt(rho^2 - u^2)) du); the
-    square root is removed by u = rho * sin(s) before quadrature.
+    square root is removed by u = rho * sin(s) before quadrature.  The
+    integral's error reaches the probability through the derivative
+    2 lambda_l exp(-2 lambda_l * integral).
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     if rho == 0 or lambda_l == 0 or mu == 0:
-        return 0.0
+        return AnalyticResult(0.0, 0.0)
 
     def f(s):
         return (1.0 - np.exp(-2.0 * mu * rho * np.cos(s))) * rho * np.cos(s)
 
-    inner, _ = integrate(f, 0.0, 0.5 * math.pi, spec)
-    return 1.0 - math.exp(-2.0 * lambda_l * inner)
+    inner, inner_err = integrate(f, 0.0, 0.5 * math.pi, spec)
+    outside = math.exp(-2.0 * lambda_l * inner)
+    return AnalyticResult(1.0 - outside, 2.0 * lambda_l * outside * inner_err)
+
+
+def p_assoc_sl(lambda_l, mu, rho, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
+    """Probability that the typical user lies within rho of some vehicle
+    (``_p_assoc_sl`` also gives its error bound)."""
+    return _p_assoc_sl(lambda_l, mu, rho, spec).value
 
 
 def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
@@ -254,35 +377,47 @@ def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     y = x * sqrt(pi lambda_b k_tot), k_tot = 1 + 2 * bs_coeff, turns the
     base-station factor into 2 y exp(-y^2) / k_tot, which keeps the
     integrand's mass on an O(1) range for every tau; the vehicle factor is
-    the road-level sum at radius rho.
+    the road-level sum at radius rho, read from the config's road-sum table
+    at k = (tau eta)^(1/alpha) x.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     eta = cfg.p_v / cfg.p_b
-    bs = _bs_coeff(tau, cfg.alpha, spec, exclusion=True)
+    alpha = cfg.alpha
+    bs = _bs_coeff(tau, alpha, spec, exclusion=True)
     k_tot = 1.0 + 2.0 * bs.value
-    x_scale = 1.0 / math.sqrt(math.pi * cfg.lambda_b * k_tot)
     y_max = math.sqrt(-math.log(min(spec.abs_tol, 1e-10)))
     tail_bound = math.exp(-y_max * y_max) / k_tot
     has_vehicles = cfg.lambda_l > 0 and cfg.mu > 0
+    # k_tot >= 2 C_alpha tau^(2/alpha) bounds k at y_max for every tau
+    c_alpha = (math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
+    k_max = _K_MAX_MARGIN * y_max * eta ** (1.0 / alpha) / math.sqrt(
+        2.0 * c_alpha * math.pi * cfg.lambda_b)
+    k_scale = (tau * eta) ** (1.0 / alpha) / math.sqrt(math.pi * cfg.lambda_b * k_tot)
+    table_err = 0.0
 
     def make_integrand(m):
+        nonlocal table_err
+        if has_vehicles:
+            table = _road_sum_table(cfg.rho, cfg.mu, alpha, k_max, m)
+            table_err = max(table_err, table.err)
+
         def f(y):
             y = np.asarray(y, dtype=float)
             expo = y * y
             if has_vehicles:
-                x = x_scale * y
-                amp = tau * eta * np.power(x, cfg.alpha)
-                _, road_sum = _road_sums(np.full_like(x, cfg.rho), amp,
-                                         cfg.mu, cfg.alpha, m)
-                expo = expo + 2.0 * cfg.lambda_l * road_sum
+                expo = expo + 2.0 * cfg.lambda_l * table(k_scale * y)
             return (2.0 / k_tot) * y * np.exp(-expo)
         return f
 
     # the vehicle factor is at most 1, so |dP/dk_tot| <= 1 / k_tot^2 carries
     # the coefficient's error to first order
     coeff_err = 2.0 * bs.est_abs_error / (k_tot * k_tot)
-    return _leveled_outer(make_integrand, 0.0, y_max, spec, tail_bound + coeff_err)
+    res = _leveled_outer(make_integrand, 0.0, y_max, spec, tail_bound + coeff_err)
+    # exp(-2 lambda_l H) moves by at most 2 lambda_l eps_H, and the outer
+    # weight 2 y exp(-y^2) / k_tot integrates to at most 1 / k_tot
+    return AnalyticResult(res.value, res.est_abs_error
+                          + 2.0 * cfg.lambda_l * table_err / k_tot)
 
 
 def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
@@ -395,16 +530,20 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
 def effective_rate_with_error(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC):
     """Long-term downlink rate per user, bits/s/Hz, and its quadrature error
     bound: the mean Shannon rate on the base-station association, divided by
-    the mean number of users that share the serving base station.  Raises
-    ValueError when no user is served by a base station."""
-    p_dl = 1.0 - p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho, spec)
+    the mean number of users that share the serving base station.  The bound
+    carries the numerator's error and that of P[base-station association].
+    Raises ValueError when no user is served by a base station."""
+    p_sl = _p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho, spec)
+    p_dl = 1.0 - p_sl.value
     if p_dl <= 0:
         raise ValueError("P[base-station association] is 0: no downlink user, "
                          "so the effective rate is undefined")
     num, num_err = _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,
                                       cfg.alpha, cfg.p_v / cfg.p_b, spec)
     den = NU * cfg.lambda_u * p_dl
-    return AnalyticResult(num / den, num_err / den)
+    # p_dl's error reaches the ratio to first order
+    rate = num / den
+    return AnalyticResult(rate, num_err / den + rate * p_sl.est_abs_error / p_dl)
 
 
 def _weighted_links(cfg: NetworkConfig, w_sl, w_dl, spec: QuadratureSpec):

@@ -67,15 +67,18 @@ _COVERAGE = {
 
 
 def _analytic_results(cfg, req):
-    """(metric, tau_or_epsilon, AnalyticResult) per row.  The assoc and nu
-    rows state an error of 0: the error of ``p_assoc_sl`` and the bound of
-    ``nu`` are not carried yet.  A coverage threshold whose integral fails
-    has the exception in place of its result."""
+    """(metric, tau_or_epsilon, AnalyticResult) per row.  The nu row states
+    an error of 0: the bound of ``nu`` is not carried yet.  A coverage
+    threshold whose integral fails has the exception in place of its
+    result."""
     m = req.metric
     if m == "assoc":
+        # the value through the public name, so that a wrapped or patched
+        # p_assoc_sl sees the call; the error of the same cached integral
         sl = analytic.p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho)
-        return [("assoc_sl", "", analytic.AnalyticResult(sl, 0.0)),
-                ("assoc_dl", "", analytic.AnalyticResult(1.0 - sl, 0.0))]
+        err = analytic._p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho).est_abs_error
+        return [("assoc_sl", "", analytic.AnalyticResult(sl, err)),
+                ("assoc_dl", "", analytic.AnalyticResult(1.0 - sl, err))]
     if m in _COVERAGE:
         out = []
         for tau in req.tau_grid:

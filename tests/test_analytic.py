@@ -13,7 +13,9 @@ from vanetcov.analytic import (
     _gl01,
     _half_power,
     _interference_tail,
+    _p_assoc_sl,
     _rate_numerator_of,
+    _road_sum_table,
     _road_sums,
     _scaled_power_integral,
     dl_coverage,
@@ -97,6 +99,33 @@ def test_association_dense_road_limit():
 def test_association_monotone_in_mu():
     vals = [p_assoc_sl(5.0, mu, 0.05) for mu in (0.5, 1, 2, 5, 10, 40)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def test_association_error_grows_with_looser_tolerance():
+    # at rho = 1, mu = 20 the association integral's own error is visible
+    base = _p_assoc_sl(0.5, 20.0, 1.0)
+    loose = _p_assoc_sl(0.5, 20.0, 1.0, QuadratureSpec(rel_tol=1e-4, abs_tol=1e-8))
+    assert base.value == p_assoc_sl(0.5, 20.0, 1.0)
+    assert 0.0 < base.est_abs_error < loose.est_abs_error
+    assert abs(loose.value - base.value) <= loose.est_abs_error
+    rows = _cli_rows(validate(replace(REF_CFG, lambda_l=0.5, mu=20.0, rho=1.0)), "assoc")
+    assert [r[2].est_abs_error for r in rows] == [base.est_abs_error] * 2
+
+
+def test_effective_rate_error_carries_the_association_error(monkeypatch):
+    cfg = validate(replace(REF_CFG, mu=6.5))  # a key no other test caches
+    base = effective_rate_with_error(cfg)
+    exact = analytic._p_assoc_sl
+
+    def inflated(*args):
+        value, err = exact(*args)
+        return AnalyticResult(value, err + 1e-3)
+    monkeypatch.setattr(analytic, "_p_assoc_sl", inflated)
+    moved = effective_rate_with_error(cfg)
+    assert moved.value == base.value
+    p_dl = 1.0 - p_assoc_sl(cfg.lambda_l, cfg.mu, cfg.rho)
+    assert moved.est_abs_error - base.est_abs_error == pytest.approx(
+        base.value * 1e-3 / p_dl, rel=1e-9)
 
 
 def test_bs_tail_coeff_closed_form_alpha4():
@@ -327,6 +356,70 @@ def test_road_sums_match_nested_quad(alpha):
         got = _road_sums(np.array([radius]), np.array([amp]), mu, alpha, 96)
         want = _quad_road_sums(radius, amp, mu, alpha)
         np.testing.assert_allclose(np.concatenate(got), want, rtol=1e-10, atol=0.0)
+
+
+def _table_k_max(alpha, eta=1.0, lambda_b=5.0):
+    """The downlink table's range at the default outer cut, margin included."""
+    y_max = math.sqrt(-math.log(DEFAULT_SPEC.abs_tol))
+    c_alpha = (math.pi / alpha) / math.sin(2 * math.pi / alpha)
+    return analytic._K_MAX_MARGIN * y_max * eta ** (1 / alpha) / math.sqrt(
+        2 * c_alpha * math.pi * lambda_b)
+
+
+@pytest.mark.parametrize("m", [24, 48])
+@pytest.mark.parametrize("alpha", [3.0, 3.7, 4.0])
+@pytest.mark.parametrize("rho", [0.0, 0.05, 0.3])
+def test_road_sum_table_matches_road_sums(rho, alpha, m):
+    k_max = _table_k_max(alpha)
+    table = _road_sum_table(rho, 5.0, alpha, k_max, m)
+    rng = np.random.default_rng(int(100 * rho + 10 * alpha) + m)
+    amp = np.concatenate([[0.0, k_max ** alpha], rng.uniform(0.0, k_max ** alpha, 200)])
+    want = _road_sums(np.full(amp.size, rho), amp, 5.0, alpha, m)[1]
+    got = table(np.minimum(amp ** (1 / alpha), k_max))  # k_max^alpha may round up
+    assert 0.0 < table.err < 1e-9
+    assert np.max(np.abs(got - want)) <= table.err
+
+
+def test_road_sum_table_refuses_k_beyond_its_range():
+    k_max = _table_k_max(3.0)
+    table = _road_sum_table(0.05, 5.0, 3.0, k_max, 24)
+    table(np.array([0.0, k_max]))
+    with pytest.raises(ValueError, match="road-sum table reaches"):
+        table(np.array([0.5 * k_max, k_max * (1 + 1e-12)]))
+
+
+def test_every_threshold_stays_inside_the_table_range():
+    # k_tot >= 2 C_alpha tau^(2/alpha) bounds k at y_max whatever tau is
+    for alpha in (2.95, 3.0, 4.0, 6.0):
+        cfg = validate(replace(REF_CFG, alpha=alpha, p_v=3.0))
+        for tau in (0.0, 1e-6, 1.0, 1e6, 1e15):
+            assert 0.0 <= dl_coverage(cfg, tau).value <= 1.0
+
+
+def test_cold_rate_fills_a_few_tables(monkeypatch):
+    # the road tensor is built only to fill one table per inner grid, not
+    # at every outer node of the 278 nested coverage calls
+    calls = []
+    real = analytic._road_sums
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(analytic, "_road_sums", counted)
+    _road_sum_table.cache_clear()
+    _rate_numerator_of.cache_clear()
+    effective_rate_with_error(REF_CFG)
+    assert 0 < len(calls) <= 16
+
+
+def test_alpha_below_three_still_reports_inner_grid_failure():
+    # the table interpolates each inner grid's road sum; it must not smooth
+    # away the far sum's slow convergence in m below alpha = 3
+    cfg = validate(replace(REF_CFG, alpha=2.9))
+    with pytest.raises(NonConvergenceError, match="inner grids"):
+        dl_coverage(cfg, 1.0)
+    res = dl_coverage(cfg, 0.01)
+    assert 0.6 < res.value < 0.65 and res.est_abs_error < 1e-6
 
 
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.7, 4.0, 5.0, 6.0])
