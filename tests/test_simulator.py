@@ -19,8 +19,11 @@ from vanetcov.simulator import (
     TOTAL,
     DegenerateRealizationError,
     SimPlan,
+    _crossing_far_field_mean,
     _resolve_sir,
+    _road_far_field,
     _segment_starts,
+    _window_floor,
     default_window_radius,
     draw_sir_samples,
     estimate_association,
@@ -176,6 +179,83 @@ def test_window_doubling_guard():
     est_b = estimate_coverage_grid(REF_CFG, [tau], wide)[(TOTAL, tau)]
     combined = math.hypot(est_a.std_error, est_b.std_error)
     assert abs(est_a.mean - est_b.mean) < 2 * combined
+
+
+def test_sparse_road_window_guard():
+    # sparse roads: the default window is the floor, and the conditional
+    # far-field term makes it agree with the ten-vehicle-spacing window
+    cfg = validate(replace(REF_CFG, lambda_l=2.0, mu=1.0))
+    assert default_window_radius(cfg) == _window_floor(cfg)
+    n = 40_000
+    base = make_plan(cfg, n, seed=57)
+    wide = make_plan(cfg, n, seed=58,
+                     window_radius=10 / math.sqrt(cfg.lambda_l * cfg.mu))
+    assert wide.window_radius > 2.5 * base.window_radius
+    tau = 1.0
+    est_a = estimate_coverage_grid(cfg, [tau], base)[(TOTAL, tau)]
+    est_b = estimate_coverage_grid(cfg, [tau], wide)[(TOTAL, tau)]
+    combined = math.hypot(est_a.std_error, est_b.std_error)
+    assert abs(est_a.mean - est_b.mean) < 2 * combined
+
+
+@pytest.mark.parametrize("alpha", [3.0, 4.0])
+def test_road_far_field_closed_forms(alpha):
+    # g(r) = 2 eta mu R^(1-alpha) G(s), s = r^2/R^2, t = sqrt(1 - s):
+    # G_3 = (1 - t)/s and G_4 = (asin(sqrt(s)) - sqrt(s) t) / (2 s^(3/2))
+    cfg = validate(replace(REF_CFG, alpha=alpha, p_v=0.5))
+    R = 2.5
+    s = np.linspace(0.01, 1.0, 100)
+    t = np.sqrt(1.0 - s)
+    G = (1.0 - t) / s if alpha == 3.0 else \
+        (np.arcsin(np.sqrt(s)) - np.sqrt(s) * t) / (2.0 * s ** 1.5)
+    scale = 2.0 * 0.5 * cfg.mu * R ** (1.0 - alpha)
+    np.testing.assert_allclose(_road_far_field(cfg, R, R * t), scale * G, rtol=1e-10)
+    # a road through the origin: G(0) = 1/(alpha - 1)
+    assert _road_far_field(cfg, R, np.array([R]))[0] == pytest.approx(
+        scale / (alpha - 1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 3.7, 4.0])
+def test_crossing_far_field_mean_is_mean_of_road_sum(alpha):
+    # E[m_c] = m: m_cross is lambda_l Int_{-R}^{R} g(r) dr, here by an
+    # adaptive rule in r = R sin(phi), where the chord half-length is R cos(phi)
+    from scipy.integrate import quad
+    cfg = validate(replace(REF_CFG, alpha=alpha, lambda_l=2.0, mu=3.0, p_v=0.7))
+    R, eta = 2.5, 0.7
+
+    def integrand(phi):
+        h = R * math.cos(phi)
+        return float(_road_far_field(cfg, R, np.array([h]))[0]) * h
+    half_int, _ = quad(integrand, 0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-13)
+    want = cfg.lambda_l * 2.0 * half_int
+    assert _crossing_far_field_mean(cfg, R) == pytest.approx(want, rel=1e-10)
+    if alpha == 3.0:
+        assert _crossing_far_field_mean(cfg, R) == pytest.approx(
+            2 * eta * cfg.mu * cfg.lambda_l * (math.pi - 2) / R, rel=1e-13)
+    # the crossing roads carry part of the vehicles' exterior mean, not more
+    vehicles = 2 * math.pi * eta * cfg.lambda_l * cfg.mu * R ** (2 - alpha) / (alpha - 2)
+    assert 0 < _crossing_far_field_mean(cfg, R) < vehicles
+
+
+def test_road_far_field_matches_sampled_exterior():
+    # one road at distance r, sampled out to L on both sides beyond the
+    # window's edge, plus its exact mean beyond L
+    from scipy.integrate import quad
+    cfg = validate(replace(REF_CFG, alpha=3.7))
+    R, r, L, n_rep = 2.5, 1.5, 60.0, 4000
+    h = math.sqrt(R * R - r * r)
+    rng = np.random.default_rng(616)
+    counts = rng.poisson(2.0 * cfg.mu * (L - h), n_rep)
+    along = rng.uniform(h, L, counts.sum())
+    power = (r * r + along * along) ** (-0.5 * cfg.alpha)
+    per_rep = np.bincount(np.repeat(np.arange(n_rep), counts), weights=power,
+                          minlength=n_rep)
+    beyond, _ = quad(lambda x: (r * r + x * x) ** (-0.5 * cfg.alpha), L, np.inf)
+    sampled = per_rep.mean() + 2.0 * cfg.mu * beyond
+    se = per_rep.std(ddof=1) / math.sqrt(n_rep)
+    want = float(_road_far_field(cfg, R, np.array([h]))[0])
+    assert abs(sampled - want) < 4 * se
+    assert se < 0.01 * want
 
 
 def test_far_field_mean_value():
