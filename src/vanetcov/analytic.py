@@ -6,8 +6,9 @@ the Laplace transform of vehicle interference accumulated road by road.  The
 integrals are evaluated with the adaptive engine in :mod:`.quadrature` on the
 outside and vectorised fixed-order Gauss-Legendre tensors on the inside.
 
-One road-level kernel, :func:`_road_sums`, serves both links: the downlink
-evaluates it at the exclusion radius rho, the sidelink at the serving
+One road-level kernel, :func:`_road_exponents` and its reduction, serves
+both links: the downlink evaluates it at the exclusion radius rho
+(:func:`_road_sums`), the sidelink at radius 1, rescaled to the serving
 distance x, where it also yields the serving road's factor.
 
 Two substitutions keep every inner integrand bounded and the error estimates
@@ -17,10 +18,13 @@ trustworthy:
   which also removes the 1/sqrt(x^2 - r^2) serving-line singularity;
 * semi-infinite interference tails map onto [0, 1) via u = a + t / (1 - t);
   a tail integrand decays like u^(-alpha) with alpha > 2, so the mapped
-  integrand stays bounded.  The far-road sum decays only like r^(1 - alpha)
-  and stays bounded under the same map only for alpha >= 3; at alpha = 2.9
-  or less its inner grids may not stabilise, and the coverage then raises
-  NonConvergenceError.
+  integrand stays bounded.  The far-road sum decays only like r^(1 - alpha),
+  so its roads sit at r = radius + kappa t / (1 - t)^p, stretched to the
+  road's knee kappa = radius + amp^(1/alpha).  The least p >= 1 that makes
+  the mapped integrand's end behaviour (1 - t)^(p (alpha - 2) - 1) a whole
+  power keeps it bounded and smooth: p = 1 at whole alpha.  Closer to
+  alpha = 2 (about 2.32 and below at lambda_b = 5, rho = 0.05) the
+  base-station coefficient's own tail raises NonConvergenceError first.
 
 Inner grids double (24, 48, 96, 192 nodes per axis) until the outer integral
 value is stable within tolerance; the observed change joins the reported
@@ -46,8 +50,15 @@ margin: the base-station coefficient obeys k_tot >= 2 C_alpha tau^(2/alpha),
 so every threshold of a config, and every node of its effective rate, reads
 one table per inner grid.  A k above k_max raises.  The vehicle factor's
 derivative in the road sum is at most 2 lambda_l, so 2 lambda_l eps_H /
-k_tot joins the coverage's error bound.  The sidelink's radius is the
-serving distance, which varies, so it keeps the tensor.
+k_tot joins the coverage's error bound.
+
+The sidelink's radius is the serving distance x, which varies, but every
+length in the road kernel scales with it: the exponents at (x, tau x^alpha)
+are x times those at (1, tau).  So the kernel splits into its mu-free
+exponents (``_road_exponents``) and their reduction with 2 mu, and the
+sidelink takes the exponents once per (tau, alpha, inner grid) at radius 1
+(``_unit_road_exponents``) and reduces them at v = 2 mu x at every outer
+node: O(m) work per node, exact, with no table and no new error term.
 
 Every evaluator that states an error returns one named tuple,
 :class:`AnalyticResult` (value, est_abs_error).  ``p_assoc_sl``, ``nu`` and
@@ -180,30 +191,95 @@ def _interference_tail(r, amp, alpha, m, start=None):
     return out
 
 
-def _road_sums(radius, amp, mu, alpha, m):
-    """(serving, road_sum) at radius ``radius``, one entry per outer node.
+def _far_power(alpha):
+    """The far map's power p.  Under r = radius + kappa t / (1 - t)^p the far
+    integrand 1 - exp(-2 mu J_full(r)), which decays like r^(1 - alpha),
+    behaves like (1 - t)^(p (alpha - 2) - 1) at t = 1, while the map is
+    linear at t = 0.  The least p >= 1 that makes that power a whole number
+    keeps it bounded and smooth for Gauss-Legendre; a fractional power near
+    0 (p = 1 at alpha = 3.1) converges so slowly in m that the inner-grid
+    ladder gives up.  p stays at most 16, so the farthest node at m = 192
+    lies within 4e70 knees of the radius and its square stays finite; below
+    alpha = 2.0625 the far sum is then unbounded again, and the ladder says
+    so."""
+    d = alpha - 2.0
+    return min(math.ceil(d) / d, 16.0)
+
+
+class _RoadExponents(NamedTuple):
+    """The mu-free half of the road kernel, one row per outer node: the
+    exponents a + J_near on the s-nodes and J_full on the far nodes, with the
+    weights of the serving factor (ds), the near road sum (a ds) and the far
+    road sum (dr)."""
+    near: np.ndarray
+    serving_w: np.ndarray
+    near_w: np.ndarray
+    far: np.ndarray
+    far_w: np.ndarray
+
+    def reduce(self, v):
+        """(serving, road_sum) with every exponent scaled by ``v``: 2 mu at
+        the exponents' own radius, or one 2 mu x per outer node for a
+        unit-radius row.  expm1 keeps the far roads' tiny exponents, which
+        the far map's large weights would otherwise turn into rounding."""
+        v = np.asarray(v, dtype=float)[..., None]
+        near = -v * self.near
+        serving = np.exp(near) @ self.serving_w
+        near = -np.expm1(near, out=near)
+        far = -np.expm1(-v * self.far)
+        return serving, (near * self.near_w).sum(-1) + (far * self.far_w).sum(-1)
+
+
+def _road_exponents(radius, amp, alpha, m):
+    """The road exponents at radius ``radius``, one row per outer node.
 
     A road at distance r < radius carries no vehicle on its chord of the
     exclusion disk, a void of half-length a = sqrt(radius^2 - r^2); J_near(r)
     is the interference tail beyond it and J_full(r) that of a whole road.
-    With r = radius sin(s), a = radius cos(s):
-    serving = Int_0^(pi/2) exp(-2 mu (a + J_near)) ds, the serving road's
-    residual-interference factor, and road_sum = Int_0^radius 1 -
-    exp(-2 mu (a + J_near)) dr + Int_radius^inf 1 - exp(-2 mu J_full) dr, the
-    exponent of the road-level Laplace functional.  The first two share one
-    near tensor; the far sum has its own.
-    """
+    r = radius sin(s), a = radius cos(s) on the near roads; the far roads sit
+    at r = radius + kappa t / (1 - t)^p, stretched to the road's knee
+    kappa = radius + amp^(1/alpha), with p from :func:`_far_power`.
+    Every length here scales with the radius, so the exponents at
+    (x, tau x^alpha) are x times those at (1, tau) on the same nodes."""
     t01, w01 = _gl01(m)
     s = 0.5 * math.pi * t01
     sw = 0.5 * math.pi * w01
     amp = amp[:, None]
-    r = radius[:, None] * np.sin(s)
-    a = radius[:, None] * np.cos(s)
-    near = np.exp(-2.0 * mu * (a + _interference_tail(r, amp, alpha, m, a)))
+    radius = radius[:, None]
+    r = radius * np.sin(s)
+    a = radius * np.cos(s)
+    # r = radius + kappa T (1 + T)^(p - 1) on the tail grid T = t / (1 - t),
+    # dr = kappa (1 + (p - 1) t) (1 + T)^(p - 1) dT
     nodes, weights = _tail_grid(m)
-    far = 1.0 - np.exp(-2.0 * mu * _interference_tail(
-        radius[:, None] + nodes, amp, alpha, m))
-    return near @ sw, ((1.0 - near) * a) @ sw + far @ weights
+    p = _far_power(alpha)
+    stretch = np.power(1.0 + nodes, p - 1.0)
+    kappa = radius + np.power(amp, 1.0 / alpha)
+    far = _interference_tail(radius + kappa * (nodes * stretch), amp, alpha, m)
+    far_w = kappa * (weights * stretch * (1.0 + (p - 1.0) * t01))
+    return _RoadExponents(a + _interference_tail(r, amp, alpha, m, a), sw, a * sw,
+                          far, far_w)
+
+
+def _road_sums(radius, amp, mu, alpha, m):
+    """(serving, road_sum) at radius ``radius``, one entry per outer node:
+    serving = Int_0^(pi/2) exp(-2 mu (a + J_near)) ds, the serving road's
+    residual-interference factor, and road_sum = Int_0^radius 1 -
+    exp(-2 mu (a + J_near)) dr + Int_radius^inf 1 - exp(-2 mu J_full) dr, the
+    exponent of the road-level Laplace functional (see
+    :func:`_road_exponents`)."""
+    return _road_exponents(radius, amp, alpha, m).reduce(2.0 * mu)
+
+
+@lru_cache(maxsize=256)
+def _unit_road_exponents(tau, alpha, m):
+    """The sidelink's road exponents at radius 1 and amplitude tau, one row.
+    At serving distance x the amplitude is tau x^alpha, so the road kernel
+    at x is this row reduced with v = 2 mu x, its road sum times x: one
+    profile serves every x and every mu.  Cached, read-only."""
+    ex = _road_exponents(np.ones(1), np.array([tau]), alpha, m)
+    for field in ex:
+        field.flags.writeable = False
+    return ex
 
 
 class _RoadSumTable(NamedTuple):
@@ -428,7 +504,8 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     integrand combines the serving-road factor (density of the nearest
     vehicle on its road, with that road's residual interference), the
     base-station interference exponent (quadratic in x, with the inverse
-    power ratio), and the road-level sum at radius x.
+    power ratio), and the road-level sum at radius x, reduced from the
+    inner grid's unit-radius road exponents at v = 2 mu x.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -440,11 +517,13 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     bs_quad = 2.0 * math.pi * cfg.lambda_b * bs.value
 
     def make_integrand(m):
+        unit = _unit_road_exponents(float(tau), alpha, m)
+
         def f(x):
             x = np.asarray(x, dtype=float)
-            serving, road_sum = _road_sums(x, tau * np.power(x, alpha), mu, alpha, m)
+            serving, road_sum = unit.reduce(2.0 * mu * x)
             return 4.0 * lambda_l * mu * x * serving * np.exp(
-                -bs_quad * x * x - 2.0 * lambda_l * road_sum)
+                -bs_quad * x * x - 2.0 * lambda_l * x * road_sum)
         return f
 
     # For large tau the integrand concentrates near 0 on the 1/sqrt(bs_quad)

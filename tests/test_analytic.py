@@ -18,6 +18,7 @@ from vanetcov.analytic import (
     _road_sum_table,
     _road_sums,
     _scaled_power_integral,
+    _unit_road_exponents,
     dl_coverage,
     effective_rate_with_error,
     mean_zero_cell_areas,
@@ -412,14 +413,62 @@ def test_cold_rate_fills_a_few_tables(monkeypatch):
     assert 0 < len(calls) <= 16
 
 
-def test_alpha_below_three_still_reports_inner_grid_failure():
+def test_alpha_below_three_still_reports_inner_grid_failure(monkeypatch):
     # the table interpolates each inner grid's road sum; it must not smooth
-    # away the far sum's slow convergence in m below alpha = 3
+    # away the far sum's slow convergence in m.  The far map's power keeps
+    # that sum bounded below alpha = 3, so the slow convergence is made here
+    # with p = 1, under which the mapped far integrand is unbounded there
     cfg = validate(replace(REF_CFG, alpha=2.9))
-    with pytest.raises(NonConvergenceError, match="inner grids"):
-        dl_coverage(cfg, 1.0)
     res = dl_coverage(cfg, 0.01)
     assert 0.6 < res.value < 0.65 and res.est_abs_error < 1e-6
+    monkeypatch.setattr(analytic, "_far_power", lambda alpha: 1.0)
+    _road_sum_table.cache_clear()
+    try:
+        with pytest.raises(NonConvergenceError, match="inner grids"):
+            dl_coverage(cfg, 1.0)
+    finally:
+        _road_sum_table.cache_clear()
+
+
+@pytest.mark.parametrize("alpha", [2.5, 2.9])
+def test_alpha_below_three_converges_on_both_links(alpha):
+    cfg = validate(replace(REF_CFG, alpha=alpha))
+    for res in (dl_coverage(cfg, 1.0), sl_coverage(cfg, 1.0)):
+        assert 0.0 < res.value < 1.0 and 0.0 < res.est_abs_error < 1e-6
+
+
+@pytest.mark.parametrize("alpha", [3.0, 3.7])
+def test_road_sums_scale_with_the_radius(alpha):
+    # every length in the road kernel scales with the radius:
+    # _road_sums(x, tau x^alpha, mu) = (serving, x * road_sum) of
+    # _road_sums(1, tau, mu x), on the same nodes
+    tau, mu = 1.0, 5.0
+    for x in (1e-3, 1e-2, 0.1, 1.0):
+        serving, road_sum = _road_sums(np.array([x]), np.array([tau * x ** alpha]),
+                                       mu, alpha, 96)
+        unit_serving, unit_sum = _road_sums(np.array([1.0]), np.array([tau]),
+                                            mu * x, alpha, 96)
+        np.testing.assert_allclose(serving, unit_serving, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(road_sum, x * unit_sum, rtol=1e-12, atol=0.0)
+
+
+def test_cold_sidelink_computes_one_profile_per_inner_grid(monkeypatch):
+    # the sidelink reduces one unit-radius row of road exponents per inner
+    # grid at every outer node; a sweep over mu at one tau reuses the rows
+    calls = []
+    real = analytic._road_exponents
+
+    def counted(radius, *args):
+        calls.append(radius.size)
+        return real(radius, *args)
+    monkeypatch.setattr(analytic, "_road_exponents", counted)
+    _unit_road_exponents.cache_clear()
+    cfg = validate(replace(REF_CFG, mu=3.0))
+    sl_coverage(cfg, 0.7)
+    assert 0 < len(calls) <= 4 and set(calls) == {1}
+    calls.clear()
+    sl_coverage(replace(cfg, mu=11.0), 0.7)
+    assert calls == []
 
 
 @pytest.mark.parametrize("alpha", [2.5, 3.0, 3.7, 4.0, 5.0, 6.0])
