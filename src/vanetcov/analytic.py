@@ -60,6 +60,15 @@ sidelink takes the exponents once per (tau, alpha, inner grid) at radius 1
 (``_unit_road_exponents``) and reduces them at v = 2 mu x at every outer
 node: O(m) work per node, exact, with no table and no new error term.
 
+The effective rate's numerator integrates the downlink coverage over the
+thresholds 2^x - 1.  ``_dl_coverages`` evaluates the downlink coverage at an
+array of thresholds on one adaptive outer rule (a vector integrand of
+:mod:`.quadrature`): each integrand call reads the road-sum table once for
+every threshold, the shared panels refine until each threshold meets its own
+tolerance, and the inner-grid ladder re-sums them until each is stable.  So
+the 15 nodes of an outer panel of the rate cost one coverage evaluation, not
+15.  ``dl_coverage`` is its one-threshold case, bit for bit.
+
 Every evaluator that states an error returns one named tuple,
 :class:`AnalyticResult` (value, est_abs_error).  ``p_assoc_sl``, ``nu`` and
 ``mean_zero_cell_areas`` return bare floats; the error of ``p_assoc_sl``
@@ -401,19 +410,22 @@ def _leveled_outer(make_integrand, lower, upper, spec, known_err):
     The adaptive pass at the coarsest inner grid fixes the panel set; finer
     inner grids re-sum the same panels, so successive differences measure the
     inner-grid error alone, free of adaptive stopping noise.  An integrand
-    that does not depend on the inner grid stops after one re-sum.
+    that does not depend on the inner grid stops after one re-sum.  A vector
+    integrand re-sums until every component is stable, and each component
+    states its own difference.
     """
     prev, outer_err, panels = integrate_with_panels(
         make_integrand(_INNER_LEVELS[0]), lower, upper, spec)
     for m in _INNER_LEVELS[1:]:
         value, outer_err = resum_panels(make_integrand(m), panels)
         diff = abs(value - prev)
-        if diff <= 0.5 * max(spec.abs_tol, spec.rel_tol * abs(value)):
+        unstable = diff > 0.5 * np.maximum(spec.abs_tol, spec.rel_tol * abs(value))
+        if not np.any(unstable):
             return AnalyticResult(value, outer_err + diff + known_err)
         prev = value
     raise NonConvergenceError(
         f"inner grids up to {_INNER_LEVELS[-1]} nodes did not stabilise the "
-        f"outer integral (last value {prev:.6e})")
+        f"outer integral (last value {np.ravel(prev)[np.argmax(unstable)]:.6e})")
 
 
 @lru_cache(maxsize=256)
@@ -445,23 +457,28 @@ def p_assoc_sl(lambda_l, mu, rho, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     return _p_assoc_sl(lambda_l, mu, rho, spec).value
 
 
-def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
-    """Joint probability that the typical user is base-station associated and
-    its downlink SIR exceeds ``tau``.
+def _dl_coverages(cfg: NetworkConfig, taus, spec: QuadratureSpec) -> AnalyticResult:
+    """:func:`dl_coverage` at every threshold of ``taus`` at once: one
+    adaptive outer rule whose panels serve all thresholds, with values and
+    errors in the shape of ``taus``.
 
-    The outer variable is the nearest-base-station distance.  Substituting
-    y = x * sqrt(pi lambda_b k_tot), k_tot = 1 + 2 * bs_coeff, turns the
-    base-station factor into 2 y exp(-y^2) / k_tot, which keeps the
-    integrand's mass on an O(1) range for every tau; the vehicle factor is
-    the road-level sum at radius rho, read from the config's road-sum table
-    at k = (tau eta)^(1/alpha) x.
+    Each integrand call reads the road-sum table once for every threshold's
+    15 nodes; the panel set refines until each threshold meets its own
+    tolerance, and each states its own outer error, inner-grid difference,
+    Gaussian tail, coefficient and table error.  The base-station
+    coefficients stay scalar, one cached ``_bs_coeff`` per threshold.  A
+    scalar ``tau`` gives a plain (15,) integrand and floats, by the scalar
+    arithmetic of the quadrature engine.
     """
-    if tau < 0:
+    taus = np.asarray(taus, dtype=float)
+    if (taus < 0).any():
         raise ValueError("tau must be nonnegative")
     eta = cfg.p_v / cfg.p_b
     alpha = cfg.alpha
-    bs = _bs_coeff(tau, alpha, spec, exclusion=True)
-    k_tot = 1.0 + 2.0 * bs.value
+    flat = taus.ravel().tolist()
+    coeff, coeff_err = np.array([_bs_coeff(tau, alpha, spec, exclusion=True)
+                                 for tau in flat]).T.reshape(2, *taus.shape)
+    k_tot = 1.0 + 2.0 * coeff
     y_max = math.sqrt(-math.log(min(spec.abs_tol, 1e-10)))
     tail_bound = math.exp(-y_max * y_max) / k_tot
     has_vehicles = cfg.lambda_l > 0 and cfg.mu > 0
@@ -469,7 +486,12 @@ def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     c_alpha = (math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
     k_max = _K_MAX_MARGIN * y_max * eta ** (1.0 / alpha) / math.sqrt(
         2.0 * c_alpha * math.pi * cfg.lambda_b)
-    k_scale = (tau * eta) ** (1.0 / alpha) / math.sqrt(math.pi * cfg.lambda_b * k_tot)
+    # Python's scalar pow: numpy's vectorised pow can differ in the last
+    # bit, and would move every frozen downlink value by rounding
+    reach = np.reshape([(tau * eta) ** (1.0 / alpha) for tau in flat], taus.shape)
+    # one row of nodes per threshold
+    k_scale = (reach / np.sqrt(math.pi * cfg.lambda_b * k_tot))[..., None]
+    weight = (2.0 / k_tot)[..., None]
     table_err = 0.0
 
     def make_integrand(m):
@@ -482,18 +504,36 @@ def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
             y = np.asarray(y, dtype=float)
             expo = y * y
             if has_vehicles:
-                expo = expo + 2.0 * cfg.lambda_l * table(k_scale * y)
-            return (2.0 / k_tot) * y * np.exp(-expo)
+                # one table read for every threshold's nodes
+                k = k_scale * y
+                expo = expo + 2.0 * cfg.lambda_l * table(k.ravel()).reshape(k.shape)
+            return weight * y * np.exp(-expo)
         return f
 
     # the vehicle factor is at most 1, so |dP/dk_tot| <= 1 / k_tot^2 carries
     # the coefficient's error to first order
-    coeff_err = 2.0 * bs.est_abs_error / (k_tot * k_tot)
+    coeff_err = 2.0 * coeff_err / (k_tot * k_tot)
     res = _leveled_outer(make_integrand, 0.0, y_max, spec, tail_bound + coeff_err)
     # exp(-2 lambda_l H) moves by at most 2 lambda_l eps_H, and the outer
     # weight 2 y exp(-y^2) / k_tot integrates to at most 1 / k_tot
     return AnalyticResult(res.value, res.est_abs_error
                           + 2.0 * cfg.lambda_l * table_err / k_tot)
+
+
+def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
+    """Joint probability that the typical user is base-station associated and
+    its downlink SIR exceeds ``tau``.
+
+    The outer variable is the nearest-base-station distance.  Substituting
+    y = x * sqrt(pi lambda_b k_tot), k_tot = 1 + 2 * bs_coeff, turns the
+    base-station factor into 2 y exp(-y^2) / k_tot, which keeps the
+    integrand's mass on an O(1) range for every tau; the vehicle factor is
+    the road-level sum at radius rho, read from the config's road-sum table
+    at k = (tau eta)^(1/alpha) x.  The one-threshold case of
+    :func:`_dl_coverages`.
+    """
+    value, err = _dl_coverages(cfg, tau, spec)
+    return AnalyticResult(float(value), float(err))
 
 
 def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
@@ -565,23 +605,22 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
     bound, on a canonical config with power ratio eta = p_v / p_b.  lambda_u
     never enters, so sweeps over the user density hit the cache.
 
-    The range extends in doublings until the integrand stays below
-    _RATE_INTEGRAND_FLOOR at the ends of two consecutive panels; if that
-    has not happened by _RATE_RANGE_CAP the untruncated tail is unbounded
-    and NonConvergenceError is raised."""
+    The 15 nodes of each outer panel are one :func:`_dl_coverages` call, and
+    the largest of their errors joins the inner-error ledger.  The range
+    extends in doublings until the integrand stays below
+    _RATE_INTEGRAND_FLOOR at the ends of two consecutive panels (one scalar
+    :func:`dl_coverage` call per range edge); if that has not happened by
+    _RATE_RANGE_CAP the untruncated tail is unbounded and NonConvergenceError
+    is raised."""
     cfg = NetworkConfig(lambda_l=lambda_l, mu=mu, lambda_b=lambda_b,
                         lambda_u=1.0, rho=rho, alpha=alpha, p_b=1.0, p_v=eta,
                         epsilon=0.0)
     inner_errors: list[float] = []
 
     def g(xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty_like(xs)
-        for i, xv in enumerate(xs):
-            res = dl_coverage(cfg, 2.0 ** float(xv) - 1.0, spec)
-            inner_errors.append(res.est_abs_error)
-            out[i] = res.value
-        return out
+        res = _dl_coverages(cfg, [2.0 ** float(x) - 1.0 for x in xs], spec)
+        inner_errors.append(float(res.est_abs_error.max()))
+        return res.value
 
     total = 0.0
     outer_err = 0.0

@@ -228,11 +228,15 @@ def _write_outputs(req: RunRequest, rows: list[dict]) -> None:
 
     json_path = (req.output_path[:-4] if req.output_path.endswith(".csv")
                  else req.output_path) + ".json"
-    doc = {"columns": _COLUMNS, "rows": rows}
+    # strict JSON has no Infinity or NaN: a non-finite float (the z-score of a
+    # row whose Monte Carlo std error is 0) is written as null
+    doc = {"columns": _COLUMNS,
+           "rows": [{k: None if isinstance(v, float) and not math.isfinite(v) else v
+                     for k, v in row.items()} for row in rows]}
     if req.timestamp:
         doc["generated"] = generated
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, default=str)
+        json.dump(doc, fh, indent=1, default=str, allow_nan=False)
         fh.write("\n")
 
 

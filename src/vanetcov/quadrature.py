@@ -8,7 +8,15 @@ are interior, so the endpoint is never sampled: a panel too narrow for its
 nodes to stay inside it in floating point raises NonConvergenceError.
 
 Integrands are called with a numpy array of nodes and must return the
-matching array; any other shape raises ValueError.
+matching array, or a (k, nodes) array for k integrals on one panel set; any
+other shape raises ValueError.  A vector integrand's components each keep
+their own fsum'd value and error and their own tolerance max(abs_tol,
+rel_tol * |value|).  The panel with the largest error-to-tolerance ratio
+splits, QUADPACK's worst-panel rule (Piessens et al., 1983) taken over
+every component, and refinement stops only when every component meets its
+tolerance.  Values and errors then come back as arrays of k.  A plain array
+keeps its scalar dot products and sums, and a one-row vector integrand gives
+the same value and error to the last bit.
 """
 from __future__ import annotations
 
@@ -71,15 +79,27 @@ def _panel(f, a, b):
         raise NonConvergenceError(
             f"panel [{a}, {b}] is below floating-point resolution")
     ys = np.asarray(f(xs), dtype=float)
-    if ys.shape != _KRONROD_NODES.shape:
+    if ys.ndim not in (1, 2) or ys.shape[-1:] != _KRONROD_NODES.shape:
         raise ValueError(f"integrand returned shape {ys.shape} for nodes of "
                          f"shape {_KRONROD_NODES.shape}; it must map a node "
-                         "array to an array of the same shape")
-    if not np.all(np.isfinite(ys)):
+                         "array to an array of the same shape, or to one row "
+                         "per component")
+    if not np.isfinite(ys).all():
         raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
-    k15 = half * float(_KRONROD_WEIGHTS @ ys)
-    g7 = half * float(_GAUSS_WEIGHTS @ ys[1::2])
-    return k15, abs(k15 - g7)
+    if ys.ndim == 1:
+        k15 = half * float(_KRONROD_WEIGHTS @ ys)
+        g7 = half * float(_GAUSS_WEIGHTS @ ys[1::2])
+        return k15, abs(k15 - g7)
+    k15 = half * (ys @ _KRONROD_WEIGHTS)
+    g7 = half * (ys[:, 1::2] @ _GAUSS_WEIGHTS)
+    return k15, np.abs(k15 - g7)
+
+
+def _fsum(parts):
+    """math.fsum over panels, component by component for a vector integrand."""
+    if isinstance(parts[0], float):
+        return math.fsum(parts)
+    return np.array([math.fsum(c) for c in np.array(parts).T.tolist()])
 
 
 def _adaptive(f, lower, upper, spec: QuadratureSpec):
@@ -87,20 +107,32 @@ def _adaptive(f, lower, upper, spec: QuadratureSpec):
     val, err = _panel(f, lower, upper)
     panels = [(lower, upper, 0, val, err)]
     while True:
-        total = math.fsum(p[3] for p in panels)
-        total_err = math.fsum(p[4] for p in panels)
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-        if total_err <= tol:
+        total = _fsum([p[3] for p in panels])
+        total_err = _fsum([p[4] for p in panels])
+        if isinstance(total, float):
+            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+            done = total_err <= tol
+            worst = max(range(len(panels)), key=lambda i: panels[i][4])
+            report = total_err, tol
+        else:
+            # the worst panel of the component farthest above its tolerance
+            # has the largest error-to-tolerance ratio
+            tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+            done = np.all(total_err <= tol)
+            errors = np.array([p[4] for p in panels])
+            j = int(np.argmax(errors.max(axis=0) / tol))
+            worst = int(np.argmax(errors[:, j]))
+            report = total_err[j], tol[j]
+        if done:
             return total, total_err, [(p[0], p[1]) for p in panels]
-        worst = max(range(len(panels)), key=lambda i: panels[i][4])
         a, b, depth, _, _ = panels[worst]
         if depth >= spec.max_depth:
             raise NonConvergenceError(
-                f"error {total_err:.3e} above tolerance {tol:.3e} at depth "
+                f"error {report[0]:.3e} above tolerance {report[1]:.3e} at depth "
                 f"{depth} on panel [{a}, {b}]")
         if len(panels) >= _MAX_PANELS:
             raise NonConvergenceError(
-                f"panel budget {_MAX_PANELS} exhausted with error {total_err:.3e}")
+                f"panel budget {_MAX_PANELS} exhausted with error {report[0]:.3e}")
         mid = 0.5 * (a + b)
         v1, e1 = _panel(f, a, mid)
         v2, e2 = _panel(f, mid, b)
@@ -121,7 +153,7 @@ def resum_panels(f, panels):
         v, e = _panel(f, a, b)
         values.append(v)
         errors.append(e)
-    return math.fsum(values), math.fsum(errors)
+    return _fsum(values), _fsum(errors)
 
 
 def integrate(f, lower, upper, spec: QuadratureSpec = DEFAULT_SPEC):

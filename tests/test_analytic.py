@@ -10,11 +10,13 @@ from vanetcov.analytic import (
     NU,
     AnalyticResult,
     _bs_coeff,
+    _dl_coverages,
     _gl01,
     _half_power,
     _interference_tail,
     _p_assoc_sl,
     _rate_numerator_of,
+    _RoadSumTable,
     _road_sum_table,
     _road_sums,
     _scaled_power_integral,
@@ -411,6 +413,45 @@ def test_cold_rate_fills_a_few_tables(monkeypatch):
     _rate_numerator_of.cache_clear()
     effective_rate_with_error(REF_CFG)
     assert 0 < len(calls) <= 16
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"alpha": 3.7}, {"lambda_l": 0.0, "mu": 0.0, "alpha": 4.0},
+    {"rho": 0.2, "p_v": 0.1},
+], ids=["ref", "alpha3.7", "noroads_alpha4", "rho0.2_pv0.1"])
+def test_threshold_vector_agrees_with_scalar_coverage(changes):
+    # one shared outer rule for many thresholds: each threshold still lands
+    # within its own stated error of the one-threshold evaluation
+    cfg = validate(replace(REF_CFG, **changes))
+    taus = 2.0 ** np.linspace(0.0, 40.0, 15) - 1.0
+    assert taus[0] == 0.0
+    values, errors = _dl_coverages(cfg, taus, DEFAULT_SPEC)
+    assert values.shape == errors.shape == (15,)
+    for tau, value, err in zip(taus, values, errors):
+        want = dl_coverage(cfg, float(tau))
+        assert abs(value - want.value) <= err + want.est_abs_error
+
+
+def test_cold_rate_reads_the_table_once_per_panel(monkeypatch):
+    # the rate numerator evaluates all 15 thresholds of an outer panel in one
+    # integrand call, so one table read serves 15 coverage evaluations
+    reads, tensors = [], []
+    real_read, real_sums = _RoadSumTable.__call__, analytic._road_sums
+
+    def counted_read(table, k):
+        reads.append(k.size)
+        return real_read(table, k)
+
+    def counted_sums(*args):
+        tensors.append(args)
+        return real_sums(*args)
+    monkeypatch.setattr(_RoadSumTable, "__call__", counted_read)
+    monkeypatch.setattr(analytic, "_road_sums", counted_sums)
+    _road_sum_table.cache_clear()
+    _rate_numerator_of.cache_clear()
+    effective_rate_with_error(REF_CFG)
+    assert 0 < len(reads) <= 500
+    assert 0 < len(tensors) <= 16
 
 
 def test_alpha_below_three_still_reports_inner_grid_failure(monkeypatch):

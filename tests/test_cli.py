@@ -346,3 +346,18 @@ def test_every_validate_row_states_a_numeric_analytic_error(cfg_path, tmp_path, 
     assert rows
     for row in rows:
         assert isinstance(row["analytic_error"], float), row
+
+
+def test_json_mirror_is_strict_json_when_a_z_score_is_infinite(cfg_path, tmp_path):
+    # at tau = 1e4 no sample is covered, so the Monte Carlo std error is 0
+    # and the gap to the (positive) analytic value gives z = inf
+    out = tmp_path / "z.csv"
+    rows = cli.run(cli.RunRequest(config_path=cfg_path, mode="validate",
+                                  metric="dl_cov", output_path=str(out),
+                                  tau_grid=(1e4,), seed=3, n_samples=50))
+    assert rows[0]["z_score"] == float("inf")
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    doc = json.loads(out.with_suffix(".json").read_text(), parse_constant=refuse)
+    assert doc["rows"][0]["z_score"] is None

@@ -121,3 +121,56 @@ def test_tolerance_scales_work():
     assert abs(v_loose - truth) <= e_loose + 1e-14
     assert abs(v_tight - truth) <= e_tight + 1e-14
     assert e_tight <= e_loose + 1e-14
+
+
+def _three(fns):
+    """A (3, 15) integrand: one row per component."""
+    return lambda x: np.stack([fn(x) for fn in fns])
+
+
+@pytest.mark.parametrize("fns, lower, upper, truths", [
+    ((np.sin, lambda x: x * x, lambda x: 1.0 / (1.0 + x)), 0.0, math.pi,
+     (2.0, math.pi ** 3 / 3.0, math.log1p(math.pi))),
+    ((lambda x: np.exp(-0.5 * x), lambda x: np.exp(-5.0 * x), lambda x: np.exp(-x * x)),
+     0.0, np.inf, (2.0, 0.2, math.sqrt(math.pi) / 2.0)),
+])
+def test_vector_integrand_meets_each_component_error(fns, lower, upper, truths):
+    spec = QuadratureSpec()
+    value, err = integrate(_three(fns), lower, upper, spec)
+    assert value.shape == err.shape == (3,)
+    for v, e, truth in zip(value, err, truths):
+        assert abs(v - truth) <= e + 1e-14
+        assert e <= max(spec.abs_tol, spec.rel_tol * abs(v))
+
+
+@pytest.mark.parametrize("f, lower, upper", [
+    (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 4.0),
+    (lambda x: np.exp(-x * x), 0.0, np.inf),
+    (lambda u: 2.0 * np.sqrt(np.clip(1.0 - u * u, 0.0, None)), 0.0, 1.0),
+])
+def test_one_component_vector_matches_scalar_bit_for_bit(f, lower, upper):
+    value, err = integrate(f, lower, upper)
+    vec_value, vec_err = integrate(lambda x: f(x)[None, :], lower, upper)
+    assert (vec_value.tolist(), vec_err.tolist()) == ([value], [err])
+
+
+def test_vector_panel_resum_matches_adaptive():
+    f = _three((lambda x: np.exp(-x) * np.sin(3 * x), np.cos, lambda x: x ** 4))
+    value, err, panels = integrate_with_panels(f, 0.0, 4.0)
+    again, err2 = resum_panels(f, panels)
+    np.testing.assert_array_equal(again, value)
+    np.testing.assert_array_equal(err2, err)
+
+
+def test_vector_integrand_of_the_wrong_shape_raises():
+    with pytest.raises(ValueError, match=r"shape \(2, 14\) for nodes of shape \(15,\)"):
+        integrate(lambda x: np.ones((2, 14)), 0.0, 1.0)
+
+
+def test_vector_integrand_with_one_nonfinite_component_raises():
+    def f(x):
+        out = np.stack([np.sin(x), np.cos(x)])
+        out[1, 3] = np.nan
+        return out
+    with pytest.raises(ValueError, match="non-finite"):
+        integrate(f, 0.0, 1.0)
