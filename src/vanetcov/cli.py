@@ -3,7 +3,10 @@ sweep parameters, and emit CSV plus a JSON mirror.
 
 In validate mode each row carries the Monte Carlo estimate in the value
 column and a pass/fail verdict; the JSON mirror additionally records the
-analytic value, its quadrature error, and the z-score.  Verdicts follow only
+analytic value, its quadrature error, and the z-score.  In montecarlo and
+validate modes the mirror's coverage rows also carry ``mc_bias_bound``, the
+stated bias of the Monte Carlo window (``simulator.Estimate.bias_bound``);
+the CSV columns stay as they are.  Verdicts follow only
 from |analytic - mc| <= 3 * std_error + quadrature_error; nothing is nudged
 to force agreement.  The rule is applied per row, so a report of failures
 also gives how many a correct model would fail by chance alone.
@@ -148,7 +151,8 @@ def _rows_for_config(cfg, req, seed):
     refs = _analytic_results(cfg, req) if req.mode == "validate" else None
     rows = [_row(cfg, metric=m, tau_or_epsilon=t, value=est.mean,
                  std_error_or_quad_error=est.std_error,
-                 n_samples=est.n_samples, seed=seed)
+                 n_samples=est.n_samples, seed=seed,
+                 **({"mc_bias_bound": est.bias_bound} if m in _COVERAGE else {}))
             for m, t, est in _mc_results(cfg, req, seed)]
     if refs is not None:
         for row, (_, _, res) in zip(rows, refs, strict=True):

@@ -122,6 +122,38 @@ def test_criterion_4_coverage_cross_validation(coverage_runs):
           f"worst |z|={worst_z:.2f}")
 
 
+def test_window_bias_bound_below_a_tenth_of_the_standard_error(coverage_runs):
+    # every coverage row states the bias its window leaves; at the default
+    # window it stays below a tenth of the row's standard error
+    worst = 0.0
+    for name, (cfg, plan, batch, grid) in coverage_runs.items():
+        for tau in TAU_GRID:
+            for link in (SIDELINK, DOWNLINK, TOTAL):
+                est = grid[(link, float(tau))]
+                assert 0.0 <= est.bias_bound < 0.1 * est.std_error, (name, link, tau)
+                worst = max(worst, est.bias_bound / est.std_error)
+    print(f"window bias bound: worst {worst:.4f} standard errors")
+
+
+def test_window_bias_bound_vanishes_at_tau_zero_and_grows_as_the_window_shrinks(
+        coverage_runs):
+    for i, (name, (cfg, plan, batch, grid)) in enumerate(coverage_runs.items()):
+        # at tau = 0 only the degenerate resample's exp(-pi lambda_b R^2) is left
+        conditioning = math.exp(-math.pi * cfg.lambda_b * plan.window_radius ** 2)
+        at_zero = estimate_coverage_grid(cfg, [0.0], plan, samples=batch)
+        for link in (SIDELINK, DOWNLINK):
+            assert at_zero[(link, 0.0)].bias_bound == conditioning, (name, link)
+        # halving a window of 2R to R raises the bound about R^(2 alpha - 3)
+        # = 8-fold at alpha = 3
+        wide = make_plan(cfg, 4096, seed=615_000 + i,
+                         window_radius=2 * plan.window_radius)
+        wide_grid = estimate_coverage_grid(cfg, TAU_GRID, wide)
+        for tau in TAU_GRID:
+            for link in (SIDELINK, DOWNLINK, TOTAL):
+                key = (link, float(tau))
+                assert grid[key].bias_bound > 4 * wide_grid[key].bias_bound, (name, key)
+
+
 def test_criterion_5_decomposition_identity(coverage_runs):
     for name, (cfg, plan, batch, grid) in coverage_runs.items():
         n = len(batch)

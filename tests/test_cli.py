@@ -361,3 +361,29 @@ def test_json_mirror_is_strict_json_when_a_z_score_is_infinite(cfg_path, tmp_pat
         raise ValueError(f"non-standard JSON constant {name}")
     doc = json.loads(out.with_suffix(".json").read_text(), parse_constant=refuse)
     assert doc["rows"][0]["z_score"] is None
+
+
+@pytest.mark.parametrize("mode", ["montecarlo", "validate"])
+def test_coverage_rows_carry_the_window_bias_bound_in_the_json_mirror(cfg_path, tmp_path,
+                                                                      mode):
+    # the JSON mirror's coverage rows state the window's bias bound, Total's
+    # being the two links' summed on the same samples; the CSV is unchanged
+    bounds = {}
+    for metric in ("dl_cov", "sl_cov", "total_cov"):
+        out = tmp_path / f"{metric}.csv"
+        rc = cli.main(["--config", cfg_path, "--mode", mode, "--metric", metric,
+                       "--tau", "0.5,2", "--samples", "3000", "--seed", "5",
+                       "--out", str(out), "--no-timestamp"])
+        assert rc == 0
+        assert out.read_text().splitlines()[0] == ",".join(cli._COLUMNS)
+        rows = json.loads(out.with_suffix(".json").read_text())["rows"]
+        bounds[metric] = [row["mc_bias_bound"] for row in rows]
+        assert all(0.0 < b < 0.1 * row["std_error_or_quad_error"]
+                   for b, row in zip(bounds[metric], rows))
+    assert bounds["total_cov"] == pytest.approx(
+        [d + s for d, s in zip(bounds["dl_cov"], bounds["sl_cov"])], rel=1e-12)
+    out = tmp_path / "assoc.csv"
+    assert cli.main(["--config", cfg_path, "--mode", mode, "--metric", "assoc",
+                     "--samples", "1000", "--seed", "5", "--out", str(out)]) == 0
+    assert all("mc_bias_bound" not in row
+               for row in json.loads(out.with_suffix(".json").read_text())["rows"])

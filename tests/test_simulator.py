@@ -20,6 +20,7 @@ from vanetcov.simulator import (
     DegenerateRealizationError,
     SimPlan,
     _crossing_far_field_mean,
+    _far_field_variances,
     _resolve_sir,
     _road_far_field,
     _segment_starts,
@@ -50,7 +51,7 @@ def test_plan_floor_and_defaults():
     plan = make_plan(REF_CFG, 1000, seed=1)
     assert plan.window_radius == pytest.approx(default_window_radius(REF_CFG))
     assert plan.window_radius >= 10 * REF_CFG.rho
-    assert plan.window_radius >= 10 / math.sqrt(math.pi * REF_CFG.lambda_b)
+    assert plan.window_radius >= 6 / math.sqrt(math.pi * REF_CFG.lambda_b)
     with pytest.raises(ValueError, match="bias floor"):
         make_plan(REF_CFG, 1000, seed=1, window_radius=0.5)
     with pytest.raises(ValueError):
@@ -258,6 +259,61 @@ def test_road_far_field_matches_sampled_exterior():
     assert se < 0.01 * want
 
 
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 3.7, 4.0])
+def test_far_field_variances_match_campbell_integrals(alpha):
+    # Campbell's second moment with E[h^2] = 2, by adaptive rules instead of
+    # the closed forms: base stations over the window exterior, and roads at
+    # |r| > R, each adding its variance plus its squared mean
+    from scipy.integrate import quad
+    cfg = validate(replace(REF_CFG, alpha=alpha, lambda_l=2.0, mu=3.0, p_v=0.7))
+    R, eta, mu = 1.5, 0.7, 3.0
+    v_bs, v_miss, _ = _far_field_variances(cfg, R)
+
+    bs, _ = quad(lambda r: r ** (1.0 - 2.0 * alpha), R, np.inf, epsrel=1e-13)
+    assert v_bs == pytest.approx(2.0 * cfg.lambda_b * 2.0 * math.pi * bs, rel=1e-10)
+
+    def along(r, power):
+        # Int_{-inf}^{inf} (r^2 + t^2)^(-power/2) dt
+        half, _ = quad(lambda t: (r * r + t * t) ** (-0.5 * power), 0.0, np.inf,
+                       epsabs=0.0, epsrel=1e-13)
+        return 2.0 * half
+
+    def road(r):
+        return 2.0 * eta ** 2 * mu * along(r, 2.0 * alpha) + (eta * mu * along(r, alpha)) ** 2
+    miss, _ = quad(road, R, np.inf, epsabs=0.0, epsrel=1e-12)
+    assert v_miss == pytest.approx(2.0 * cfg.lambda_l * miss, rel=1e-9)
+
+
+@pytest.mark.parametrize("t, ceiling_vs_sampled", [(1.0, "above"), (1e-3, "equal")])
+def test_crossing_road_variance_ceiling_against_sampled_exterior(t, ceiling_vs_sampled):
+    # one crossing road's faded vehicles beyond its chord of half-length t R,
+    # sampled out to L on both sides, plus the exact variance beyond L: the
+    # per-road ceiling lies above it for a road through the centre (t = 1)
+    # and meets it for a nearly tangent one
+    from scipy.integrate import quad
+    cfg = validate(replace(REF_CFG, alpha=3.7))
+    R, L, n_rep = 1.5, 40.0, 20_000
+    h = t * R
+    r = math.sqrt(R * R - h * h)
+    rng = np.random.default_rng(717)
+    counts = rng.poisson(2.0 * cfg.mu * (L - h), n_rep)
+    along = rng.uniform(h, L, counts.sum())
+    power = rng.standard_exponential(along.size) * (r * r + along * along) ** (-0.5 * cfg.alpha)
+    per_rep = np.bincount(np.repeat(np.arange(n_rep), counts), weights=power,
+                          minlength=n_rep)
+    beyond, _ = quad(lambda x: (r * r + x * x) ** (-cfg.alpha), L, np.inf)
+    dev = per_rep - per_rep.mean()
+    var = dev.var(ddof=1)
+    se = math.sqrt(((dev ** 4).mean() - var * var) / n_rep)
+    sampled = var + 2.0 * cfg.mu * 2.0 * beyond
+    ceiling = _far_field_variances(cfg, R)[2]
+    assert se < 0.05 * sampled
+    if ceiling_vs_sampled == "above":
+        assert ceiling >= sampled
+    else:
+        assert abs(ceiling - sampled) < 4 * se
+
+
 def test_far_field_mean_value():
     # closed form: 2 pi (lambda_b + eta lambda_l mu) R^(2-a) / (a-2)
     want = 2 * math.pi * (5.0 + 25.0) / 2.5
@@ -293,8 +349,8 @@ def test_compensation_toggle_changes_sir():
         # _resolve_sir overwrites its distance and fade arrays
         return _resolve_sir(REF_CFG, m_far, veh_starts, d2_v.copy(), fade_v.copy(),
                             bs_starts, d2_b.copy(), fade_b.copy())
-    on_sl, on_sir, _ = resolve(far_field_mean(REF_CFG, R))
-    off_sl, off_sir, _ = resolve(0.0)
+    on_sl, on_sir, *_ = resolve(far_field_mean(REF_CFG, R))
+    off_sl, off_sir, *_ = resolve(0.0)
     assert np.array_equal(on_sl, off_sl)
     assert np.all(on_sir <= off_sir)  # extra interference can only lower SIR
 

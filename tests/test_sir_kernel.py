@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from oracle import sample_sir
 from vanetcov import NetworkConfig, validate
+from vanetcov.analytic import p_assoc_sl
 from vanetcov.simulator import (
+    DOWNLINK,
     SIDELINK,
     DegenerateRealizationError,
     SimPlan,
@@ -18,6 +20,7 @@ from vanetcov.simulator import (
     _segment_starts,
     _sir_chunk,
     draw_sir_samples,
+    estimate_coverage_grid,
 )
 
 CFG = validate(NetworkConfig(lambda_l=5.0, mu=5.0, lambda_b=5.0,
@@ -74,7 +77,7 @@ def test_kernel_matches_scalar_reference(replications, alpha):
         assume(all(abs(d - cfg.rho) > 1e-9 for d, _, _ in vehicles))
     veh_starts, d2_v, fade_v = _flat(replications, 0)
     bs_starts, d2_b, fade_b = _flat(replications, 1)
-    is_sl, sir, degenerate = _resolve_sir(
+    is_sl, sir, degenerate, _, _ = _resolve_sir(
         cfg, 0.0, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b)
 
     for i, (vehicles, bss) in enumerate(replications):
@@ -105,6 +108,27 @@ def test_kernel_resamples_degenerate_rows_and_draws_abort():
     assert np.all(np.isfinite(batch.sir) & (batch.sir > 0))
     with pytest.raises(DegenerateRealizationError, match="window too small"):
         draw_sir_samples(ref, plan)
+
+
+def test_degenerate_resample_enters_the_bias_bound():
+    # resampling the rows with no base station in the window conditions the
+    # law on one being there: at lambda_b pi R^2 = 2 that moves the
+    # association fractions by about 0.02, and each row's stated bound
+    # carries exp(-2) for it; at tau = 0 that is all it carries
+    ref = validate(replace(CFG, rho=0.05))
+    R = math.sqrt(2.0 / (math.pi * ref.lambda_b))
+    plan = SimPlan(window_radius=R, n_samples=4096, seed=8)
+    batch = _sir_chunk(ref, plan, 4096, np.random.default_rng(8))
+    assert batch.n_degenerate > 0
+    assert np.all(batch.window_bias(0.0) == 0.0)
+    conditioning = math.exp(-math.pi * ref.lambda_b * R * R)
+    grid = estimate_coverage_grid(ref, [0.0, 1.0], plan, samples=batch)
+    p_sl = p_assoc_sl(ref.lambda_l, ref.mu, ref.rho)
+    for link, want in ((SIDELINK, p_sl), (DOWNLINK, 1.0 - p_sl)):
+        est = grid[(link, 0.0)]
+        assert est.bias_bound == pytest.approx(conditioning, rel=1e-12)
+        assert abs(est.mean - want) <= est.bias_bound + 3 * est.std_error
+        assert grid[(link, 1.0)].bias_bound > conditioning
 
 
 @pytest.mark.parametrize("serving", ["vehicle", "base_station"])
