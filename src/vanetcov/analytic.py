@@ -67,7 +67,9 @@ array of thresholds on one adaptive outer rule (a vector integrand of
 every threshold, the shared panels refine until each threshold meets its own
 tolerance, and the inner-grid ladder re-sums them until each is stable.  So
 the 15 nodes of an outer panel of the rate cost one coverage evaluation, not
-15.  ``dl_coverage`` is its one-threshold case, bit for bit.
+15.  ``dl_coverage`` is its one-threshold case, bit for bit.  The range of x
+doubles, with no integrand call, until the closed-form tail of the same bound
+on k_tot, P_dl(tau) <= 1 / (2 C_alpha tau^(2/alpha)), is within abs_tol.
 
 Every evaluator that states an error returns one named tuple,
 :class:`AnalyticResult` (value, est_abs_error).  ``p_assoc_sl``, ``nu`` and
@@ -82,6 +84,7 @@ bounded and concurrent use is safe.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -102,11 +105,6 @@ from .quadrature import (
 NU = 1.280
 
 _INNER_LEVELS = (24, 48, 96, 192)
-
-# Integrand floor below which the rate integral stops extending its range,
-# and the range (in bits/s/Hz) past which it gives up instead.
-_RATE_INTEGRAND_FLOOR = 1e-10
-_RATE_RANGE_CAP = 512.0
 
 # Downlink road-sum tables: Chebyshev-Lobatto degrees double from the first
 # to the second until the error bound meets _TABLE_REL_TOL of the table's
@@ -403,6 +401,17 @@ def _bs_coeff(amp, alpha, spec, exclusion):
     return AnalyticResult(scale * core, scale * err)
 
 
+def _c_alpha(alpha):
+    """C_alpha = Int_0^inf w / (w^alpha + 1) dw (Andrews, Baccelli & Ganti,
+    IEEE TCOM 2011); k_tot >= 2 C_alpha tau^(2/alpha) for every tau."""
+    return (math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
+
+
+def _gaussian_cut(spec):
+    """Where the outer integrals cut: exp(-y_max^2) = min(abs_tol, 1e-10)."""
+    return math.sqrt(-math.log(min(spec.abs_tol, 1e-10)))
+
+
 def _leveled_outer(make_integrand, lower, upper, spec, known_err):
     """Adaptive outer integral with inner-grid doubling until stable;
     ``known_err`` (truncation, inexact coefficients) joins the error bound.
@@ -479,13 +488,12 @@ def _dl_coverages(cfg: NetworkConfig, taus, spec: QuadratureSpec) -> AnalyticRes
     coeff, coeff_err = np.array([_bs_coeff(tau, alpha, spec, exclusion=True)
                                  for tau in flat]).T.reshape(2, *taus.shape)
     k_tot = 1.0 + 2.0 * coeff
-    y_max = math.sqrt(-math.log(min(spec.abs_tol, 1e-10)))
+    y_max = _gaussian_cut(spec)
     tail_bound = math.exp(-y_max * y_max) / k_tot
     has_vehicles = cfg.lambda_l > 0 and cfg.mu > 0
     # k_tot >= 2 C_alpha tau^(2/alpha) bounds k at y_max for every tau
-    c_alpha = (math.pi / alpha) / math.sin(2.0 * math.pi / alpha)
     k_max = _K_MAX_MARGIN * y_max * eta ** (1.0 / alpha) / math.sqrt(
-        2.0 * c_alpha * math.pi * cfg.lambda_b)
+        2.0 * _c_alpha(alpha) * math.pi * cfg.lambda_b)
     # Python's scalar pow: numpy's vectorised pow can differ in the last
     # bit, and would move every frozen downlink value by rounding
     reach = np.reshape([(tau * eta) ** (1.0 / alpha) for tau in flat], taus.shape)
@@ -569,7 +577,7 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     # For large tau the integrand concentrates near 0 on the 1/sqrt(bs_quad)
     # scale.  The adaptive rule bisects any affine image of the range alike, so
     # only the cut matters: past x_end the Gaussian envelope is below tolerance.
-    y_max = math.sqrt(-math.log(min(spec.abs_tol, 1e-10)))
+    y_max = _gaussian_cut(spec)
     x_end, tail_bound = rho, 0.0
     if bs_quad * rho * rho > y_max * y_max:
         # envelope: integrand <= 2 pi lambda_l mu x exp(-bs_quad x^2)
@@ -599,19 +607,30 @@ def mean_zero_cell_areas(cfg: NetworkConfig, spec: QuadratureSpec = DEFAULT_SPEC
     return inside, whole - inside
 
 
+def _rate_tail(x, alpha):
+    """Int_x^inf P_dl(2^t - 1) dt for x >= 1 is at most this, from P_dl(tau)
+    <= 1 / k_tot <= 1 / (2 C_alpha tau^(2/alpha)) and 2^t - 1 >= 2^t (1 - 2^-x)."""
+    return (alpha / (4.0 * _c_alpha(alpha) * math.log(2.0))
+            * (1.0 - 2.0 ** -x) ** (-2.0 / alpha) * 2.0 ** (-2.0 * x / alpha))
+
+
 @lru_cache(maxsize=256)
 def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
     """lambda_b * Int_0^inf P[bs associated, SIR > 2^x - 1] dx and its error
     bound, on a canonical config with power ratio eta = p_v / p_b.  lambda_u
     never enters, so sweeps over the user density hit the cache.
 
-    The 15 nodes of each outer panel are one :func:`_dl_coverages` call, and
-    the largest of their errors joins the inner-error ledger.  The range
-    extends in doublings until the integrand stays below
-    _RATE_INTEGRAND_FLOOR at the ends of two consecutive panels (one scalar
-    :func:`dl_coverage` call per range edge); if that has not happened by
-    _RATE_RANGE_CAP the untruncated tail is unbounded and NonConvergenceError
-    is raised."""
+    The range [0, 1], [1, 2], ..., [hi / 2, hi] ends, before any integrand
+    call, at the first hi whose :func:`_rate_tail` is within abs_tol, and that
+    tail joins the error; past x = 1024 the thresholds 2^x - 1 overflow, so a
+    longer range raises NonConvergenceError.  The 15 nodes of each outer panel
+    are one :func:`_dl_coverages` call; the largest of their errors joins the
+    inner-error ledger."""
+    edges = [0.0, 1.0]
+    while (tail := _rate_tail(edges[-1], alpha)) > spec.abs_tol:
+        if edges[-1] >= sys.float_info.max_exp:  # 2^x overflows past x = 1024
+            raise NonConvergenceError(f"rate tail bound still {tail:.3e} at x = 1024")
+        edges.append(2.0 * edges[-1])
     cfg = NetworkConfig(lambda_l=lambda_l, mu=mu, lambda_b=lambda_b,
                         lambda_u=1.0, rho=rho, alpha=alpha, p_b=1.0, p_v=eta,
                         epsilon=0.0)
@@ -622,26 +641,12 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
         inner_errors.append(float(res.est_abs_error.max()))
         return res.value
 
-    total = 0.0
-    outer_err = 0.0
-    lo, hi = 0.0, 1.0
-    quiet_panels = 0
-    while True:
+    total = outer_err = 0.0
+    for lo, hi in zip(edges, edges[1:]):
         v, e = integrate(g, lo, hi, spec)
         total += v
         outer_err += e
-        edge = dl_coverage(cfg, 2.0 ** hi - 1.0, spec).value
-        quiet_panels = quiet_panels + 1 if edge < _RATE_INTEGRAND_FLOOR else 0
-        if quiet_panels >= 2:
-            break
-        if hi >= _RATE_RANGE_CAP:
-            raise NonConvergenceError(
-                f"rate integrand still {edge:.3e} at x = {hi:g} (floor "
-                f"{_RATE_INTEGRAND_FLOOR:g}); the range cap leaves its tail "
-                "unbounded")
-        lo, hi = hi, hi * 2.0
-    err = outer_err + (max(inner_errors) if inner_errors else 0.0) * hi \
-        + _RATE_INTEGRAND_FLOOR
+    err = outer_err + max(inner_errors) * hi + tail
     return AnalyticResult(cfg.lambda_b * total, cfg.lambda_b * err)
 
 

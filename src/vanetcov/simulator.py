@@ -108,31 +108,24 @@ class SimPlan:
             raise ValueError("n_samples must be >= 1")
 
 
-def _window_floor(cfg: NetworkConfig) -> float:
-    """The smallest window allowed: ten association radii and six mean
-    base-station spacings.  Six spacings is the least whole number that keeps
-    every stated window bias (``Estimate.bias_bound``) below 0.1 standard
-    errors at 200k samples on the acceptance configs (five reach 0.19 on
-    lambda_l = 2, mu = 1).  Degenerate rows, with no base station in the
-    window, then have probability at most exp(-36)."""
-    return max(10.0 * cfg.rho, 6.0 / math.sqrt(math.pi * cfg.lambda_b))
-
-
 def default_window_radius(cfg: NetworkConfig) -> float:
-    """The window floor, whatever the road density.  Sparse roads need no
-    wider window: the kernel's far-field term follows each crossing road past
-    the window edge, the serving vehicle lies within rho, and the stated bias
-    bound covers the far field's fluctuation."""
-    return _window_floor(cfg)
+    """The smallest window allowed, and the default: ten association radii and
+    six mean base-station spacings.  Six spacings is the least whole number
+    that keeps every stated window bias (``Estimate.bias_bound``) below 0.1
+    standard errors at 200k samples on the acceptance configs (five reach 0.19
+    on lambda_l = 2, mu = 1); degenerate rows, with no base station in the
+    window, then have probability at most exp(-36).  Sparse roads need no wider
+    window: the kernel's far-field term follows each crossing road past the
+    window edge, and the stated bias bound covers its fluctuation."""
+    return max(10.0 * cfg.rho, 6.0 / math.sqrt(math.pi * cfg.lambda_b))
 
 
 def make_plan(cfg: NetworkConfig, n_samples: int, seed: int,
               window_radius: float | None = None) -> SimPlan:
     """Build a plan, enforcing the window floor for the given scenario."""
-    floor = _window_floor(cfg)
-    if window_radius is None:
-        window_radius = default_window_radius(cfg)
-    elif window_radius < floor:
+    floor = default_window_radius(cfg)
+    window_radius = floor if window_radius is None else window_radius
+    if window_radius < floor:
         raise ValueError(f"window_radius below the bias floor {floor:.3f} km")
     return SimPlan(window_radius=float(window_radius), n_samples=int(n_samples),
                    seed=int(seed))

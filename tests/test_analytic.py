@@ -10,12 +10,14 @@ from vanetcov.analytic import (
     NU,
     AnalyticResult,
     _bs_coeff,
+    _c_alpha,
     _dl_coverages,
     _gl01,
     _half_power,
     _interference_tail,
     _p_assoc_sl,
     _rate_numerator_of,
+    _rate_tail,
     _RoadSumTable,
     _road_sum_table,
     _road_sums,
@@ -30,7 +32,7 @@ from vanetcov.analytic import (
     sl_coverage,
     total_rate_with_error,
 )
-from vanetcov.quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec
+from vanetcov.quadrature import DEFAULT_SPEC, NonConvergenceError, QuadratureSpec, integrate
 
 REF_CFG = validate(NetworkConfig(lambda_l=5.0, mu=5.0, lambda_b=5.0,
                                  lambda_u=200.0, rho=0.05, alpha=3.0,
@@ -521,14 +523,77 @@ def test_half_power_matches_pow(alpha):
     np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
-def test_rate_range_cap_raises(monkeypatch):
-    # a coverage that never decays keeps the rate integrand above the floor
-    monkeypatch.setattr(analytic, "dl_coverage",
-                        lambda cfg, tau, spec=DEFAULT_SPEC: AnalyticResult(0.5, 0.0))
-    cfg = validate(replace(REF_CFG, mu=7.25))  # a key no other test caches
-    with pytest.raises(NonConvergenceError, match="range cap"):
-        _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,
-                           cfg.alpha, cfg.p_v / cfg.p_b, DEFAULT_SPEC)
+# (changes, x where the rate's range ends at the default spec)
+RATE_RANGE_ENDS = {
+    "ref": ({}, 64.0),
+    "alpha2.5": ({"alpha": 2.5}, 64.0),
+    "alpha3.7": ({"alpha": 3.7}, 64.0),
+    "alpha6": ({"alpha": 6.0}, 128.0),
+    "noroads_alpha4": ({"lambda_l": 0.0, "mu": 0.0, "alpha": 4.0}, 128.0),
+}
+TIGHT_SPEC = QuadratureSpec(1e-9, 1e-30)
+
+
+@pytest.mark.parametrize("case", ["ref", "noroads_alpha4"])
+def test_coverage_stays_below_the_rate_envelope(case):
+    # the vehicle factor is at most 1 and k_tot >= 2 C_alpha tau^(2/alpha)
+    changes, hi = RATE_RANGE_ENDS[case]
+    cfg = validate(replace(REF_CFG, **changes))
+    taus = 2.0 ** np.linspace(0.25, 4.0 * hi, 40) - 1.0
+    values, errors = _dl_coverages(cfg, taus, TIGHT_SPEC)
+    envelope = 1.0 / (2.0 * _c_alpha(cfg.alpha) * taus ** (2.0 / cfg.alpha))
+    assert np.all(values - errors <= envelope)
+
+
+@pytest.mark.parametrize("case", ["ref", "noroads_alpha4"])
+def test_stated_rate_tail_bounds_the_computed_tail(case):
+    # the tail past the range's end, computed on [hi, 4 hi] at a spec whose
+    # absolute tolerance does not swamp values of 1e-20
+    changes, hi = RATE_RANGE_ENDS[case]
+    cfg = validate(replace(REF_CFG, **changes))
+
+    def g(xs):
+        return _dl_coverages(cfg, [2.0 ** float(x) - 1.0 for x in xs], TIGHT_SPEC).value
+    computed, err = integrate(g, hi, 4.0 * hi, TIGHT_SPEC)
+    stated = _rate_tail(hi, cfg.alpha)
+    assert 0.0 < computed - err <= stated <= DEFAULT_SPEC.abs_tol
+    if case == "noroads_alpha4":
+        # with no roads P_dl = 1 / k_tot, and the envelope is all but exact
+        assert computed == pytest.approx(stated, rel=1e-4)
+
+
+@pytest.mark.parametrize("case", list(RATE_RANGE_ENDS))
+def test_rate_range_ends_where_the_envelope_meets_the_tolerance(monkeypatch, case):
+    changes, hi = RATE_RANGE_ENDS[case]
+    cfg = validate(replace(REF_CFG, **changes))
+    largest = []
+    real = analytic._dl_coverages
+
+    def recorded(cfg, taus, spec):
+        largest.append(max(taus))
+        return real(cfg, taus, spec)
+    monkeypatch.setattr(analytic, "_dl_coverages", recorded)
+    _rate_numerator_of.cache_clear()
+    effective_rate_with_error(cfg)
+    # Gauss-Kronrod nodes are interior, so the last segment [hi / 2, hi]
+    # reads thresholds strictly between its ends
+    assert 2.0 ** (hi / 2.0) - 1.0 < max(largest) < 2.0 ** hi - 1.0
+    assert _rate_tail(hi, cfg.alpha) <= DEFAULT_SPEC.abs_tol < _rate_tail(hi / 2.0, cfg.alpha)
+
+
+def test_rate_converges_at_alpha_20():
+    # the range ends at x = 512, below the x = 1024 where 2^x overflows
+    res = effective_rate_with_error(validate(replace(REF_CFG, alpha=20.0)))
+    assert 0.0 < res.value < 1.0 and res.est_abs_error < 1e-4 * res.value
+
+
+def test_rate_range_past_the_float_range_raises_before_integrating(monkeypatch):
+    # at alpha = 60 the envelope needs x > 1024, where 2^x - 1 overflows
+    def never(*args):
+        raise AssertionError("integrand called")
+    monkeypatch.setattr(analytic, "_dl_coverages", never)
+    with pytest.raises(NonConvergenceError, match="x = 1024"):
+        effective_rate_with_error(validate(replace(REF_CFG, alpha=60.0)))
 
 
 def test_cold_rate_fits_bounded_caches():

@@ -162,11 +162,15 @@ def test_error_text_with_commas_stays_one_csv_field(cfg_path, tmp_path, monkeypa
     assert [line[-1] for line in lines[1:]] == ['ValueError: bad, "value"'] * 2
 
 
-@pytest.mark.parametrize("metric", ["dl_cov", "sl_cov"])
-def test_alpha_near_two_records_nonconvergence(cfg_path, tmp_path, metric):
+@pytest.mark.parametrize("metric, alpha", [
+    ("dl_cov", "2.001"), ("sl_cov", "2.001"),
+    # the rate's range would need thresholds 2^x - 1 past the float range
+    ("eff_rate", "60"),
+], ids=["dl_cov", "sl_cov", "eff_rate-alpha60"])
+def test_alpha_near_two_records_nonconvergence(cfg_path, tmp_path, metric, alpha):
     out = tmp_path / "a2.csv"
     rc = cli.main(["--config", cfg_path, "--mode", "analytic", "--metric", metric,
-                   "--tau", "1", "--sweep", "alpha=2.001", "--out", str(out),
+                   "--tau", "1", "--sweep", f"alpha={alpha}", "--out", str(out),
                    "--no-timestamp"])
     assert rc == 1
     with open(out, newline="") as fh:

@@ -24,7 +24,6 @@ from vanetcov.simulator import (
     _resolve_sir,
     _road_far_field,
     _segment_starts,
-    _window_floor,
     default_window_radius,
     draw_sir_samples,
     estimate_association,
@@ -186,7 +185,7 @@ def test_sparse_road_window_guard():
     # sparse roads: the default window is the floor, and the conditional
     # far-field term makes it agree with the ten-vehicle-spacing window
     cfg = validate(replace(REF_CFG, lambda_l=2.0, mu=1.0))
-    assert default_window_radius(cfg) == _window_floor(cfg)
+    assert default_window_radius(cfg) == max(10 * cfg.rho, 6 / math.sqrt(math.pi * cfg.lambda_b))
     n = 40_000
     base = make_plan(cfg, n, seed=57)
     wide = make_plan(cfg, n, seed=58,
