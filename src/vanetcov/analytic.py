@@ -11,7 +11,7 @@ both links: the downlink evaluates it at the exclusion radius rho
 (:func:`_road_sums`), the sidelink at radius 1, rescaled to the serving
 distance x, where it also yields the serving road's factor.
 
-Two substitutions keep every inner integrand bounded and the error estimates
+Three substitutions keep every integrand bounded and the error estimates
 trustworthy:
 
 * square-root factors sqrt(radius^2 - r^2) vanish under r = radius * sin(s),
@@ -23,8 +23,10 @@ trustworthy:
   road's knee kappa = radius + amp^(1/alpha).  The least p >= 1 that makes
   the mapped integrand's end behaviour (1 - t)^(p (alpha - 2) - 1) a whole
   power keeps it bounded and smooth: p = 1 at whole alpha.  Closer to
-  alpha = 2 (about 2.32 and below at lambda_b = 5, rho = 0.05) the
-  base-station coefficient's own tail raises NonConvergenceError first.
+  alpha = 2 (about 2.26 and below at lambda_b = 5, rho = 0.05) the inner-grid
+  ladder raises NonConvergenceError;
+* the base-station coefficient's tail to infinity maps by v = w^(2 - alpha)
+  onto a bounded integrand on [0, 1] (:func:`_bs_tail_coeff`).
 
 Inner grids double (24, 48, 96, 192 nodes per axis) until the outer integral
 value is stable within tolerance; the observed change joins the reported
@@ -189,7 +191,10 @@ def _interference_tail(r, amp, alpha, m, start=None):
         x += start[..., None]
     x *= x
     x += (r * r)[..., None]
-    _half_power(x, alpha)
+    # at large alpha the power overflows to inf on the far nodes, where
+    # amp / (inf + amp) = 0 is the right limit
+    with np.errstate(over="ignore"):
+        _half_power(x, alpha)
     a = amp[..., None]
     x += a
     np.divide(a, x, out=x)
@@ -372,33 +377,31 @@ def _road_sum_table(rho, mu, alpha, k_max, m):
         n *= 2
 
 
-@lru_cache(maxsize=4096)
-def _scaled_power_integral(lo, alpha, spec):
-    """Int_lo^inf w / (w^alpha + 1) dw: the scale-free core of every
-    base-station interference exponent.  The integrand's knee is pinned at
-    w = 1, so the adaptive rule handles any lo, and w^alpha overflowing to
-    inf merely flushes the tail to zero.  Returns (value, error).  A cold
-    effective rate asks for about 280 distinct lo, so the cache holds a dozen
-    rates' worth."""
-    def f(w):
-        return w / (w ** alpha + 1.0)
-    return integrate(f, lo, np.inf, spec)
+def _bs_tail_coeff(taus, alpha, spec) -> AnalyticResult:
+    """Int_1^inf tau s / (s^alpha + tau) ds and its error bound at every
+    threshold of ``taus``: the base-station interference exponent of a
+    base-station-served user per unit 2 pi lambda_b x^2, lengths in units of
+    the serving distance x.  It is tau^(2/alpha) core, core = Int_lo^inf
+    w / (1 + w^alpha) dw with lo = tau^(-1/alpha), split at w = 1 into
+    Int_a^1 w / (1 + w^alpha) dw, a = min(lo, 1), and, under v = w^(2 - alpha),
+    (1 / (alpha - 2)) Int_0^b dv / (1 + v^(alpha / (alpha - 2))),
+    b = min(1, lo^(2 - alpha)): bounded integrands on finite ranges for every
+    alpha > 2.  Each threshold maps both ranges onto one s in [0, 1], so all
+    share one vector integral.  (8 + 2 |ln tau|) eps core, the rounding of the
+    two powers of tau, joins the error."""
+    taus = np.asarray(taus, dtype=float)
+    a = np.power(taus, -1.0 / alpha, out=np.ones_like(taus), where=taus > 1.0)[..., None]
+    b = np.minimum(taus ** (1.0 - 2.0 / alpha), 1.0)[..., None]
+    q = alpha / (alpha - 2.0)
 
-
-def _bs_coeff(amp, alpha, spec, exclusion):
-    """Int_s0^inf amp s / (s^alpha + amp) ds and its error bound: the
-    base-station interference exponent per unit 2 pi lambda_b x^2, distances
-    in units of the serving distance x.  s0 = 1 under nearest-server
-    exclusion (a base-station-served user), else 0: a vehicle-served user has
-    base stations arbitrarily close.  Evaluated as amp^(2/alpha) *
-    Int_{s0 amp^(-1/alpha)}^inf w / (w^alpha + 1) dw so arbitrarily large
-    amplitudes stay in range."""
-    if amp == 0:
-        return AnalyticResult(0.0, 0.0)
-    scale = amp ** (2.0 / alpha)
-    core, err = _scaled_power_integral(
-        amp ** (-1.0 / alpha) if exclusion else 0.0, alpha, spec)
-    return AnalyticResult(scale * core, scale * err)
+    def f(s):
+        w = a + (1.0 - a) * s
+        return (1.0 - a) * w / (1.0 + w ** alpha) + (b / (alpha - 2.0)) / (1.0 + (b * s) ** q)
+    core, err = integrate(f, 0.0, 1.0, spec)
+    log_tau = np.log(taus, out=np.zeros_like(taus), where=taus > 0.0)
+    rounding = (8.0 + 2.0 * np.abs(log_tau)) * np.finfo(float).eps * core
+    scale = taus ** (2.0 / alpha)
+    return AnalyticResult(scale * core, scale * (err + rounding))
 
 
 def _c_alpha(alpha):
@@ -475,18 +478,16 @@ def _dl_coverages(cfg: NetworkConfig, taus, spec: QuadratureSpec) -> AnalyticRes
     15 nodes; the panel set refines until each threshold meets its own
     tolerance, and each states its own outer error, inner-grid difference,
     Gaussian tail, coefficient and table error.  The base-station
-    coefficients stay scalar, one cached ``_bs_coeff`` per threshold.  A
-    scalar ``tau`` gives a plain (15,) integrand and floats, by the scalar
-    arithmetic of the quadrature engine.
+    coefficients of all thresholds are one vector integral
+    (:func:`_bs_tail_coeff`).  A scalar ``tau`` gives plain (15,) integrands
+    and floats, by the scalar arithmetic of the quadrature engine.
     """
     taus = np.asarray(taus, dtype=float)
     if (taus < 0).any():
         raise ValueError("tau must be nonnegative")
     eta = cfg.p_v / cfg.p_b
     alpha = cfg.alpha
-    flat = taus.ravel().tolist()
-    coeff, coeff_err = np.array([_bs_coeff(tau, alpha, spec, exclusion=True)
-                                 for tau in flat]).T.reshape(2, *taus.shape)
+    coeff, coeff_err = _bs_tail_coeff(taus, alpha, spec)
     k_tot = 1.0 + 2.0 * coeff
     y_max = _gaussian_cut(spec)
     tail_bound = math.exp(-y_max * y_max) / k_tot
@@ -494,11 +495,8 @@ def _dl_coverages(cfg: NetworkConfig, taus, spec: QuadratureSpec) -> AnalyticRes
     # k_tot >= 2 C_alpha tau^(2/alpha) bounds k at y_max for every tau
     k_max = _K_MAX_MARGIN * y_max * eta ** (1.0 / alpha) / math.sqrt(
         2.0 * _c_alpha(alpha) * math.pi * cfg.lambda_b)
-    # Python's scalar pow: numpy's vectorised pow can differ in the last
-    # bit, and would move every frozen downlink value by rounding
-    reach = np.reshape([(tau * eta) ** (1.0 / alpha) for tau in flat], taus.shape)
     # one row of nodes per threshold
-    k_scale = (reach / np.sqrt(math.pi * cfg.lambda_b * k_tot))[..., None]
+    k_scale = ((taus * eta) ** (1.0 / alpha) / np.sqrt(math.pi * cfg.lambda_b * k_tot))[..., None]
     weight = (2.0 / k_tot)[..., None]
     table_err = 0.0
 
@@ -561,8 +559,8 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
         return AnalyticResult(0.0, 0.0)
     eta = cfg.p_v / cfg.p_b
     lambda_l, mu, alpha, rho = cfg.lambda_l, cfg.mu, cfg.alpha, cfg.rho
-    bs = _bs_coeff(tau / eta, alpha, spec, exclusion=False)
-    bs_quad = 2.0 * math.pi * cfg.lambda_b * bs.value
+    # exact: a vehicle-served user sees base stations from distance 0
+    bs_quad = 2.0 * math.pi * cfg.lambda_b * _c_alpha(alpha) * (tau / eta) ** (2.0 / alpha)
 
     def make_integrand(m):
         unit = _unit_road_exponents(float(tau), alpha, m)
@@ -583,10 +581,7 @@ def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
         # envelope: integrand <= 2 pi lambda_l mu x exp(-bs_quad x^2)
         x_end = y_max / math.sqrt(bs_quad)
         tail_bound = (math.pi * lambda_l * mu / bs_quad) * math.exp(-y_max * y_max)
-    res = _leveled_outer(make_integrand, 0.0, x_end, spec, tail_bound)
-    # |dP/d bs_quad| <= x_end^2 P carries the coefficient's error to first order
-    bs_quad_err = 2.0 * math.pi * cfg.lambda_b * bs.est_abs_error
-    return AnalyticResult(res.value, res.est_abs_error + x_end * x_end * res.value * bs_quad_err)
+    return _leveled_outer(make_integrand, 0.0, x_end, spec, tail_bound)
 
 
 def nu() -> float:

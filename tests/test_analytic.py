@@ -9,7 +9,7 @@ from vanetcov import NetworkConfig, analytic, cli, validate
 from vanetcov.analytic import (
     NU,
     AnalyticResult,
-    _bs_coeff,
+    _bs_tail_coeff,
     _c_alpha,
     _dl_coverages,
     _gl01,
@@ -21,7 +21,6 @@ from vanetcov.analytic import (
     _RoadSumTable,
     _road_sum_table,
     _road_sums,
-    _scaled_power_integral,
     _unit_road_exponents,
     dl_coverage,
     effective_rate_with_error,
@@ -135,16 +134,45 @@ def test_effective_rate_error_carries_the_association_error(monkeypatch):
 
 def test_bs_tail_coeff_closed_form_alpha4():
     for tau in (0.1, 1.0, 10.0, 250.0):
-        got = 2.0 * _bs_coeff(tau, 4.0, DEFAULT_SPEC, exclusion=True).value
+        got = 2.0 * _bs_tail_coeff(tau, 4.0, DEFAULT_SPEC).value
         want = math.sqrt(tau) * (math.pi / 2 - math.atan(1.0 / math.sqrt(tau)))
         assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_bs_full_coeff_closed_form():
+    # the sidelink's coefficient amp^(2/alpha) C_alpha against a direct
+    # quadrature of Int_0^inf amp s / (s^alpha + amp) ds
+    from scipy.integrate import quad
     for amp, alpha in ((1.0, 3.0), (0.37, 3.5), (5.0, 4.0)):
-        got = _bs_coeff(amp, alpha, DEFAULT_SPEC, exclusion=False).value
-        want = amp ** (2 / alpha) * (math.pi / alpha) / math.sin(2 * math.pi / alpha)
-        assert got == pytest.approx(want, rel=1e-6)
+        want = quad(lambda s: amp * s / (s ** alpha + amp), 0.0, np.inf,
+                    epsabs=1e-13, epsrel=1e-12)[0]
+        assert amp ** (2 / alpha) * _c_alpha(alpha) == pytest.approx(want, rel=1e-6)
+
+
+def _bs_tail_oracle(tau, alpha):
+    """C_alpha tau^(2/alpha) I_{tau/(1+tau)}(1 - 2/alpha, 2/alpha), the
+    regularised incomplete beta taken from the side where it is small: the
+    one-sided form loses every digit as tau/(1+tau) rounds towards 1."""
+    from scipy.special import betainc
+    p, q = 1.0 - 2.0 / alpha, 2.0 / alpha
+    part = 1.0 - betainc(q, p, 1.0 / (1.0 + tau)) if tau >= 1.0 else betainc(p, q, tau / (1.0 + tau))
+    return _c_alpha(alpha) * tau ** (2.0 / alpha) * part
+
+
+@pytest.mark.parametrize("spec", [DEFAULT_SPEC, QuadratureSpec(1e-9, 1e-13)],
+                         ids=["default", "tight"])
+@pytest.mark.parametrize("alpha", [2.05, 2.2, 2.3, 2.33, 2.5, 3.0, 3.7, 4.0, 6.0, 20.0, 60.0])
+def test_bs_tail_coeff_within_its_error_of_the_beta_oracle(alpha, spec):
+    # one vector integral for 63 thresholds spanning 31 decades
+    taus = np.logspace(-12, 19, 63)
+    values, errors = _bs_tail_coeff(taus, alpha, spec)
+    want = np.array([_bs_tail_oracle(tau, alpha) for tau in taus])
+    assert np.all(np.abs(values - want) <= errors), np.max(np.abs(values - want) / errors)
+
+
+def test_bs_tail_coeff_is_zero_at_zero_threshold():
+    values, errors = _bs_tail_coeff(np.array([0.0, 1.0]), 3.0, DEFAULT_SPEC)
+    assert (values[0], errors[0]) == (0.0, 0.0) and values[1] > 0.0
 
 
 def test_classic_coverage_oracle_no_roads():
@@ -212,16 +240,16 @@ def test_total_coverage_is_component_sum():
 
 @pytest.mark.parametrize("alpha", [3.7, 4.0])
 def test_coverage_error_carries_the_base_station_coefficient(monkeypatch, alpha):
-    # shifting the coefficient's core integral by its own error estimate must
-    # move the downlink coverage by no more than the error it reported
+    # shifting the coefficient by its own error estimate must move the
+    # downlink coverage by no more than the error it reported
     cfg = validate(replace(REF_CFG, alpha=alpha))
     base = dl_coverage(cfg, 1.0)
-    exact = analytic._scaled_power_integral
+    exact = analytic._bs_tail_coeff
 
-    def shifted(lo, alpha, spec):
-        value, err = exact(lo, alpha, spec)
-        return value + err, err
-    monkeypatch.setattr(analytic, "_scaled_power_integral", shifted)
+    def shifted(taus, alpha, spec):
+        value, err = exact(taus, alpha, spec)
+        return AnalyticResult(value + err, err)
+    monkeypatch.setattr(analytic, "_bs_tail_coeff", shifted)
     moved = dl_coverage(cfg, 1.0)
     assert moved.value != base.value
     assert abs(moved.value - base.value) <= base.est_abs_error
@@ -480,6 +508,31 @@ def test_alpha_below_three_converges_on_both_links(alpha):
         assert 0.0 < res.value < 1.0 and 0.0 < res.est_abs_error < 1e-6
 
 
+def test_both_links_and_the_rate_converge_at_alpha_2_28():
+    # the base-station coefficient is bounded for every alpha > 2, so the
+    # floor is set by the road sums' inner-grid ladder
+    cfg = validate(replace(REF_CFG, alpha=2.28))
+    for tau in (0.01, 1.0, 100.0):
+        for res in (dl_coverage(cfg, tau), sl_coverage(cfg, tau)):
+            assert 0.0 < res.value < 1.0 and 0.0 < res.est_abs_error < 1e-5
+    rate = effective_rate_with_error(cfg)
+    assert 0.0 < rate.value < 1.0 and rate.est_abs_error < 1e-4 * rate.value
+
+
+@pytest.mark.parametrize("alpha", [35.0, 40.0, 40.5])
+def test_large_alpha_coverage_warns_of_no_overflow(alpha):
+    # the far roads' (r^2 + u^2)^(alpha/2) passes the float range; the ratio
+    # amp / (inf + amp) = 0 is the right limit, so no warning is due
+    import warnings
+    cfg = validate(replace(REF_CFG, alpha=alpha))
+    _road_sum_table.cache_clear()
+    _unit_road_exponents.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for res in (dl_coverage(cfg, 1.0), sl_coverage(cfg, 1.0)):
+            assert 0.0 < res.value < 1.0 and 0.0 < res.est_abs_error < 1e-4 * res.value
+
+
 @pytest.mark.parametrize("alpha", [3.0, 3.7])
 def test_road_sums_scale_with_the_radius(alpha):
     # every length in the road kernel scales with the radius:
@@ -597,15 +650,10 @@ def test_rate_range_past_the_float_range_raises_before_integrating(monkeypatch):
 
 
 def test_cold_rate_fits_bounded_caches():
-    _scaled_power_integral.cache_clear()
     _rate_numerator_of.cache_clear()
     effective_rate(REF_CFG)
     effective_rate(validate(replace(REF_CFG, lambda_u=400.0)))
-    coeff = _scaled_power_integral.cache_info()
     rate = _rate_numerator_of.cache_info()
-    # bounded, and a cold rate evicts none of its own coefficients
-    assert coeff.maxsize is not None
-    assert 0 < coeff.currsize == coeff.misses <= coeff.maxsize
     assert rate.maxsize is not None
     assert (rate.currsize, rate.misses, rate.hits) == (1, 1, 1)
 

@@ -282,19 +282,18 @@ def test_montecarlo_zero_load_gives_an_error_row(cfg_path, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("mode", ["analytic", "validate"])
 def test_one_failing_threshold_keeps_the_others(cfg_path, tmp_path, mode, capsys):
-    # at alpha = 2.32 the downlink integral converges at tau = 1, but at
-    # tau = 0.01 the base-station coefficient's tail is below floating-point
-    # resolution
-    out = tmp_path / "a232.csv"
+    # at alpha = 2.2 the downlink integral converges at tau = 0.01, but at
+    # tau = 1 the road sums' inner-grid ladder does not stabilise
+    out = tmp_path / "a22.csv"
     rc = cli.main(["--config", cfg_path, "--mode", mode, "--metric", "dl_cov",
-                   "--tau", "0.01,1", "--sweep", "alpha=2.32", "--samples", "2000",
+                   "--tau", "0.01,1", "--sweep", "alpha=2.2", "--samples", "2000",
                    "--seed", "5", "--out", str(out), "--no-timestamp"])
     assert rc == 1
-    bad, good = json.loads(out.with_suffix(".json").read_text())["rows"]
-    assert good["tau_or_epsilon"] == 1.0 and not good["error"]
+    good, bad = json.loads(out.with_suffix(".json").read_text())["rows"]
+    assert good["tau_or_epsilon"] == 0.01 and not good["error"]
     analytic_value = good["value"] if mode == "analytic" else good["analytic_value"]
-    assert analytic_value == pytest.approx(0.026320, abs=1e-6)
-    assert bad["tau_or_epsilon"] == 0.01
+    assert analytic_value == pytest.approx(0.492780, abs=1e-6)
+    assert bad["tau_or_epsilon"] == 1.0
     assert bad["error"].startswith("NonConvergenceError")
     assert bad["verdict"] == ""
     if mode == "validate":
