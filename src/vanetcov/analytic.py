@@ -45,7 +45,10 @@ taken at the fixed radius rho, so at a given inner grid m it is a function
 H_m(k) of one scalar, k = amp^(1/alpha).  ``_road_sum_table`` interpolates
 H_m in u = k / (k + c), c = max(2 rho, k_max / 20), at nested
 Chebyshev-Lobatto nodes that double until the error bound eps_H read from
-the series' coefficients falls below 1e-10 of the table's scale.  The range
+the series' coefficients falls below 1e-10 of the table's scale.  The
+tensor's exponents at those nodes are mu-free: ``_table_exponents`` caches
+them per (rho, alpha, k_max, inner grid, degree), and each mu's table
+reduces them with 2 mu, so a sweep over mu builds each tensor once.  The range
 is 0 <= k <= k_max with k_max = y_max eta^(1/alpha) / sqrt(2 C_alpha pi
 lambda_b), C_alpha = (pi / alpha) / sin(2 pi / alpha), widened by a small
 margin: the base-station coefficient obeys k_tot >= 2 C_alpha tau^(2/alpha),
@@ -69,9 +72,11 @@ array of thresholds on one adaptive outer rule (a vector integrand of
 every threshold, the shared panels refine until each threshold meets its own
 tolerance, and the inner-grid ladder re-sums them until each is stable.  So
 the 15 nodes of an outer panel of the rate cost one coverage evaluation, not
-15.  ``dl_coverage`` is its one-threshold case, bit for bit.  The range of x
-doubles, with no integrand call, until the closed-form tail of the same bound
-on k_tot, P_dl(tau) <= 1 / (2 C_alpha tau^(2/alpha)), is within abs_tol.
+15.  ``dl_coverage`` is its public face: floats for one threshold, arrays
+for a sequence, which the CLI passes as a config's whole tau grid.  The
+rate's range of x doubles, with no integrand call, until the closed-form tail
+of the same bound on k_tot, P_dl(tau) <= 1 / (2 C_alpha tau^(2/alpha)), is
+within abs_tol.
 
 Every evaluator that states an error returns one named tuple,
 :class:`AnalyticResult` (value, est_abs_error).  ``p_assoc_sl``, ``nu`` and
@@ -110,8 +115,8 @@ _INNER_LEVELS = (24, 48, 96, 192)
 
 # Downlink road-sum tables: Chebyshev-Lobatto degrees double from the first
 # to the second until the error bound meets _TABLE_REL_TOL of the table's
-# scale; filling them, _road_sums is called with at most _TABLE_CHUNK tensor
-# elements, about one 15-node panel at m = 96.  _K_MAX_MARGIN widens the
+# scale; filling them, _road_exponents is called with at most _TABLE_CHUNK
+# tensor elements, about one 15-node panel at m = 96.  _K_MAX_MARGIN widens the
 # table's range past the bound on k so that a base-station coefficient off by
 # its own quadrature error stays inside it.
 _TABLE_DEGREES = (16, 256)
@@ -322,6 +327,37 @@ class _RoadSumTable(NamedTuple):
         return num / den
 
 
+def _table_nodes(degree):
+    """The Chebyshev-Lobatto nodes z_i = cos(pi i / degree) new at ``degree``:
+    all of them at the first degree, the odd i after each doubling."""
+    if degree == _TABLE_DEGREES[0]:
+        return np.cos(np.pi * np.arange(degree + 1) / degree)
+    return np.cos(np.pi * np.arange(1, degree, 2) / degree)
+
+
+@lru_cache(maxsize=64)
+def _table_exponents(rho, alpha, k_max, m, degree):
+    """The road exponents at radius rho of the downlink table's nodes new at
+    ``degree`` (see :func:`_road_sum_table`), one row per node.  They are
+    mu-free, so a sweep over mu builds each (inner grid, degree) tensor once
+    and reduces it per mu.  Built with at most _TABLE_CHUNK tensor elements
+    per :func:`_road_exponents` call.  One (rho, alpha, k_max) has at most
+    4 inner grids x 5 degrees = 20 entries, so the cache holds three.
+    Cached, read-only."""
+    c = max(2.0 * rho, k_max / 20.0)
+    u = 0.5 * (k_max / (k_max + c)) * (_table_nodes(degree) + 1.0)
+    amp = (c * u / (1.0 - u)) ** alpha
+    step = max(1, _TABLE_CHUNK // (m * m))
+    parts = [_road_exponents(np.full(part.size, float(rho)), part, alpha, m)
+             for part in np.split(amp, range(step, amp.size, step))]
+    # the rows join; the serving weights are one row shared by all
+    ex = _RoadExponents(*map(np.concatenate, zip(*parts)))._replace(
+        serving_w=parts[0].serving_w)
+    for field in ex:
+        field.flags.writeable = False
+    return ex
+
+
 @lru_cache(maxsize=256)
 def _road_sum_table(rho, mu, alpha, k_max, m):
     """The downlink road sum H_m(k) = _road_sums(rho, k^alpha, mu, alpha, m)[1]
@@ -331,7 +367,8 @@ def _road_sum_table(rho, mu, alpha, k_max, m):
     k = 0, which c = k_max / 20 resolves; an exclusion radius rounds the cusp
     off on the scale rho, and c = 2 rho spreads the nodes over it.  The
     Lobatto nodes of degree n are half of those of degree 2 n, so each
-    doubling evaluates only the new half.
+    doubling evaluates only the new half, reduced with 2 mu from the cached
+    mu-free exponents of :func:`_table_exponents`.
 
     The bound has two terms.  Twice the sum of the Chebyshev coefficients
     above 3 n / 4 bounds the interpolation error (Trefethen, Approximation
@@ -341,20 +378,12 @@ def _road_sum_table(rho, mu, alpha, k_max, m):
     And 4 m^2 eps of the table's scale covers the rounding of the samples
     themselves: the road-sum tensor sums m^2 terms, and the rounding it shows
     grows like m^2 (0.1 to 1.6 m^2 eps measured for m = 24 to 192)."""
-    c = max(2.0 * rho, k_max / 20.0)
-    u_max = k_max / (k_max + c)
-    step = max(1, _TABLE_CHUNK // (m * m))
-
-    def sample(z):
-        u = 0.5 * u_max * (z + 1.0)
-        amp = (c * u / (1.0 - u)) ** alpha
-        return np.concatenate([
-            _road_sums(np.full(part.size, float(rho)), part, mu, alpha, m)[1]
-            for part in np.split(amp, range(step, amp.size, step))])
+    def sample(degree):
+        return _table_exponents(rho, alpha, k_max, m, degree).reduce(2.0 * mu)[1]
 
     n, n_max = _TABLE_DEGREES
-    z = np.cos(np.pi * np.arange(n + 1) / n)
-    values = sample(z)
+    z = _table_nodes(n)
+    values = sample(n)
     while True:
         ends = np.ones(n + 1)
         ends[[0, n]] = 0.5
@@ -370,11 +399,11 @@ def _road_sum_table(rho, mu, alpha, k_max, m):
             weights = np.stack([w * values, w], axis=1)
             weights.flags.writeable = False
             z.flags.writeable = False
-            return _RoadSumTable(z, weights, err, c, k_max)
-        fresh = np.cos(np.pi * np.arange(1, 2 * n, 2) / (2 * n))
-        z = np.insert(z, np.arange(1, n + 1), fresh)
-        values = np.insert(values, np.arange(1, n + 1), sample(fresh))
+            return _RoadSumTable(z, weights, err, max(2.0 * rho, k_max / 20.0), k_max)
+        at = np.arange(1, n + 1)
         n *= 2
+        z = np.insert(z, at, _table_nodes(n))
+        values = np.insert(values, at, sample(n))
 
 
 def _bs_tail_coeff(taus, alpha, spec) -> AnalyticResult:
@@ -535,10 +564,13 @@ def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
     base-station factor into 2 y exp(-y^2) / k_tot, which keeps the
     integrand's mass on an O(1) range for every tau; the vehicle factor is
     the road-level sum at radius rho, read from the config's road-sum table
-    at k = (tau eta)^(1/alpha) x.  The one-threshold case of
-    :func:`_dl_coverages`.
+    at k = (tau eta)^(1/alpha) x.  A sequence of thresholds gives arrays of
+    values and errors from one :func:`_dl_coverages` call, whose shared outer
+    rule serves them all; a scalar gives floats.
     """
     value, err = _dl_coverages(cfg, tau, spec)
+    if np.ndim(tau):
+        return AnalyticResult(value, err)
     return AnalyticResult(float(value), float(err))
 
 

@@ -61,12 +61,36 @@ def _verdict(analytic_value, analytic_err, mc_mean, mc_se):
 
 # coverage metric -> (analytic terms summed, Monte Carlo link).  The terms are
 # attribute names, looked up on each call, so a wrapped or patched
-# ``analytic.dl_coverage`` sees every call.
+# ``analytic.dl_coverage`` sees every call: one per config's tau grid, or one
+# per threshold after a grid call fails.
 _COVERAGE = {
     "dl_cov": (("dl_coverage",), simulator.DOWNLINK),
     "sl_cov": (("sl_coverage",), simulator.SIDELINK),
     "total_cov": (("dl_coverage", "sl_coverage"), simulator.TOTAL),
 }
+
+
+def _coverage_term(cfg, name, taus):
+    """One AnalyticResult, or the exception in its place, per threshold of
+    ``taus`` for the analytic term ``name``.  The downlink takes the whole
+    grid in one call on one shared outer rule; only when that call fails is
+    each threshold evaluated alone, so one failing threshold keeps the
+    others."""
+    fn = getattr(analytic, name)
+    if name == "dl_coverage":
+        try:
+            values, errors = fn(cfg, taus)
+            return [analytic.AnalyticResult(float(v), float(e))
+                    for v, e in zip(values, errors)]
+        except NonConvergenceError:
+            pass
+    out = []
+    for tau in taus:
+        try:
+            out.append(fn(cfg, tau))
+        except NonConvergenceError as exc:
+            out.append(exc)
+    return out
 
 
 def _analytic_results(cfg, req):
@@ -84,14 +108,11 @@ def _analytic_results(cfg, req):
                 ("assoc_dl", "", analytic.AnalyticResult(1.0 - sl, err))]
     if m in _COVERAGE:
         out = []
-        for tau in req.tau_grid:
-            try:
-                terms = [getattr(analytic, name)(cfg, tau) for name in _COVERAGE[m][0]]
-            except NonConvergenceError as exc:
-                out.append((m, tau, exc))
-                continue
-            out.append((m, tau, analytic.AnalyticResult(
-                sum(t.value for t in terms), sum(t.est_abs_error for t in terms))))
+        terms = [_coverage_term(cfg, name, req.tau_grid) for name in _COVERAGE[m][0]]
+        for tau, parts in zip(req.tau_grid, zip(*terms)):
+            failed = [p for p in parts if isinstance(p, Exception)]
+            out.append((m, tau, failed[0] if failed else analytic.AnalyticResult(
+                sum(p.value for p in parts), sum(p.est_abs_error for p in parts))))
         return out
     if m == "eff_rate":
         return [(m, "", analytic.effective_rate_with_error(cfg))]
@@ -239,9 +260,9 @@ def _write_outputs(req: RunRequest, rows: list[dict]) -> None:
                      for k, v in row.items()} for row in rows]}
     if req.timestamp:
         doc["generated"] = generated
+    # one write: json.dump streams many small chunks through the file object
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1, default=str, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=1, default=str, allow_nan=False) + "\n")
 
 
 def _parse_sweep(text: str):

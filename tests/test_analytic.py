@@ -21,6 +21,7 @@ from vanetcov.analytic import (
     _RoadSumTable,
     _road_sum_table,
     _road_sums,
+    _table_exponents,
     _unit_road_exponents,
     dl_coverage,
     effective_rate_with_error,
@@ -413,6 +414,51 @@ def test_road_sum_table_matches_road_sums(rho, alpha, m):
     assert np.max(np.abs(got - want)) <= table.err
 
 
+@pytest.mark.parametrize("m", [24, 48, 96])
+@pytest.mark.parametrize("mu", [1.0, 5.0, 40.0])
+@pytest.mark.parametrize("rho, alpha", [(0.05, 4.0), (0.0, 3.0), (0.15, 3.7), (0.3, 2.5)])
+def test_road_sum_table_holds_the_road_sums_at_its_nodes_bit_for_bit(rho, alpha, mu, m):
+    # the table reduces cached mu-free exponents; the road sums it holds are
+    # exactly those of one _road_sums call at its Chebyshev-Lobatto nodes
+    k_max = _table_k_max(alpha)
+    table = _road_sum_table(rho, mu, alpha, k_max, m)
+    n = table.nodes.size - 1
+    np.testing.assert_allclose(table.nodes, np.cos(np.pi * np.arange(n + 1) / n),
+                               rtol=0.0, atol=1e-15)
+    u = 0.5 * (k_max / (k_max + table.c)) * (table.nodes + 1.0)
+    amp = (table.c * u / (1.0 - u)) ** alpha
+    want = _road_sums(np.full(amp.size, rho), amp, mu, alpha, m)[1]
+    w = table.weights[:, 1]
+    assert np.array_equal(np.abs(w[1:-1]), np.ones(n - 1)) and abs(w[0]) == abs(w[-1]) == 0.5
+    assert np.array_equal(table.weights[:, 0] / w, want)
+
+
+def test_mu_sweep_builds_each_road_tensor_once(monkeypatch):
+    # the road exponents are mu-free: a cold sweep over mu at one (rho, alpha)
+    # computes each (inner grid, node) row once, reduced per mu
+    rows, nodes = {}, {}
+    real_exponents = analytic._road_exponents
+
+    def counted_exponents(radius, amp, alpha, m):
+        rows.setdefault(m, []).extend(amp.tolist())
+        return real_exponents(radius, amp, alpha, m)
+
+    def recorded_table(rho, mu, alpha, k_max, m):
+        table = _road_sum_table(rho, mu, alpha, k_max, m)
+        nodes[m] = max(nodes.get(m, 0), table.nodes.size)
+        return table
+    monkeypatch.setattr(analytic, "_road_exponents", counted_exponents)
+    monkeypatch.setattr(analytic, "_road_sum_table", recorded_table)
+    _road_sum_table.cache_clear()
+    _table_exponents.cache_clear()
+    for mu in (1.0, 5.0, 10.0, 20.0, 40.0):
+        dl_coverage(validate(replace(REF_CFG, mu=mu)), [0.1, 0.5, 1.0, 5.0, 10.0])
+    # every inner grid reached builds the rows of its largest table, once
+    assert len(nodes) >= 2 and set(rows) == set(nodes)
+    for m, amps in rows.items():
+        assert len(set(amps)) == len(amps) == nodes[m]
+
+
 def test_road_sum_table_refuses_k_beyond_its_range():
     k_max = _table_k_max(3.0)
     table = _road_sum_table(0.05, 5.0, 3.0, k_max, 24)
@@ -433,13 +479,14 @@ def test_cold_rate_fills_a_few_tables(monkeypatch):
     # the road tensor is built only to fill one table per inner grid, not
     # at every outer node of the 278 nested coverage calls
     calls = []
-    real = analytic._road_sums
+    real = analytic._road_exponents
 
     def counted(*args):
         calls.append(args)
         return real(*args)
-    monkeypatch.setattr(analytic, "_road_sums", counted)
+    monkeypatch.setattr(analytic, "_road_exponents", counted)
     _road_sum_table.cache_clear()
+    _table_exponents.cache_clear()
     _rate_numerator_of.cache_clear()
     effective_rate_with_error(REF_CFG)
     assert 0 < len(calls) <= 16
@@ -466,18 +513,19 @@ def test_cold_rate_reads_the_table_once_per_panel(monkeypatch):
     # the rate numerator evaluates all 15 thresholds of an outer panel in one
     # integrand call, so one table read serves 15 coverage evaluations
     reads, tensors = [], []
-    real_read, real_sums = _RoadSumTable.__call__, analytic._road_sums
+    real_read, real_exponents = _RoadSumTable.__call__, analytic._road_exponents
 
     def counted_read(table, k):
         reads.append(k.size)
         return real_read(table, k)
 
-    def counted_sums(*args):
+    def counted_exponents(*args):
         tensors.append(args)
-        return real_sums(*args)
+        return real_exponents(*args)
     monkeypatch.setattr(_RoadSumTable, "__call__", counted_read)
-    monkeypatch.setattr(analytic, "_road_sums", counted_sums)
+    monkeypatch.setattr(analytic, "_road_exponents", counted_exponents)
     _road_sum_table.cache_clear()
+    _table_exponents.cache_clear()
     _rate_numerator_of.cache_clear()
     effective_rate_with_error(REF_CFG)
     assert 0 < len(reads) <= 500
@@ -494,11 +542,13 @@ def test_alpha_below_three_still_reports_inner_grid_failure(monkeypatch):
     assert 0.6 < res.value < 0.65 and res.est_abs_error < 1e-6
     monkeypatch.setattr(analytic, "_far_power", lambda alpha: 1.0)
     _road_sum_table.cache_clear()
+    _table_exponents.cache_clear()
     try:
         with pytest.raises(NonConvergenceError, match="inner grids"):
             dl_coverage(cfg, 1.0)
     finally:
         _road_sum_table.cache_clear()
+        _table_exponents.cache_clear()
 
 
 @pytest.mark.parametrize("alpha", [2.5, 2.9])

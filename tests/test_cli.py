@@ -1,12 +1,15 @@
 import csv
+import io
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from vanetcov.analytic import p_assoc_sl
-from vanetcov import cli
+from vanetcov import analytic, cli, validate
+from vanetcov.config import load_config
 
 REF_DOC = {
     "lambda_l": 5.0, "mu": 5.0, "lambda_b": 5.0, "lambda_u": 200.0,
@@ -390,3 +393,48 @@ def test_coverage_rows_carry_the_window_bias_bound_in_the_json_mirror(cfg_path, 
                      "--samples", "1000", "--seed", "5", "--out", str(out)]) == 0
     assert all("mc_bias_bound" not in row
                for row in json.loads(out.with_suffix(".json").read_text())["rows"])
+
+
+def test_json_mirror_is_written_as_json_dump_would(cfg_path, tmp_path):
+    # one write of the whole document gives the bytes json.dump streams,
+    # with non-finite floats as null
+    out = tmp_path / "w.csv"
+    req = cli.RunRequest(config_path=cfg_path, mode="validate", metric="dl_cov",
+                         output_path=str(out), timestamp=False)
+    cfg = load_config(cfg_path)
+    rows = [cli._row(cfg, metric="dl_cov", tau_or_epsilon=0.5, value=0.25, seed=3,
+                     z_score=float("inf"), analytic_value=0.2),
+            cli._row(cfg, metric="dl_cov", tau_or_epsilon=2.0, value=1e-300,
+                     z_score=float("nan"), error="NonConvergenceError: x, y")]
+    cli._write_outputs(req, rows)
+    want = io.StringIO()
+    json.dump({"columns": cli._COLUMNS,
+               "rows": [{**row, "z_score": None} for row in rows]},
+              want, indent=1, default=str, allow_nan=False)
+    assert out.with_suffix(".json").read_text(encoding="utf-8") == want.getvalue() + "\n"
+
+
+def test_coverage_rows_take_one_downlink_call_per_config(cfg_path, tmp_path, monkeypatch):
+    # the whole tau grid of a config is one dl_coverage call on one shared
+    # outer rule; each row stays within its stated error of the scalar call
+    calls = []
+    real = analytic.dl_coverage
+
+    def counted(cfg, tau, *args):
+        calls.append(tau)
+        return real(cfg, tau, *args)
+    monkeypatch.setattr(analytic, "dl_coverage", counted)
+    taus = tuple(float(t) for t in np.logspace(-2.0, 2.0, 7))
+    out = tmp_path / "grid.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", "analytic", "--metric", "dl_cov",
+                   "--tau", ",".join(map(repr, taus)), "--sweep", "mu=1,20",
+                   "--out", str(out), "--no-timestamp"])
+    assert rc == 0
+    assert calls == [taus, taus]
+    rows = json.loads(out.with_suffix(".json").read_text())["rows"]
+    assert [(r["mu"], r["tau_or_epsilon"]) for r in rows] == [
+        (mu, tau) for mu in (1.0, 20.0) for tau in taus]
+    base = load_config(cfg_path)
+    for row in rows:
+        want = real(validate(replace(base, mu=row["mu"])), row["tau_or_epsilon"])
+        assert abs(row["value"] - want.value) <= row["std_error_or_quad_error"]

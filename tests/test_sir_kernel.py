@@ -16,7 +16,10 @@ from vanetcov.simulator import (
     SIDELINK,
     DegenerateRealizationError,
     SimPlan,
+    _first_min_index,
+    _received_power,
     _resolve_sir,
+    _segment_reduce,
     _segment_starts,
     _sir_chunk,
     draw_sir_samples,
@@ -94,6 +97,61 @@ def test_kernel_matches_scalar_reference(replications, alpha):
             assert math.isinf(sir[i])
         else:
             assert sir[i] == pytest.approx(ref.sir, rel=1e-12)
+
+
+def _resolve_sir_by_full_scan(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b,
+                             fade_b):
+    """The kernel with the sidelink association taken from every vehicle's
+    segment minimum, and the serving vehicle found by a second scan."""
+    dv2_min = _segment_reduce(np.minimum, d2_v, veh_starts, np.inf)
+    db2_min = _segment_reduce(np.minimum, d2_b, bs_starts, np.inf)
+    is_sl = dv2_min <= cfg.rho * cfg.rho
+    degenerate = ~is_sl & np.isinf(db2_min)
+    sl_rows = np.flatnonzero(is_sl)
+    dl_rows = np.flatnonzero(~is_sl & ~degenerate)
+    with np.errstate(divide="ignore"):
+        loss = np.power(np.where(is_sl, dv2_min, db2_min), -0.5 * cfg.alpha)
+    loss[sl_rows] *= cfg.p_v / cfg.p_b
+    iv = _first_min_index(d2_v, veh_starts, dv2_min, sl_rows)
+    ib = _first_min_index(d2_b, bs_starts, db2_min, dl_rows)
+    pw_v = _received_power(fade_v, d2_v, cfg.alpha)
+    pw_v *= cfg.p_v / cfg.p_b
+    pw_b = _received_power(fade_b, d2_b, cfg.alpha)
+    serving_pw = np.zeros(is_sl.size)
+    serving_pw[sl_rows] = pw_v[iv]
+    pw_v[iv] = 0.0
+    serving_pw[dl_rows] = pw_b[ib]
+    pw_b[ib] = 0.0
+    interference = _segment_reduce(np.add, pw_v, veh_starts, 0.0)
+    interference += _segment_reduce(np.add, pw_b, bs_starts, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir = np.divide(serving_pw, interference + m_far, out=serving_pw)
+    return is_sl, sir, degenerate, loss, interference
+
+
+@pytest.mark.parametrize("p_v", [1.0, 0.3])
+@pytest.mark.parametrize("alpha", [3.0, 3.7])
+def test_kernel_searches_only_vehicles_within_rho_bit_for_bit(alpha, p_v):
+    # the serving vehicle is looked for among the vehicles within rho only;
+    # empty segments on both sides, rows without any vehicle within rho, no
+    # vehicle at all, and tied distances (squared distances on a coarse grid)
+    # give the same outputs, bit for bit, as a search over every vehicle
+    cfg = replace(CFG, alpha=alpha, p_v=p_v)
+    rng = np.random.default_rng(int(10 * alpha + 10 * p_v))
+    for n, mean_veh, mean_bs in ((400, 3.0, 2.0), (300, 0.5, 0.3), (50, 0.0, 1.0)):
+        veh_starts = _segment_starts(rng.poisson(mean_veh, n))
+        bs_starts = _segment_starts(rng.poisson(mean_bs, n))
+        d2_v = np.round(rng.uniform(0.0, 0.5, veh_starts[-1]), 2) + 1e-3
+        d2_b = rng.uniform(1e-3, 2.0, bs_starts[-1])
+        fade_v = rng.standard_exponential(d2_v.size)
+        fade_b = rng.standard_exponential(d2_b.size)
+        m_far = rng.uniform(0.0, 0.1, n)
+        want = _resolve_sir_by_full_scan(cfg, m_far, veh_starts, d2_v.copy(), fade_v.copy(),
+                                         bs_starts, d2_b.copy(), fade_b.copy())
+        got = _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b)
+        assert want[0].any() == (mean_veh > 0) and want[2].any()
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
 
 
 def test_kernel_resamples_degenerate_rows_and_draws_abort():
