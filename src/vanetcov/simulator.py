@@ -625,25 +625,37 @@ def _clip(q, m, c):
     crossing right after its first end, so the order stays counter-clockwise.
     The nucleus is strictly inside, so no polygon is clipped away.
     """
-    nxt = _next_vertex(m, q.shape[1])
+    k, width = q.shape[:2]
+    base = np.arange(0, k * width, width)
+    # flat index of each vertex's successor; padded slots point anywhere in
+    # bounds, as only valid vertices are read
+    succ = np.arange(1, k * width + 1)
+    succ[-1] = 0
+    succ[base + m - 1] = base
     s = np.einsum("kvj,kj->kv", q, c)
     s -= 0.5 * np.einsum("kj,kj->k", c, c)[:, None]
-    s_next = np.take_along_axis(s, nxt, axis=1)
-    valid = np.arange(q.shape[1]) < m[:, None]
+    s = s.ravel()
+    s_next = s.take(succ)
+    valid = (np.arange(width) < m[:, None]).ravel()
     inside = s <= 0.0
     keep = valid & inside
     cross = valid & (inside != (s_next <= 0.0))
-    emit = keep.astype(np.int64) + cross
+    emit = (keep.astype(np.int64) + cross).reshape(k, width)
     pos = np.cumsum(emit, axis=1) - emit
     m_new = pos[:, -1] + emit[:, -1]
-    out = np.zeros((q.shape[0], int(m_new.max()), 2))
-    r, v = np.nonzero(keep)
-    out[r, pos[r, v]] = q[r, v]
-    r, v = np.nonzero(cross)
-    a, b = q[r, v], q[r, nxt[r, v]]
-    t = s[r, v] / (s[r, v] - s_next[r, v])
-    out[r, pos[r, v] + keep[r, v]] = a + t[:, None] * (b - a)
-    return out, m_new
+    w_new = int(m_new.max())
+    pos += np.arange(0, k * w_new, w_new)[:, None]
+    pos = pos.ravel()
+    out = np.zeros((k * w_new, 2))
+    q = q.reshape(-1, 2)
+    i = np.flatnonzero(keep)
+    out[pos.take(i)] = q.take(i, axis=0)
+    i = np.flatnonzero(cross)
+    a, b = q.take(i, axis=0), q.take(succ.take(i), axis=0)
+    si = s.take(i)
+    t = si / (si - s_next.take(i))
+    out[pos.take(i) + keep.take(i)] = a + t[:, None] * (b - a)
+    return out.reshape(k, w_new, 2), m_new
 
 
 def _voronoi_cells(lambda_b, n, rng, zero_cell):
@@ -719,15 +731,18 @@ def _points_in_cells(q, m, tri, counts, rng):
     is u a + v b with (u, v) uniform on the unit triangle.  Returns the
     nucleus-relative points (k, 2).
     """
+    width = q.shape[1]
     per_tri = rng.multinomial(counts, tri / tri.sum(axis=1, keepdims=True))
     flat = np.repeat(np.arange(per_tri.size), per_tri.ravel())
-    row, col = np.divmod(flat, q.shape[1])
-    nxt = _next_vertex(m, q.shape[1])
-    a, b = q[row, col], q[row, nxt[row, col]]
+    nxt = _next_vertex(m, width) + np.arange(0, m.size * width, width)[:, None]
+    q = q.reshape(-1, 2)
+    a, b = q.take(flat, axis=0), q.take(nxt.ravel().take(flat), axis=0)
     uv = rng.random((flat.size, 2))
-    fold = uv.sum(axis=1) > 1.0
+    fold = np.flatnonzero(uv.sum(axis=1) > 1.0)
     uv[fold] = 1.0 - uv[fold]
-    return uv[:, :1] * a + uv[:, 1:] * b
+    a *= uv[:, :1]
+    a += uv[:, 1:] * b
+    return a
 
 
 def _pairs(first, count):
@@ -795,16 +810,17 @@ def _in_vehicle_region(points, row, roads, rho):
     """
     starts, nx, ny, r, road, vehicles = roads
     pt, line = _pairs(starts[row], np.diff(starts)[row])
-    px, py, nx, ny = points[pt, 0], points[pt, 1], nx[line], ny[line]
-    delta = px * nx + py * ny - r[line]
-    close = np.abs(delta) <= rho
+    px, py = points[:, 0], points[:, 1]
+    delta = px.take(pt) * nx.take(line) + py.take(pt) * ny.take(line) - r.take(line)
+    close = np.flatnonzero(np.abs(delta) <= rho)
     pt, line, delta = pt[close], line[close], delta[close]
-    along = px[close] * ny[close] - py[close] * nx[close]
+    along = px.take(pt) * ny.take(line) - py.take(pt) * nx.take(line)
     w = np.sqrt(rho * rho - delta * delta)
-    first = np.searchsorted(vehicles, road[line] + 1j * (along - w))
+    road = road.take(line)
+    first = np.searchsorted(vehicles, road + 1j * (along - w))
     found = vehicles[np.minimum(first, vehicles.size - 1)]
     hit = first < vehicles.size
-    hit &= (found.real == road[line]) & (found.imag <= along + w)
+    hit &= (found.real == road) & (found.imag <= along + w)
     near = np.zeros(points.shape[0], dtype=bool)
     near[pt[hit]] = True
     return near
@@ -816,7 +832,9 @@ def _zero_cell_chunk(cfg, n, rng, users):
 
     Returns per row the exact area, the point count and how many points lie
     in the vehicle region.  Points are drawn and tested a few rows at a time,
-    so that at most PAIR_BUDGET point-road pairs are held at once.
+    so that at most PAIR_BUDGET point-road pairs are held at once.  A batch
+    with no road near any cell places no points: none could be in the
+    vehicle region, and they would be the batch's last draws.
     """
     q, m = _voronoi_cells(cfg.lambda_b, n, rng, zero_cell=True)
     roads = _roads_near(cfg, q, rng)
@@ -825,6 +843,8 @@ def _zero_cell_chunk(cfg, n, rng, users):
     counts = rng.poisson(cfg.lambda_u * area) if users else np.full(n, AREA_PROBES)
     n_roads = np.diff(roads[0])
     n_near = np.zeros(n, dtype=np.int64)
+    if not n_roads.any():
+        return area, counts, n_near
     for a, b in _row_ranges(counts * (1 + n_roads), PAIR_BUDGET):
         points = _points_in_cells(q[a:b], m[a:b], tri[a:b], counts[a:b], rng)
         row = np.repeat(np.arange(a, b), counts[a:b])

@@ -255,3 +255,74 @@ def test_cell_estimators_bit_reproducible():
     assert runs[0] == runs[1] == runs[2]   # the cell estimators ignore the window
     nu, (area_in, area_out), load = runs[3]
     assert nu != runs[0][0] and area_out != runs[0][1][1] and load != runs[0][2]
+
+
+NO_ROADS_CFG = validate(replace(REF_CFG, lambda_l=0.0, mu=0.0, alpha=4.0))
+
+
+def _no_placement(*args):
+    raise AssertionError("points placed")
+
+
+def test_batch_without_roads_places_no_points(monkeypatch):
+    monkeypatch.setattr(simulator, "_points_in_cells", _no_placement)
+    plan = SimPlan(window_radius=3.0, n_samples=300, seed=4)
+    inside, outside = estimate_zero_cell_areas(NO_ROADS_CFG, plan)
+    assert inside.mean == 0.0 and inside.std_error == 0.0 and outside.mean > 0.0
+    assert estimate_zero_cell_load(NO_ROADS_CFG, plan).mean > 0.0
+    # with roads near the cells the points are still placed
+    with pytest.raises(AssertionError, match="points placed"):
+        estimate_zero_cell_areas(REF_CFG, plan)
+    with pytest.raises(AssertionError, match="points placed"):
+        estimate_zero_cell_load(REF_CFG, plan)
+
+
+def _clip_two_axis(q, m, c):
+    """Reference clip: the same Sutherland-Hodgman step written with
+    two-axis (row, vertex) indexing."""
+    col = np.arange(q.shape[1])
+    nxt = np.where(col + 1 < m[:, None], col + 1, 0)
+    s = np.einsum("kvj,kj->kv", q, c)
+    s -= 0.5 * np.einsum("kj,kj->k", c, c)[:, None]
+    s_next = np.take_along_axis(s, nxt, axis=1)
+    valid = col < m[:, None]
+    inside = s <= 0.0
+    keep = valid & inside
+    cross = valid & (inside != (s_next <= 0.0))
+    emit = keep.astype(np.int64) + cross
+    pos = np.cumsum(emit, axis=1) - emit
+    m_new = pos[:, -1] + emit[:, -1]
+    out = np.zeros((q.shape[0], int(m_new.max()), 2))
+    r, v = np.nonzero(keep)
+    out[r, pos[r, v]] = q[r, v]
+    r, v = np.nonzero(cross)
+    a, b = q[r, v], q[r, nxt[r, v]]
+    t = s[r, v] / (s[r, v] - s_next[r, v])
+    out[r, pos[r, v] + keep[r, v]] = a + t[:, None] * (b - a)
+    return out, m_new
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), zero_cell=st.booleans())
+def test_clip_matches_two_axis_reference_bit_for_bit(seed, n, zero_cell):
+    rng = np.random.default_rng(seed)
+    q, m = _voronoi_cells(2.0, n, rng, zero_cell)
+    rows = np.arange(n)
+    reach = np.sqrt((q * q).sum(axis=2).max(axis=1))
+    theta = rng.uniform(0.0, 2.0 * math.pi, n)
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    # per row: a bisector beyond the farthest vertex (no cut), one at a
+    # random distance inside it, or one cutting off the first or the last
+    # vertex, so that the closing edge (last vertex, first vertex) crosses
+    mode = rng.integers(0, 4, n)
+    f = rng.uniform(0.5, 1.0, n)[:, None]
+    c = np.where((mode == 0)[:, None], 2.0 * reach[:, None] * (1.0 + f) * u,
+                 2.0 * reach[:, None] * (f - 0.45) * u)
+    c = np.where((mode == 2)[:, None], 2.0 * f * q[rows, 0], c)
+    c = np.where((mode == 3)[:, None], 2.0 * f * q[rows, m - 1], c)
+    want_q, want_m = _clip_two_axis(q, m, c)
+    got_q, got_m = simulator._clip(q, m, c)
+    assert np.array_equal(got_m, want_m)
+    valid = np.arange(got_q.shape[1]) < got_m[:, None]
+    assert got_q.shape == want_q.shape
+    assert np.array_equal(got_q[valid], want_q[valid])
