@@ -1,92 +1,42 @@
 """Closed-form evaluators for association, coverage, and rate metrics.
 
-Every metric reduces to nested integrals over (i) the serving-distance
-density, (ii) the Laplace transform of base-station interference, and (iii)
-the Laplace transform of vehicle interference accumulated road by road.  The
-integrals are evaluated with the adaptive engine in :mod:`.quadrature` on the
-outside and vectorised fixed-order Gauss-Legendre tensors on the inside.
+Every metric reduces to nested integrals over the serving distance and the
+Laplace transforms of base-station interference and of vehicle interference,
+accumulated road by road.  The outer integrals run on the adaptive engine of
+:mod:`.quadrature`, over finite ranges; the inner ones are fixed-order
+Gauss-Legendre tensors whose grid doubles (24, 48, 96, 192 nodes per axis)
+until the outer value is stable (:func:`_leveled_outer`).  The parts:
 
-One road-level kernel, :func:`_road_exponents` and its reduction, serves
-both links: the downlink evaluates it at the exclusion radius rho
-(:func:`_road_sums`), the sidelink at radius 1, rescaled to the serving
-distance x, where it also yields the serving road's factor.
+* the road kernel, shared by both links: :func:`_road_exponents` (with
+  :func:`_interference_tail` and :func:`_far_power`), mu-free, and its
+  reduction with 2 mu, :meth:`_RoadExponents.reduce`;
+* the downlink, :func:`dl_coverage` (:func:`_dl_coverages` for a tau grid):
+  the base-station coefficient (:func:`_bs_tail_coeff`) and the road sum at
+  radius rho, read from a Chebyshev table per config and inner grid
+  (:func:`_road_sum_table`, :func:`_table_exponents`);
+* the sidelink, :func:`sl_coverage`: the road kernel at radius 1, rescaled to
+  the serving distance (:func:`_unit_road_exponents`);
+* the effective rate, :func:`effective_rate_with_error`: the downlink
+  coverage integrated over the thresholds 2^x - 1
+  (:func:`_rate_numerator_of`), and the utility and total rate built on it.
 
-Three substitutions keep every integrand bounded and the error estimates
-trustworthy:
-
-* square-root factors sqrt(radius^2 - r^2) vanish under r = radius * sin(s),
-  which also removes the 1/sqrt(x^2 - r^2) serving-line singularity;
-* semi-infinite interference tails map onto [0, 1) via u = a + t / (1 - t);
-  a tail integrand decays like u^(-alpha) with alpha > 2, so the mapped
-  integrand stays bounded.  The far-road sum decays only like r^(1 - alpha),
-  so its roads sit at r = radius + kappa t / (1 - t)^p, stretched to the
-  road's knee kappa = radius + amp^(1/alpha).  The least p >= 1 that makes
-  the mapped integrand's end behaviour (1 - t)^(p (alpha - 2) - 1) a whole
-  power keeps it bounded and smooth: p = 1 at whole alpha.  Closer to
-  alpha = 2 (about 2.26 and below at lambda_b = 5, rho = 0.05) the inner-grid
-  ladder raises NonConvergenceError;
-* the base-station coefficient's tail to infinity maps by v = w^(2 - alpha)
-  onto a bounded integrand on [0, 1] (:func:`_bs_tail_coeff`).
-
-Inner grids double (24, 48, 96, 192 nodes per axis) until the outer integral
-value is stable within tolerance; the observed change joins the reported
-error bound.  Outer integrals over semi-infinite ranges are truncated where
-a Gaussian envelope drops below abs_tol, and that envelope joins the bound.
-
-The vehicle-interference tail is the innermost tensor, (nodes x m x m)
-elements per road-sum call.  It is computed in place on one buffer: the
-squared distance, then its alpha/2 power (products and one square root for
-integer alpha, the general pow otherwise), then the bounded ratio, and a
-single contraction with weights that already carry the (1 - t)^-2 Jacobian
-of the tail map.
-
-The downlink evaluates that tensor only to fill a table.  Its road sum is
-taken at the fixed radius rho, so at a given inner grid m it is a function
-H_m(k) of one scalar, k = amp^(1/alpha).  ``_road_sum_table`` interpolates
-H_m in u = k / (k + c), c = max(2 rho, k_max / 20), at nested
-Chebyshev-Lobatto nodes that double until the error bound eps_H read from
-the series' coefficients falls below 1e-10 of the table's scale.  The
-tensor's exponents at those nodes are mu-free: ``_table_exponents`` caches
-them per (rho, alpha, k_max, inner grid, degree), and each mu's table
-reduces them with 2 mu, so a sweep over mu builds each tensor once.  The range
-is 0 <= k <= k_max with k_max = y_max eta^(1/alpha) / sqrt(2 C_alpha pi
-lambda_b), C_alpha = (pi / alpha) / sin(2 pi / alpha), widened by a small
-margin: the base-station coefficient obeys k_tot >= 2 C_alpha tau^(2/alpha),
-so every threshold of a config, and every node of its effective rate, reads
-one table per inner grid.  A k above k_max raises.  The vehicle factor's
-derivative in the road sum is at most 2 lambda_l, so 2 lambda_l eps_H /
-k_tot joins the coverage's error bound.
-
-The sidelink's radius is the serving distance x, which varies, but every
-length in the road kernel scales with it: the exponents at (x, tau x^alpha)
-are x times those at (1, tau).  So the kernel splits into its mu-free
-exponents (``_road_exponents``) and their reduction with 2 mu, and the
-sidelink takes the exponents once per (tau, alpha, inner grid) at radius 1
-(``_unit_road_exponents``) and reduces them at v = 2 mu x at every outer
-node: O(m) work per node, exact, with no table and no new error term.
-
-The effective rate's numerator integrates the downlink coverage over the
-thresholds 2^x - 1.  ``_dl_coverages`` evaluates the downlink coverage at an
-array of thresholds on one adaptive outer rule (a vector integrand of
-:mod:`.quadrature`): each integrand call reads the road-sum table once for
-every threshold, the shared panels refine until each threshold meets its own
-tolerance, and the inner-grid ladder re-sums them until each is stable.  So
-the 15 nodes of an outer panel of the rate cost one coverage evaluation, not
-15.  ``dl_coverage`` is its public face: floats for one threshold, arrays
-for a sequence, which the CLI passes as a config's whole tau grid.  The
-rate's range of x doubles, with no integrand call, until the closed-form tail
-of the same bound on k_tot, P_dl(tau) <= 1 / (2 C_alpha tau^(2/alpha)), is
-within abs_tol.
+Substitutions keep every integrand bounded on a finite range: r = radius
+sin(s) removes the factors sqrt(radius^2 - r^2) and the serving line's
+1/sqrt(x^2 - r^2) singularity; tails to infinity map onto [0, 1) and decay
+like u^(-alpha), alpha > 2, there.  The far-road sum decays only like
+r^(1 - alpha); closer to alpha = 2 (about 2.26 and below at lambda_b = 5,
+rho = 0.05) the inner-grid ladder raises NonConvergenceError.  Outer
+integrals over semi-infinite ranges are cut where a Gaussian envelope drops
+below abs_tol, and that envelope joins the error bound.
 
 Every evaluator that states an error returns one named tuple,
 :class:`AnalyticResult` (value, est_abs_error).  ``p_assoc_sl``, ``nu`` and
 ``mean_zero_cell_areas`` return bare floats; the error of ``p_assoc_sl``
 reaches the CLI's association rows and the effective rate through
-``_p_assoc_sl``.
-
-All evaluators are pure functions of their arguments; the memo caches,
-road-sum tables included, are bounded (functools.lru_cache), so memory stays
-bounded and concurrent use is safe.
+``_p_assoc_sl``.  All evaluators are pure functions of their arguments; the
+memo caches, road-sum tables included, are functools.lru_caches, bounded or
+keyed by the inner grid alone, so memory stays bounded and concurrent use is
+safe.
 """
 from __future__ import annotations
 
@@ -237,8 +187,13 @@ class _RoadExponents(NamedTuple):
     def reduce(self, v):
         """(serving, road_sum) with every exponent scaled by ``v``: 2 mu at
         the exponents' own radius, or one 2 mu x per outer node for a
-        unit-radius row.  expm1 keeps the far roads' tiny exponents, which
-        the far map's large weights would otherwise turn into rounding."""
+        unit-radius row.  At v = 2 mu, serving = Int_0^(pi/2) exp(-2 mu (a +
+        J_near)) ds is the serving road's residual-interference factor, and
+        road_sum = Int_0^radius 1 - exp(-2 mu (a + J_near)) dr +
+        Int_radius^inf 1 - exp(-2 mu J_full) dr is the exponent of the
+        road-level Laplace functional (see :func:`_road_exponents`).  expm1
+        keeps the far roads' tiny exponents, which the far map's large
+        weights would otherwise turn into rounding."""
         v = np.asarray(v, dtype=float)[..., None]
         near = -v * self.near
         serving = np.exp(near) @ self.serving_w
@@ -275,16 +230,6 @@ def _road_exponents(radius, amp, alpha, m):
     far_w = kappa * (weights * stretch * (1.0 + (p - 1.0) * t01))
     return _RoadExponents(a + _interference_tail(r, amp, alpha, m, a), sw, a * sw,
                           far, far_w)
-
-
-def _road_sums(radius, amp, mu, alpha, m):
-    """(serving, road_sum) at radius ``radius``, one entry per outer node:
-    serving = Int_0^(pi/2) exp(-2 mu (a + J_near)) ds, the serving road's
-    residual-interference factor, and road_sum = Int_0^radius 1 -
-    exp(-2 mu (a + J_near)) dr + Int_radius^inf 1 - exp(-2 mu J_full) dr, the
-    exponent of the road-level Laplace functional (see
-    :func:`_road_exponents`)."""
-    return _road_exponents(radius, amp, alpha, m).reduce(2.0 * mu)
 
 
 @lru_cache(maxsize=256)
@@ -360,8 +305,9 @@ def _table_exponents(rho, alpha, k_max, m, degree):
 
 @lru_cache(maxsize=256)
 def _road_sum_table(rho, mu, alpha, k_max, m):
-    """The downlink road sum H_m(k) = _road_sums(rho, k^alpha, mu, alpha, m)[1]
-    on k in [0, k_max], interpolated in u = k / (k + c).
+    """The downlink road sum H_m(k), that of
+    ``_road_exponents(rho, k^alpha, alpha, m).reduce(2 mu)``, on k in
+    [0, k_max], interpolated in u = k / (k + c).
 
     c = max(2 rho, k_max / 20): at rho = 0 H_m has a power-law cusp at
     k = 0, which c = k_max / 20 resolves; an exclusion radius rounds the cusp

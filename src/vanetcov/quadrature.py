@@ -2,10 +2,12 @@
 
 A 15-point Kronrod rule with its embedded 7-point Gauss rule drives panel
 subdivision: the worst panel (largest |K15 - G7|) splits until the summed
-error estimate meets max(abs_tol, rel_tol * |value|).  Semi-infinite upper
-limits are mapped onto [0, 1) through u = a + s / (1 - s); the rule's nodes
-are interior, so the endpoint is never sampled: a panel too narrow for its
-nodes to stay inside it in floating point raises NonConvergenceError.
+error estimate meets max(abs_tol, rel_tol * |value|).  Ranges are finite and
+forward, lower < upper: an infinite tail is the caller's to map onto a
+bounded integrand.  The rule's nodes are interior, so the ends are never
+sampled: a panel too narrow for its nodes to stay inside it in floating point
+raises NonConvergenceError, as does a panel _MAX_DEPTH bisections deep whose
+error is still above tolerance.
 
 Integrands are called with a numpy array of nodes and must return the
 matching array, or a (k, nodes) array for k integrals on one panel set; any
@@ -34,17 +36,15 @@ class NonConvergenceError(RuntimeError):
 class QuadratureSpec:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-10
-    max_depth: int = 48
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be at least 1")
 
 
 DEFAULT_SPEC = QuadratureSpec()
 
+_MAX_DEPTH = 48
 _MAX_PANELS = 4096
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
@@ -103,7 +103,12 @@ def _fsum(parts):
 
 
 def _adaptive(f, lower, upper, spec: QuadratureSpec):
-    """Worst-panel refinement; returns (value, error, panel edge list)."""
+    """Worst-panel refinement; returns (value, error, panel edge list).
+    Raises ValueError unless both limits are finite and lower < upper."""
+    lower, upper = float(lower), float(upper)
+    if not -math.inf < lower < upper < math.inf:
+        raise ValueError("integration needs finite limits with lower < upper, "
+                         f"got lower limit {lower} and upper limit {upper}")
     val, err = _panel(f, lower, upper)
     panels = [(lower, upper, 0, val, err)]
     while True:
@@ -126,7 +131,7 @@ def _adaptive(f, lower, upper, spec: QuadratureSpec):
         if done:
             return total, total_err, [(p[0], p[1]) for p in panels]
         a, b, depth, _, _ = panels[worst]
-        if depth >= spec.max_depth:
+        if depth >= _MAX_DEPTH:
             raise NonConvergenceError(
                 f"error {report[0]:.3e} above tolerance {report[1]:.3e} at depth "
                 f"{depth} on panel [{a}, {b}]")
@@ -141,9 +146,9 @@ def _adaptive(f, lower, upper, spec: QuadratureSpec):
 
 
 def integrate_with_panels(f, lower, upper, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Like :func:`integrate` over a finite range, also returning the refined
-    panel edges so a perturbed integrand can be re-summed on the same grid."""
-    return _adaptive(f, float(lower), float(upper), spec)
+    """Like :func:`integrate`, also returning the refined panel edges so a
+    perturbed integrand can be re-summed on the same grid."""
+    return _adaptive(f, lower, upper, spec)
 
 
 def resum_panels(f, panels):
@@ -157,27 +162,13 @@ def resum_panels(f, panels):
 
 
 def integrate(f, lower, upper, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Integrate f over [lower, upper]; returns (value, error_bound).
+    """Integrate f over the finite range [lower, upper], lower < upper;
+    returns (value, error_bound).
 
-    ``upper`` may be numpy.inf; ``lower`` must be finite.  The integrand may
-    carry integrable endpoint singularities, which cost subdivision depth.
-    Raises :class:`NonConvergenceError` when max_depth is exhausted with the
-    error estimate above tolerance, or when a panel is too narrow to place
-    its nodes inside it.
+    The integrand may carry integrable endpoint singularities, which cost
+    subdivision depth.  Raises ValueError for an infinite, NaN or
+    non-increasing pair of limits, and :class:`NonConvergenceError` when a
+    panel _MAX_DEPTH bisections deep still has its error above tolerance, or
+    when a panel is too narrow to place its nodes inside it.
     """
-    lower = float(lower)
-    if not math.isfinite(lower):
-        raise ValueError("lower limit must be finite")
-    if math.isinf(upper):
-        def mapped(s):
-            return f(lower + s / (1.0 - s)) / (1.0 - s) ** 2
-
-        return integrate(mapped, 0.0, 1.0, spec)
-    upper = float(upper)
-    if upper == lower:
-        return 0.0, 0.0
-    if upper < lower:
-        value, err = integrate(f, upper, lower, spec)
-        return -value, err
-    value, err, _ = _adaptive(f, lower, upper, spec)
-    return value, err
+    return _adaptive(f, lower, upper, spec)[:2]

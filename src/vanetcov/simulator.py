@@ -50,7 +50,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,14 +60,14 @@ SIDELINK = "SL"
 DOWNLINK = "DL"
 TOTAL = "Total"
 
-RATE_CAP_BITS = 60.0       # numerical guard on log2(1 + SIR)
 DEGENERATE_ABORT_FRACTION = 1e-6
 BATCH_SIZE = 1024          # replications per batch, each with its own stream
 MAX_WORKERS = 4            # batches in flight at once
 
 
 class DegenerateRealizationError(RuntimeError):
-    """No serving candidate: no base station in window and no vehicle in range."""
+    """A draw no estimate can use: no serving candidate (no base station in
+    the window and no vehicle in range), or a serving distance of exactly 0."""
 
 
 @dataclass(frozen=True)
@@ -295,13 +294,10 @@ def _first_min_index(d2, starts, d2_min, rows):
     """Flat index of the first entry equal to its segment minimum, for each
     segment in ``rows`` (all nonempty).  Only entries at or below the largest
     requested minimum can match, so the search runs on that subset."""
-    if rows.size == 0:
-        return rows
-    cand = np.flatnonzero(d2 <= d2_min[rows].max())
+    cand = np.flatnonzero(d2 <= d2_min[rows].max(initial=-1.0))
     seg = np.searchsorted(starts, cand, side="right") - 1
     hit = d2[cand] == d2_min[seg]
-    cand, seg = cand[hit], seg[hit]
-    return cand[np.searchsorted(seg, rows)]
+    return cand[hit][np.searchsorted(seg[hit], rows)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,12 +365,6 @@ class SirBatch:
         bound = np.minimum(0.5 * s * s * self.far_var, -np.expm1(-s * self.far_mean))
         bound *= np.exp(-s * self.interference)
         return bound
-
-    def dl_rate_samples(self):
-        """log2(1 + SIR) on downlink samples, capped; returns (values, hits)."""
-        raw = np.log1p(np.minimum(self.sir, 2.0 ** 80)) / math.log(2.0)
-        hits = int(np.count_nonzero((raw > RATE_CAP_BITS) & ~self.is_sl))
-        return np.where(self.is_sl, 0.0, np.minimum(raw, RATE_CAP_BITS)), hits
 
 
 def _received_power(fade, d2, alpha):
@@ -607,11 +597,16 @@ AREA_PROBES = 256             # probes per cell for the inside/outside split
 PAIR_BUDGET = 1 << 16         # point-line pairs held at once
 
 
-def _next_vertex(m, width):
-    """Column of each vertex's successor in (n, width) padded polygons whose
-    row i has m[i] valid vertices: k + 1, wrapping to 0 at the last one."""
-    col = np.arange(width)
-    return np.where(col + 1 < m[:, None], col + 1, 0)
+def _successors(m, width):
+    """Flat index of each vertex's successor in (n, width) padded polygons,
+    flattened to n * width slots, whose row i has m[i] valid vertices: the
+    next slot, wrapping to the row's first at its last valid vertex.  Padded
+    slots point anywhere in bounds, as only valid vertices are read."""
+    base = np.arange(0, m.size * width, width)
+    succ = np.arange(1, m.size * width + 1)
+    succ[-1] = 0
+    succ[base + m - 1] = base
+    return succ
 
 
 def _clip(q, m, c):
@@ -626,12 +621,7 @@ def _clip(q, m, c):
     The nucleus is strictly inside, so no polygon is clipped away.
     """
     k, width = q.shape[:2]
-    base = np.arange(0, k * width, width)
-    # flat index of each vertex's successor; padded slots point anywhere in
-    # bounds, as only valid vertices are read
-    succ = np.arange(1, k * width + 1)
-    succ[-1] = 0
-    succ[base + m - 1] = base
+    succ = _successors(m, width)
     s = np.einsum("kvj,kj->kv", q, c)
     s -= 0.5 * np.einsum("kj,kj->k", c, c)[:, None]
     s = s.ravel()
@@ -719,7 +709,7 @@ def _voronoi_cells(lambda_b, n, rng, zero_cell):
 def _fan_areas(q, m):
     """(n, V) areas of the triangles (nucleus, q_k, q_k+1) that fan out each
     polygon; they sum to its area, and padded columns hold zeros."""
-    qn = np.take_along_axis(q, _next_vertex(m, q.shape[1])[..., None], axis=1)
+    qn = q.reshape(-1, 2).take(_successors(m, q.shape[1]), axis=0).reshape(q.shape)
     return 0.5 * (q[..., 0] * qn[..., 1] - q[..., 1] * qn[..., 0])
 
 
@@ -731,12 +721,11 @@ def _points_in_cells(q, m, tri, counts, rng):
     is u a + v b with (u, v) uniform on the unit triangle.  Returns the
     nucleus-relative points (k, 2).
     """
-    width = q.shape[1]
     per_tri = rng.multinomial(counts, tri / tri.sum(axis=1, keepdims=True))
     flat = np.repeat(np.arange(per_tri.size), per_tri.ravel())
-    nxt = _next_vertex(m, width) + np.arange(0, m.size * width, width)[:, None]
+    succ = _successors(m, q.shape[1])
     q = q.reshape(-1, 2)
-    a, b = q.take(flat, axis=0), q.take(nxt.ravel().take(flat), axis=0)
+    a, b = q.take(flat, axis=0), q.take(succ.take(flat), axis=0)
     uv = rng.random((flat.size, 2))
     fold = np.flatnonzero(uv.sum(axis=1) > 1.0)
     uv[fold] = 1.0 - uv[fold]
@@ -916,11 +905,13 @@ def estimate_effective_rate(cfg: NetworkConfig, plan: SimPlan,
     ss = np.random.SeedSequence(plan.seed)
     ss_num, ss_den = ss.spawn(2)
     batch = draw_sir_samples(cfg, plan, seed_sequence=ss_num)
-    rate, cap_hits = batch.dl_rate_samples()
-    if cap_hits:
-        warnings.warn(f"{cap_hits} of {len(batch)} rate samples hit the "
-                      f"{RATE_CAP_BITS} bits/s/Hz cap", RuntimeWarning,
-                      stacklevel=2)
+    # log2(1 + SIR) on downlink rows, 0 on sidelink ones; the far field keeps
+    # every SIR finite unless a serving distance is exactly 0, about 2^-53 a
+    # draw
+    rate = np.where(batch.is_sl, 0.0, np.log1p(batch.sir) / math.log(2.0))
+    if not np.isfinite(rate).all():
+        raise DegenerateRealizationError("an infinite downlink SIR: a base "
+                                         "station at the user's position")
     num = _mean_estimate(rate)
 
     reps = load_replications if load_replications is not None \

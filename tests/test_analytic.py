@@ -18,9 +18,9 @@ from vanetcov.analytic import (
     _p_assoc_sl,
     _rate_numerator_of,
     _rate_tail,
+    _road_exponents,
     _RoadSumTable,
     _road_sum_table,
-    _road_sums,
     _table_exponents,
     _unit_road_exponents,
     dl_coverage,
@@ -361,7 +361,7 @@ def test_interference_tail_matches_reference(alpha, m):
 
 
 def _quad_road_sums(radius, amp, mu, alpha):
-    """The serving factor, near sum and far sum behind _road_sums, each by
+    """The serving factor, near sum and far sum behind the road sums, each by
     nested scipy quad in its defining variable."""
     from scipy.integrate import quad
 
@@ -387,7 +387,7 @@ def test_road_sums_match_nested_quad(alpha):
     cases = [(0.0, 0.0, 5.0), (0.0, 1e-3, 5.0), (0.05, 0.0, 5.0), (0.05, 1e-4, 5.0),
              (0.15, 1e-2, 1.0), (0.3, 1.0, 5.0), (0.05, 10.0, 20.0)]
     for radius, amp, mu in cases:
-        got = _road_sums(np.array([radius]), np.array([amp]), mu, alpha, 96)
+        got = _road_exponents(np.array([radius]), np.array([amp]), alpha, 96).reduce(2.0 * mu)
         want = _quad_road_sums(radius, amp, mu, alpha)
         np.testing.assert_allclose(np.concatenate(got), want, rtol=1e-10, atol=0.0)
 
@@ -408,7 +408,7 @@ def test_road_sum_table_matches_road_sums(rho, alpha, m):
     table = _road_sum_table(rho, 5.0, alpha, k_max, m)
     rng = np.random.default_rng(int(100 * rho + 10 * alpha) + m)
     amp = np.concatenate([[0.0, k_max ** alpha], rng.uniform(0.0, k_max ** alpha, 200)])
-    want = _road_sums(np.full(amp.size, rho), amp, 5.0, alpha, m)[1]
+    want = _road_exponents(np.full(amp.size, rho), amp, alpha, m).reduce(2.0 * 5.0)[1]
     got = table(np.minimum(amp ** (1 / alpha), k_max))  # k_max^alpha may round up
     assert 0.0 < table.err < 1e-9
     assert np.max(np.abs(got - want)) <= table.err
@@ -419,7 +419,8 @@ def test_road_sum_table_matches_road_sums(rho, alpha, m):
 @pytest.mark.parametrize("rho, alpha", [(0.05, 4.0), (0.0, 3.0), (0.15, 3.7), (0.3, 2.5)])
 def test_road_sum_table_holds_the_road_sums_at_its_nodes_bit_for_bit(rho, alpha, mu, m):
     # the table reduces cached mu-free exponents; the road sums it holds are
-    # exactly those of one _road_sums call at its Chebyshev-Lobatto nodes
+    # exactly those of one _road_exponents call at its Chebyshev-Lobatto
+    # nodes, reduced with 2 mu
     k_max = _table_k_max(alpha)
     table = _road_sum_table(rho, mu, alpha, k_max, m)
     n = table.nodes.size - 1
@@ -427,7 +428,7 @@ def test_road_sum_table_holds_the_road_sums_at_its_nodes_bit_for_bit(rho, alpha,
                                rtol=0.0, atol=1e-15)
     u = 0.5 * (k_max / (k_max + table.c)) * (table.nodes + 1.0)
     amp = (table.c * u / (1.0 - u)) ** alpha
-    want = _road_sums(np.full(amp.size, rho), amp, mu, alpha, m)[1]
+    want = _road_exponents(np.full(amp.size, rho), amp, alpha, m).reduce(2.0 * mu)[1]
     w = table.weights[:, 1]
     assert np.array_equal(np.abs(w[1:-1]), np.ones(n - 1)) and abs(w[0]) == abs(w[-1]) == 0.5
     assert np.array_equal(table.weights[:, 0] / w, want)
@@ -586,14 +587,14 @@ def test_large_alpha_coverage_warns_of_no_overflow(alpha):
 @pytest.mark.parametrize("alpha", [3.0, 3.7])
 def test_road_sums_scale_with_the_radius(alpha):
     # every length in the road kernel scales with the radius:
-    # _road_sums(x, tau x^alpha, mu) = (serving, x * road_sum) of
-    # _road_sums(1, tau, mu x), on the same nodes
+    # the road sums at (x, tau x^alpha, mu) are (serving, x * road_sum) of
+    # those at (1, tau, mu x), on the same nodes
     tau, mu = 1.0, 5.0
     for x in (1e-3, 1e-2, 0.1, 1.0):
-        serving, road_sum = _road_sums(np.array([x]), np.array([tau * x ** alpha]),
-                                       mu, alpha, 96)
-        unit_serving, unit_sum = _road_sums(np.array([1.0]), np.array([tau]),
-                                            mu * x, alpha, 96)
+        serving, road_sum = _road_exponents(
+            np.array([x]), np.array([tau * x ** alpha]), alpha, 96).reduce(2.0 * mu)
+        unit_serving, unit_sum = _road_exponents(
+            np.array([1.0]), np.array([tau]), alpha, 96).reduce(2.0 * mu * x)
         np.testing.assert_allclose(serving, unit_serving, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(road_sum, x * unit_sum, rtol=1e-12, atol=0.0)
 

@@ -17,12 +17,6 @@ def test_constant():
     assert abs(value - 1.0) <= max(err, 1e-12)
 
 
-def test_exponential_tail():
-    value, err = integrate(lambda x: np.exp(-x), 0.0, np.inf)
-    assert abs(value - 1.0) < 1e-6
-    assert abs(value - 1.0) <= err
-
-
 def test_quarter_circle_endpoint_singularity():
     # same sqrt(rho^2 - u^2) pattern the association integral carries
     value, err = integrate(lambda u: 2.0 * np.sqrt(np.clip(1.0 - u * u, 0.0, None)),
@@ -36,15 +30,9 @@ def test_polynomial_is_near_exact():
     assert value == pytest.approx(1.0, abs=1e-13)
 
 
-def test_slow_power_tail():
-    value, err = integrate(lambda x: x ** -1.5, 1.0, np.inf)
-    assert abs(value - 2.0) <= max(err, 1e-6)
-
-
 def test_error_bound_is_honest():
     cases = [
         (lambda x: np.sin(x), 0.0, math.pi, 2.0),
-        (lambda x: np.exp(-x * x), 0.0, np.inf, math.sqrt(math.pi) / 2),
         (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4),
     ]
     for f, a, b, truth in cases:
@@ -52,25 +40,30 @@ def test_error_bound_is_honest():
         assert abs(value - truth) <= err + 1e-14
 
 
-def test_reversed_limits_negate():
-    v1, _ = integrate(lambda x: x, 0.0, 2.0)
-    v2, _ = integrate(lambda x: x, 2.0, 0.0)
-    assert v1 == pytest.approx(-v2, rel=1e-12)
+@pytest.mark.parametrize("integrator", [integrate, integrate_with_panels])
+@pytest.mark.parametrize("lower, upper", [
+    (0.0, np.inf), (-np.inf, 0.0), (0.0, np.nan), (1.0, 0.0), (0.0, 0.0)])
+def test_limits_must_be_finite_and_increasing(integrator, lower, upper):
+    # ranges are finite and forward; anything else is refused before any
+    # panel is formed, with both limits named
+    def f(x):
+        raise AssertionError("the integrand must not be called")
+    with pytest.raises(ValueError, match=f"lower limit {lower} and upper limit {upper}"):
+        integrator(f, lower, upper)
 
 
 def test_scalar_only_integrand_raises():
     # integrands map node arrays to arrays; nothing loops over scalars
     with pytest.raises(TypeError):
-        integrate(lambda x: math.exp(-x), 0.0, np.inf)
+        integrate(lambda x: math.exp(-x), 0.0, 1.0)
     with pytest.raises(ValueError, match=r"shape \(\) for nodes of shape \(15,\)"):
         integrate(lambda x: 1.0, 0.0, 1.0)
 
 
 def test_nonconvergence_raised():
-    spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15, max_depth=3)
-    with pytest.raises(NonConvergenceError):
-        integrate(lambda u: 2.0 * np.sqrt(np.clip(1.0 - u * u, 0.0, None)),
-                  0.0, 1.0, spec)
+    # 1/x: the panel at 0 splits until it is as deep as refinement goes
+    with pytest.raises(NonConvergenceError, match="at depth 48"):
+        integrate(lambda x: 1.0 / x, 0.0, 1.0)
 
 
 def test_nonfinite_integrand_rejected():
@@ -86,10 +79,10 @@ def test_divergent_integral_raises():
 
 
 def test_panel_below_resolution_raises_before_sampling_the_edge():
-    # a tail decaying barely faster than 1/w: the panels near the mapped
-    # endpoint s = 1 shrink until a node would round onto it
+    # a singularity barely too strong to integrate: the panels next to
+    # x = 1 shrink until a node would round onto it
     with pytest.raises(NonConvergenceError, match="below floating-point resolution"):
-        integrate(lambda w: w / (w ** 2.001 + 1.0), 0.0, np.inf)
+        integrate(lambda x: (1.0 - x) ** -1.001, 0.0, 1.0)
 
 
 def test_infinite_lower_rejected():
@@ -100,8 +93,6 @@ def test_infinite_lower_rejected():
 def test_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_depth=0)
 
 
 def test_panel_resum_matches_adaptive():
@@ -131,8 +122,6 @@ def _three(fns):
 @pytest.mark.parametrize("fns, lower, upper, truths", [
     ((np.sin, lambda x: x * x, lambda x: 1.0 / (1.0 + x)), 0.0, math.pi,
      (2.0, math.pi ** 3 / 3.0, math.log1p(math.pi))),
-    ((lambda x: np.exp(-0.5 * x), lambda x: np.exp(-5.0 * x), lambda x: np.exp(-x * x)),
-     0.0, np.inf, (2.0, 0.2, math.sqrt(math.pi) / 2.0)),
 ])
 def test_vector_integrand_meets_each_component_error(fns, lower, upper, truths):
     spec = QuadratureSpec()
@@ -145,7 +134,6 @@ def test_vector_integrand_meets_each_component_error(fns, lower, upper, truths):
 
 @pytest.mark.parametrize("f, lower, upper", [
     (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 4.0),
-    (lambda x: np.exp(-x * x), 0.0, np.inf),
     (lambda u: 2.0 * np.sqrt(np.clip(1.0 - u * u, 0.0, None)), 0.0, 1.0),
 ])
 def test_one_component_vector_matches_scalar_bit_for_bit(f, lower, upper):

@@ -1,11 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracle import sample_network, sample_sir
-from vanetcov import NetworkConfig, validate
+from vanetcov import NetworkConfig, simulator, validate
 from vanetcov.analytic import (
     NU,
     dl_coverage,
@@ -410,3 +411,18 @@ def test_effective_rate_classic_no_roads():
     want, _ = effective_rate_with_error(cfg)
     assert abs(est.mean - want) < 3 * est.std_error
 
+
+def test_effective_rate_refuses_an_infinite_sir(monkeypatch):
+    # a serving distance of exactly 0 makes the SIR infinite and the mean
+    # rate meaningless: the estimate raises, with no numpy warning first
+    real_draw = simulator.draw_sir_samples
+
+    def draw_with_one_infinite_sir(*args, **kwargs):
+        batch = real_draw(*args, **kwargs)
+        batch.sir[np.flatnonzero(~batch.is_sl)[0]] = np.inf
+        return batch
+    monkeypatch.setattr(simulator, "draw_sir_samples", draw_with_one_infinite_sir)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateRealizationError, match="infinite downlink SIR"):
+            estimate_effective_rate(REF_CFG, make_plan(REF_CFG, 2048, seed=3))

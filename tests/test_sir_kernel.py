@@ -16,7 +16,6 @@ from vanetcov.simulator import (
     SIDELINK,
     DegenerateRealizationError,
     SimPlan,
-    _first_min_index,
     _received_power,
     _resolve_sir,
     _segment_reduce,
@@ -99,12 +98,21 @@ def test_kernel_matches_scalar_reference(replications, alpha):
             assert sir[i] == pytest.approx(ref.sir, rel=1e-12)
 
 
+def _first_minima(d2, starts):
+    """Per segment, the flat index of its first minimum, by one np.argmin
+    over the whole segment; -1 for an empty segment."""
+    return np.array([lo + np.argmin(d2[lo:hi]) if hi > lo else -1
+                     for lo, hi in zip(starts[:-1], starts[1:])], dtype=np.int64)
+
+
 def _resolve_sir_by_full_scan(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b,
                              fade_b):
-    """The kernel with the sidelink association taken from every vehicle's
-    segment minimum, and the serving vehicle found by a second scan."""
-    dv2_min = _segment_reduce(np.minimum, d2_v, veh_starts, np.inf)
-    db2_min = _segment_reduce(np.minimum, d2_b, bs_starts, np.inf)
+    """The kernel with the association and both serving transmitters taken
+    from a scan of every segment, row by row."""
+    iv, ib = _first_minima(d2_v, veh_starts), _first_minima(d2_b, bs_starts)
+    # index -1 (an empty segment) reads the appended inf
+    dv2_min = np.append(d2_v, np.inf)[iv]
+    db2_min = np.append(d2_b, np.inf)[ib]
     is_sl = dv2_min <= cfg.rho * cfg.rho
     degenerate = ~is_sl & np.isinf(db2_min)
     sl_rows = np.flatnonzero(is_sl)
@@ -112,8 +120,7 @@ def _resolve_sir_by_full_scan(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d
     with np.errstate(divide="ignore"):
         loss = np.power(np.where(is_sl, dv2_min, db2_min), -0.5 * cfg.alpha)
     loss[sl_rows] *= cfg.p_v / cfg.p_b
-    iv = _first_min_index(d2_v, veh_starts, dv2_min, sl_rows)
-    ib = _first_min_index(d2_b, bs_starts, db2_min, dl_rows)
+    iv, ib = iv[sl_rows], ib[dl_rows]
     pw_v = _received_power(fade_v, d2_v, cfg.alpha)
     pw_v *= cfg.p_v / cfg.p_b
     pw_b = _received_power(fade_b, d2_b, cfg.alpha)
