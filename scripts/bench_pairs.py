@@ -1,0 +1,160 @@
+"""Paired benchmark runs of a parent commit and the working tree, written to
+one BENCH file.
+
+Usage, from the repository root:
+
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json [--seed0 22001]
+
+The parent side is ``git archive REV``; the change side is a copy of the
+working tree's src/, benchmarks/, BENCHMARK.json and pyproject.toml.  Each is
+unpacked into its own directory under .bench_pairs/, and every run is
+
+    python3 benchmarks/run.py --workload W --seed S --trace 0 --seconds T
+
+in that directory, with T the run_seconds of BENCHMARK.json, one run per side
+and pair.  Each workload gets 10 pairs.  Pairs alternate which side runs
+first (even pair index: parent first), and both sides of a pair use the same
+seed.  Workload number w (in WORKLOADS order) uses seeds seed0 + 100 w + i
+for pair i.  The values come from the result file
+run.py writes to .bench_work/results/; quartiles are
+statistics.quantiles(n=4), and wall_raw_s is the median raw pass time of a
+run.
+"""
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+METRICS = ("setup_s", "wall_s", "peak_rss_mb")
+CHANGE_FILES = ("src", "benchmarks", "BENCHMARK.json", "pyproject.toml")
+WORKLOADS = ("analytic_sweep", "mc_coverage", "cell_engine")
+PAIRS = 10
+WORKDIR = os.path.join(ROOT, ".bench_pairs")
+
+
+def checkout_parent(rev, dest):
+    data = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                          capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(data)) as tar:
+        tar.extractall(dest)
+
+
+def checkout_change(dest):
+    ignore = shutil.ignore_patterns("__pycache__", ".bench_work", "*.pyc")
+    os.makedirs(dest)
+    for name in CHANGE_FILES:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, name), ignore=ignore)
+        else:
+            shutil.copy2(src, dest)
+
+
+def run(side_dir, workload, seed, seconds):
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload,
+           "--seed", str(seed), "--trace", "0", "--seconds", str(seconds)]
+    subprocess.run(cmd, cwd=side_dir, check=True, stdout=subprocess.DEVNULL)
+    path = os.path.join(side_dir, ".bench_work", "results",
+                        f"{workload}-seed{seed}-trace0.json")
+    with open(path, encoding="utf-8") as fh:
+        res = json.load(fh)
+    row = {"seed": seed}
+    row.update({m: res["metrics"][m]["value"] for m in METRICS})
+    row.update(wall_raw_s=statistics.median(p["wall_raw_s"] for p in res["passes"]),
+               attempted=res["attempted"], failed=res["failed"],
+               passes=len(res["passes"]))
+    return row, res["provenance"]
+
+
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarise(runs):
+    parent, change = runs["parent"], runs["change"]
+    summary = {side: {**{m: quartiles([r[m] for r in rows]) for m in METRICS},
+                      "failed": sum(r["failed"] for r in rows),
+                      "attempted": sum(r["attempted"] for r in rows)}
+               for side, rows in runs.items()}
+    ratios = {m: [c[m] / p[m] for p, c in zip(parent, change)] for m in METRICS}
+    return {"summary": summary,
+            "change_better_pairs": {m: sum(r < 1.0 for r in ratios[m]) for m in METRICS},
+            "pairs": len(parent),
+            "median_ratio_change_over_parent": {m: statistics.median(ratios[m])
+                                                for m in METRICS}}
+
+
+def note(workload, doc):
+    s, n = doc["summary"], doc["pairs"]
+    parts = []
+    for m in METRICS:
+        p, c = s["parent"][m], s["change"][m]
+        iqr = p["q3"] - p["q1"]
+        gap = p["median"] - c["median"]
+        parts.append(f"{m} {p['median']:.4g} -> {c['median']:.4g} "
+                     f"(ratio {doc['median_ratio_change_over_parent'][m]:.3f}, "
+                     f"better in {doc['change_better_pairs'][m]}/{n} pairs, "
+                     f"median gap {gap:.3g} against parent IQR {iqr:.3g})")
+    return (f"{workload}: " + "; ".join(parts)
+            + f"; failed output checks {s['parent']['failed']} (parent) and "
+            f"{s['change']['failed']} (change).")
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--out", required=True)
+    ap.add_argument("--seed0", type=int, default=22001)
+    args = ap.parse_args()
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
+
+    shutil.rmtree(WORKDIR, ignore_errors=True)
+    sides = {"parent": os.path.join(WORKDIR, "parent"),
+             "change": os.path.join(WORKDIR, "change")}
+    checkout_parent(args.parent, sides["parent"])
+    checkout_change(sides["change"])
+    parent_commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
+                                   capture_output=True, text=True).stdout.strip()
+
+    out = {"what": ("Parent commit vs the working tree on each workload. Values are "
+                    "copied from the result files that `python3 benchmarks/run.py "
+                    "--workload W --seed S --trace 0` writes to .bench_work/results/, "
+                    "each side run from its own directory with identical benchmark "
+                    "code; pairs alternate which side runs first (even pair index: "
+                    "parent first). Written by scripts/bench_pairs.py."),
+           "end_to_end_unit": {"setup_s": "s (scaled to reference speed)",
+                               "wall_s": "s (scaled to reference speed)",
+                               "peak_rss_mb": "MB"},
+           "run_seconds": seconds,
+           "provenance": {"parent_commit": parent_commit},
+           "workloads": {}, "notes": []}
+    for w, workload in enumerate(WORKLOADS):
+        seeds = [args.seed0 + 100 * w + i for i in range(PAIRS)]
+        runs = {"parent": [], "change": []}
+        for i, seed in enumerate(seeds):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                row, prov = run(sides[side], workload, seed, seconds)
+                row["ran_first"] = side == order[0]
+                runs[side].append(row)
+                out["provenance"][side] = {k: v for k, v in prov.items() if k != "seed"}
+            print(f"{workload} pair {i}: wall_s parent {runs['parent'][-1]['wall_s']:.4f} "
+                  f"change {runs['change'][-1]['wall_s']:.4f}", flush=True)
+        doc = {"seeds": seeds, "runs": runs, **summarise(runs)}
+        out["workloads"][workload] = doc
+        out["notes"].append(note(workload, doc))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            json.dump(out, fh, indent=1)
+    print("\n".join(out["notes"]))
+
+
+if __name__ == "__main__":
+    main()

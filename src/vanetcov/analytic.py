@@ -17,7 +17,8 @@ until the outer value is stable (:func:`_leveled_outer`).  The parts:
 * the sidelink, :func:`sl_coverage`: the road kernel at radius 1, rescaled to
   the serving distance (:func:`_unit_road_exponents`);
 * the effective rate, :func:`effective_rate_with_error`: the downlink
-  coverage integrated over the thresholds 2^x - 1
+  coverage integrated over the thresholds 2^x - 1 on dyadic segments that
+  refine in rounds, one :func:`_dl_coverages` call per round
   (:func:`_rate_numerator_of`), and the utility and total rate built on it.
 
 Substitutions keep every integrand bounded on a finite range: r = radius
@@ -53,6 +54,7 @@ from .quadrature import (
     NonConvergenceError,
     QuadratureSpec,
     integrate,
+    integrate_segments,
     integrate_with_panels,
     resum_panels,
 )
@@ -264,11 +266,12 @@ class _RoadSumTable(NamedTuple):
             raise ValueError(f"road-sum table reaches k = {self.k_max:.6g}, "
                              f"asked for {k.max():.6g}")
         u_max = self.k_max / (self.k_max + self.c)
-        d = np.subtract.outer(2.0 * k / ((k + self.c) * u_max) - 1.0, self.nodes)
+        # node-major, so the product below takes d as it lies
+        d = (2.0 * k / ((k + self.c) * u_max) - 1.0) - self.nodes[:, None]
         # at a node itself, that node's term outweighs the rest to the last bit
         d[d == 0.0] = 1e-200
         np.divide(1.0, d, out=d)
-        num, den = self.weights.T @ d.T
+        num, den = self.weights.T @ d
         return num / den
 
 
@@ -596,9 +599,11 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
     The range [0, 1], [1, 2], ..., [hi / 2, hi] ends, before any integrand
     call, at the first hi whose :func:`_rate_tail` is within abs_tol, and that
     tail joins the error; past x = 1024 the thresholds 2^x - 1 overflow, so a
-    longer range raises NonConvergenceError.  The 15 nodes of each outer panel
-    are one :func:`_dl_coverages` call; the largest of their errors joins the
-    inner-error ledger."""
+    longer range raises NonConvergenceError.  The segments refine together
+    (:func:`integrate_segments`), each to its own tolerance: the nodes of a
+    round's new panels, 15 per panel across every segment still above
+    tolerance, are one :func:`_dl_coverages` call, and the largest of that
+    call's errors joins the inner-error ledger."""
     edges = [0.0, 1.0]
     while (tail := _rate_tail(edges[-1], alpha)) > spec.abs_tol:
         if edges[-1] >= sys.float_info.max_exp:  # 2^x overflows past x = 1024
@@ -615,11 +620,10 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
         return res.value
 
     total = outer_err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        v, e = integrate(g, lo, hi, spec)
+    for v, e, _ in integrate_segments(g, edges, spec):
         total += v
         outer_err += e
-    err = outer_err + max(inner_errors) * hi + tail
+    err = outer_err + max(inner_errors) * edges[-1] + tail
     return AnalyticResult(cfg.lambda_b * total, cfg.lambda_b * err)
 
 

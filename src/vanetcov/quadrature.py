@@ -19,6 +19,15 @@ every component, and refinement stops only when every component meets its
 tolerance.  Values and errors then come back as arrays of k.  A plain array
 keeps its scalar dot products and sums, and a one-row vector integrand gives
 the same value and error to the last bit.
+
+:func:`integrate_segments` refines several adjacent segments at once, each
+to its own tolerance, with the panels, values and errors that
+:func:`integrate_with_panels` gives each alone; a failing segment raises what
+it would raise alone, and of several, the first to fail by round.  It
+evaluates in rounds: each round's new panels, across all segments still above
+tolerance, are one integrand call, so an integrand whose calls cost more than
+its nodes (a nested solve per call) is called once per round, not once per
+panel.
 """
 from __future__ import annotations
 
@@ -46,6 +55,8 @@ DEFAULT_SPEC = QuadratureSpec()
 
 _MAX_DEPTH = 48
 _MAX_PANELS = 4096
+# a vector integrand's panel arrays start with this many columns and double
+_PANEL_BLOCK = 64
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _KRONROD_NODES = np.array([
@@ -70,20 +81,31 @@ _GAUSS_WEIGHTS = np.array([
 ])
 
 
-def _panel(f, a, b):
+def _place(a, b):
+    """The 15 Kronrod nodes of panel [a, b] and its half-width."""
     half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = mid + half * _KRONROD_NODES
+    xs = 0.5 * (a + b) + half * _KRONROD_NODES
     if not (a < xs[0] and xs[-1] < b):
         # the outer nodes rounded onto the edges, where f may be singular
         raise NonConvergenceError(
             f"panel [{a}, {b}] is below floating-point resolution")
+    return xs, half
+
+
+def _call(f, xs):
+    """f at the nodes xs, a plain array of their shape or one row per
+    component; any other shape raises ValueError."""
     ys = np.asarray(f(xs), dtype=float)
-    if ys.ndim not in (1, 2) or ys.shape[-1:] != _KRONROD_NODES.shape:
+    if ys.ndim not in (1, 2) or ys.shape[-1:] != xs.shape:
         raise ValueError(f"integrand returned shape {ys.shape} for nodes of "
-                         f"shape {_KRONROD_NODES.shape}; it must map a node "
+                         f"shape {xs.shape}; it must map a node "
                          "array to an array of the same shape, or to one row "
                          "per component")
+    return ys
+
+
+def _sums(ys, half, a, b):
+    """The GK15 value and |K15 - G7| of one panel's node values."""
     if not np.isfinite(ys).all():
         raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
     if ys.ndim == 1:
@@ -95,6 +117,11 @@ def _panel(f, a, b):
     return k15, np.abs(k15 - g7)
 
 
+def _panel(f, a, b):
+    xs, half = _place(a, b)
+    return _sums(_call(f, xs), half, a, b)
+
+
 def _fsum(parts):
     """math.fsum over panels, component by component for a vector integrand."""
     if isinstance(parts[0], float):
@@ -102,47 +129,144 @@ def _fsum(parts):
     return np.array([math.fsum(c) for c in np.array(parts).T.tolist()])
 
 
-def _adaptive(f, lower, upper, spec: QuadratureSpec):
-    """Worst-panel refinement; returns (value, error, panel edge list).
-    Raises ValueError unless both limits are finite and lower < upper."""
+def _check_limits(lower, upper):
     lower, upper = float(lower), float(upper)
     if not -math.inf < lower < upper < math.inf:
         raise ValueError("integration needs finite limits with lower < upper, "
                          f"got lower limit {lower} and upper limit {upper}")
-    val, err = _panel(f, lower, upper)
-    panels = [(lower, upper, 0, val, err)]
-    while True:
-        total = _fsum([p[3] for p in panels])
-        total_err = _fsum([p[4] for p in panels])
-        if isinstance(total, float):
-            tol = max(spec.abs_tol, spec.rel_tol * abs(total))
-            done = total_err <= tol
-            worst = max(range(len(panels)), key=lambda i: panels[i][4])
-            report = total_err, tol
+    return lower, upper
+
+
+class _Panels:
+    """One range under worst-panel refinement: each panel's edges and depth,
+    and its value and error, which math.fsum sums exactly at every step.  A
+    split panel's entries change in place and its right half goes last.  A
+    plain integrand keeps two lists and splits the first panel of largest
+    error; a vector integrand keeps two (components, panels) arrays of
+    _PANEL_BLOCK columns, doubled when full (one column per panel up to the
+    budget, 3.4 MB at 105 components, raised an analytic sweep's peak RSS
+    by 1.6 MB)."""
+
+    def __init__(self, lower, upper, value, error):
+        self.edges, self.depths = [(lower, upper)], [0]
+        self.scalar = isinstance(value, float)
+        if self.scalar:
+            self.values, self.errors = [], []
         else:
+            self.values = np.empty((value.size, _PANEL_BLOCK))
+            self.errors = np.empty_like(self.values)
+        self._put(0, value, error)
+
+    def _put(self, slot, value, error):
+        if self.scalar:
+            # replaces the entry at slot, or appends one at the end
+            self.values[slot:slot + 1] = (value,)
+            self.errors[slot:slot + 1] = (error,)
+            return
+        if slot == self.values.shape[1]:
+            self.values = np.concatenate([self.values, np.empty_like(self.values)], axis=1)
+            self.errors = np.concatenate([self.errors, np.empty_like(self.errors)], axis=1)
+        self.values[:, slot] = value
+        self.errors[:, slot] = error
+
+    def split(self, spec):
+        """The two halves of the worst panel, or None once every component
+        meets its tolerance; ``total`` and ``error`` then hold the sums.
+        Raises NonConvergenceError at the depth limit or the panel budget."""
+        n = len(self.depths)
+        if self.scalar:
+            self.total, self.error = math.fsum(self.values), math.fsum(self.errors)
+            tol = max(spec.abs_tol, spec.rel_tol * abs(self.total))
+            if self.error <= tol:
+                return None
+            worst = self.errors.index(max(self.errors))
+            report = self.error, tol
+        else:
+            errors = self.errors[:, :n]
+            self.total = np.array([math.fsum(row) for row in self.values[:, :n].tolist()])
+            self.error = np.array([math.fsum(row) for row in errors.tolist()])
+            tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(self.total))
+            if np.all(self.error <= tol):
+                return None
             # the worst panel of the component farthest above its tolerance
             # has the largest error-to-tolerance ratio
-            tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-            done = np.all(total_err <= tol)
-            errors = np.array([p[4] for p in panels])
-            j = int(np.argmax(errors.max(axis=0) / tol))
-            worst = int(np.argmax(errors[:, j]))
-            report = total_err[j], tol[j]
-        if done:
-            return total, total_err, [(p[0], p[1]) for p in panels]
-        a, b, depth, _, _ = panels[worst]
+            j = int(np.argmax(errors.max(axis=1) / tol))
+            worst = int(np.argmax(errors[j]))
+            report = self.error[j], tol[j]
+        (a, b), depth = self.edges[worst], self.depths[worst]
         if depth >= _MAX_DEPTH:
             raise NonConvergenceError(
                 f"error {report[0]:.3e} above tolerance {report[1]:.3e} at depth "
                 f"{depth} on panel [{a}, {b}]")
-        if len(panels) >= _MAX_PANELS:
+        if n >= _MAX_PANELS:
             raise NonConvergenceError(
                 f"panel budget {_MAX_PANELS} exhausted with error {report[0]:.3e}")
         mid = 0.5 * (a + b)
-        v1, e1 = _panel(f, a, mid)
-        v2, e2 = _panel(f, mid, b)
-        panels[worst] = (a, mid, depth + 1, v1, e1)
-        panels.append((mid, b, depth + 1, v2, e2))
+        self.edges[worst], self.depths[worst] = (a, mid), depth + 1
+        self.edges.append((mid, b))
+        self.depths.append(depth + 1)
+        self.worst = worst
+        return (a, mid), (mid, b)
+
+    def store(self, left, right):
+        """The (value, error) of the last split's two halves."""
+        self._put(self.worst, *left)
+        self._put(len(self.depths) - 1, *right)
+
+
+def _adaptive(f, lower, upper, spec: QuadratureSpec):
+    """Worst-panel refinement; returns (value, error, panel edge list).
+    Raises ValueError unless both limits are finite and lower < upper."""
+    lower, upper = _check_limits(lower, upper)
+    panels = _Panels(lower, upper, *_panel(f, lower, upper))
+    while (halves := panels.split(spec)) is not None:
+        panels.store(*[_panel(f, a, b) for a, b in halves])
+    return panels.total, panels.error, list(panels.edges)
+
+
+def integrate_segments(f, edges, spec: QuadratureSpec = DEFAULT_SPEC):
+    """Integrate an elementwise f over each segment [edges[i], edges[i + 1]];
+    returns one (value, error, panel edge list) per segment.
+
+    Each segment refines as :func:`integrate_with_panels` would refine it
+    alone, to its own tolerance, and gives the same panels, value and error
+    to the last bit.  A failing segment raises the error it would raise
+    alone; with several, the first to fail by round.  Only the calls to f
+    differ: each round's new panels, across every segment still above
+    tolerance, go to f as one flat array of 15 nodes per panel, and f must
+    return the array of its values.  Round 0 is every segment's whole range;
+    each later round is the two halves of each open segment's worst panel.
+    """
+    edges = [float(e) for e in edges]
+    if len(edges) < 2:
+        raise ValueError(f"integrate_segments needs at least two edges, got {edges}")
+    for lower, upper in zip(edges, edges[1:]):
+        _check_limits(lower, upper)
+    todo = list(zip(edges, edges[1:]))
+    segments, refining = [], []
+    while todo:
+        placed = [_place(a, b) for a, b in todo]
+        xs = np.concatenate([nodes for nodes, _ in placed])
+        ys = _call(f, xs)
+        if ys.ndim != 1:
+            raise ValueError(f"integrand returned shape {ys.shape} for nodes of "
+                             f"shape {xs.shape}; integrate_segments takes "
+                             "elementwise integrands only")
+        sums = [_sums(row, half, a, b) for row, (_, half), (a, b)
+                in zip(ys.reshape(-1, _KRONROD_NODES.size), placed, todo)]
+        if not segments:
+            segments = refining = [_Panels(a, b, *s) for (a, b), s in zip(todo, sums)]
+        else:
+            for i, panels in enumerate(refining):
+                panels.store(sums[2 * i], sums[2 * i + 1])
+        todo, still = [], []
+        for panels in refining:
+            halves = panels.split(spec)
+            if halves is not None:
+                todo.extend(halves)
+                still.append(panels)
+        refining = still
+    return [(p.total, p.error, list(p.edges)) for p in segments]
 
 
 def integrate_with_panels(f, lower, upper, spec: QuadratureSpec = DEFAULT_SPEC):

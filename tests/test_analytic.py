@@ -685,6 +685,60 @@ def test_rate_range_ends_where_the_envelope_meets_the_tolerance(monkeypatch, cas
     assert _rate_tail(hi, cfg.alpha) <= DEFAULT_SPEC.abs_tol < _rate_tail(hi / 2.0, cfg.alpha)
 
 
+def _rate_numerator_per_segment(cfg, spec=DEFAULT_SPEC):
+    """Reference rate numerator: one adaptive integral per dyadic segment,
+    one _dl_coverages call per outer panel, and the same error ledger."""
+    edges = [0.0, 1.0]
+    while (tail := _rate_tail(edges[-1], cfg.alpha)) > spec.abs_tol:
+        edges.append(2.0 * edges[-1])
+    inner_errors = []
+
+    def g(xs):
+        res = _dl_coverages(cfg, [2.0 ** float(x) - 1.0 for x in xs], spec)
+        inner_errors.append(float(res.est_abs_error.max()))
+        return res.value
+
+    parts = [integrate(g, lo, hi, spec) for lo, hi in zip(edges, edges[1:])]
+    value = sum(v for v, _ in parts)
+    err = sum(e for _, e in parts) + max(inner_errors) * edges[-1] + tail
+    return AnalyticResult(cfg.lambda_b * value, cfg.lambda_b * err)
+
+
+def _cold_rate_numerator(cfg):
+    _rate_numerator_of.cache_clear()
+    return _rate_numerator_of(cfg.lambda_l, cfg.mu, cfg.lambda_b, cfg.rho,
+                              cfg.alpha, cfg.p_v / cfg.p_b, DEFAULT_SPEC)
+
+
+def test_cold_rate_makes_one_downlink_call_per_round(monkeypatch):
+    # all dyadic segments refine together: a round's new panels are one call
+    calls = []
+    real = analytic._dl_coverages
+
+    def counted(cfg, taus, spec):
+        calls.append(len(taus))
+        return real(cfg, taus, spec)
+    monkeypatch.setattr(analytic, "_dl_coverages", counted)
+    _cold_rate_numerator(REF_CFG)
+    assert 0 < len(calls) <= 8
+    # round 0: the 15 nodes of each of the 7 segments [0, 1], ..., [32, 64]
+    assert calls[0] == 15 * 7
+    assert all(n % 30 == 0 for n in calls[1:])
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"alpha": 3.7, "p_v": 0.3}, {"rho": 0.2, "p_v": 0.1},
+    {"lambda_l": 0.0, "mu": 0.0, "alpha": 4.0}, {"alpha": 6.0},
+    {"lambda_l": 2.0, "mu": 1.0, "alpha": 2.5},
+], ids=["ref", "alpha3.7_pv0.3", "rho0.2_pv0.1", "noroads_alpha4", "alpha6",
+        "ll2_mu1_alpha2.5"])
+def test_rate_in_rounds_agrees_with_the_per_segment_reference(changes):
+    cfg = validate(replace(REF_CFG, **changes))
+    got = _cold_rate_numerator(cfg)
+    want = _rate_numerator_per_segment(cfg)
+    assert abs(got.value - want.value) <= got.est_abs_error + want.est_abs_error
+
+
 def test_rate_converges_at_alpha_20():
     # the range ends at x = 512, below the x = 1024 where 2^x overflows
     res = effective_rate_with_error(validate(replace(REF_CFG, alpha=20.0)))

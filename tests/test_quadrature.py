@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from vanetcov import quadrature
 from vanetcov.quadrature import (
     NonConvergenceError,
     QuadratureSpec,
     integrate,
+    integrate_segments,
     integrate_with_panels,
     resum_panels,
 )
@@ -162,3 +164,65 @@ def test_vector_integrand_with_one_nonfinite_component_raises():
         return out
     with pytest.raises(ValueError, match="non-finite"):
         integrate(f, 0.0, 1.0)
+
+
+DYADIC = [0.0, 1.0, 2.0, 4.0, 8.0, 16.0]
+
+
+@pytest.mark.parametrize("f", [
+    np.sqrt,
+    lambda x: np.exp(-x),
+    lambda x: 1.0 / (1.0 + x * x),
+    lambda x: np.exp(-x) * np.sin(3.0 * x),
+], ids=["sqrt", "exp", "lorentz", "damped_sine"])
+def test_segments_refine_each_segment_as_alone_bit_for_bit(f):
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+    got = integrate_segments(counted, DYADIC)
+    want = [integrate_with_panels(f, a, b) for a, b in zip(DYADIC, DYADIC[1:])]
+    assert got == want
+    # one call per round: every segment's whole range, then the two halves
+    # of each segment still above tolerance
+    splits = [len(panels) - 1 for _, _, panels in want]
+    assert len(calls) == 1 + max(splits)
+    assert sum(calls) == 15 * sum(2 * s + 1 for s in splits)
+    assert calls[0] == 15 * (len(DYADIC) - 1)
+
+
+@pytest.mark.parametrize("f, edges, lone", [
+    # 1/x: the panel at 0 splits until it is as deep as refinement goes
+    (lambda x: 1.0 / x, [0.0, 1.0, 2.0], (0.0, 1.0)),
+    # a node would round onto the singular edge x = 1
+    (lambda x: np.abs(1.0 - x) ** -1.001, [0.0, 0.5, 1.0], (0.5, 1.0)),
+], ids=["depth", "resolution"])
+def test_segments_fail_as_the_segment_alone(f, edges, lone):
+    with pytest.raises(NonConvergenceError) as alone:
+        integrate_with_panels(f, *lone)
+    with pytest.raises(NonConvergenceError) as batched:
+        integrate_segments(f, edges)
+    assert str(batched.value) == str(alone.value)
+
+
+def test_segments_exhaust_the_panel_budget_as_the_segment_alone(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 64)
+    # a line on [0, 1], settled in round 0; no panel set resolves [1, 2]
+    f = lambda x: np.where(x < 1.0, x, np.sin(1e4 * x))
+    with pytest.raises(NonConvergenceError, match="panel budget 64") as alone:
+        integrate_with_panels(f, 1.0, 2.0)
+    with pytest.raises(NonConvergenceError) as batched:
+        integrate_segments(f, [0.0, 1.0, 2.0])
+    assert str(batched.value) == str(alone.value)
+
+
+def test_segments_take_increasing_finite_edges_and_elementwise_integrands():
+    with pytest.raises(ValueError, match="lower limit 1.0 and upper limit 1.0"):
+        integrate_segments(np.exp, [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="upper limit inf"):
+        integrate_segments(np.exp, [0.0, np.inf])
+    with pytest.raises(ValueError, match="at least two edges"):
+        integrate_segments(np.exp, [0.0])
+    with pytest.raises(ValueError, match="elementwise integrands only"):
+        integrate_segments(lambda x: np.stack([x, x]), [0.0, 1.0, 2.0])
