@@ -43,7 +43,12 @@ row bound over its rows plus that term as ``bias_bound``.
 
 The cell estimators need no window: they build each replication's Voronoi
 cell exactly, as a convex polygon clipped by one bisector per base station in
-order of distance, and stop once no farther base station can cut it.
+order of distance, and stop once no farther base station can cut it.  A zero
+cell closes once the next arrival's distance r_next from the origin exceeds
+|x| + |x - n| at every vertex x, n being the nucleus: any later base station y
+has |y| >= r_next, so |x - y| >= r_next - |x| > |x - n| by the triangle
+inequality, and no later bisector reaches the convex polygon.  The typical
+cell's nucleus is the origin, where the rule reads r_next > 2 |x|.
 """
 from __future__ import annotations
 
@@ -594,7 +599,7 @@ def estimate_coverage_grid(cfg: NetworkConfig, taus, plan: SimPlan,
 
 CELL_SQUARE_HALF_SIDE = 16.0  # start square, in units of 1 / sqrt(lambda_b)
 AREA_PROBES = 256             # probes per cell for the inside/outside split
-PAIR_BUDGET = 1 << 16         # point-line pairs held at once
+PAIR_BUDGET = 1 << 16         # points times (1 + kept roads) per point draw
 
 
 def _successors(m, width):
@@ -657,10 +662,13 @@ def _voronoi_cells(lambda_b, n, rng, zero_cell):
     every arrival as a competitor; the zero cell has the first arrival as its
     nucleus (placed on the positive x axis, by isotropy) and every later one
     as a competitor.  Each row starts as a square around its nucleus and is
-    clipped by one competitor's bisector per step until the next arrival can
-    no longer cut it: its distance from the nucleus, at least r_next - d0,
-    exceeds twice the farthest vertex's.  Later arrivals are farther still,
-    so the polygon is the exact cell once no vertex of the square is left.
+    clipped by one competitor's bisector per step until the next arrival, at
+    r_next from the origin, can no longer cut it: r_next > |x| + |x - n| at
+    every vertex x, nucleus n.  Every later arrival y has |y| >= r_next, so
+    |x - y| >= r_next - |x| > |x - n|: each vertex, and so the convex
+    polygon, stays on the nucleus's side of y's bisector.  For the typical
+    cell (n at the origin) the test reads r_next^2 > 4 max |x|^2.  The
+    polygon is the exact cell once no vertex of the square is left.
 
     Returns (q, m): (n, V, 2) nucleus-relative vertices, counter-clockwise
     and zero-padded, and the vertex count of each row.
@@ -678,8 +686,13 @@ def _voronoi_cells(lambda_b, n, rng, zero_cell):
     done = []
     while True:
         r_next = np.sqrt(arrival / (math.pi * lambda_b))
-        gap = r_next - d0
-        closed = gap * gap > 4.0 * np.einsum("kvj,kvj->kv", q, q).max(axis=1)
+        n2 = np.einsum("kvj,kvj->kv", q, q)
+        if zero_cell:
+            # |x| + |x - n| per vertex, x = v + (d0, 0) seen from the origin
+            reach = np.sqrt((q[..., 0] + d0[:, None]) ** 2 + q[..., 1] ** 2) + np.sqrt(n2)
+            closed = r_next > reach.max(axis=1)
+        else:
+            closed = r_next * r_next > 4.0 * n2.max(axis=1)
         if closed.any():
             done.append((rows[closed], q[closed], m[closed]))
             keep = ~closed
@@ -732,14 +745,6 @@ def _points_in_cells(q, m, tri, counts, rng):
     a *= uv[:, :1]
     a += uv[:, 1:] * b
     return a
-
-
-def _pairs(first, count):
-    """(owner, index) pairs: owner i with each of first[i] .. first[i] +
-    count[i] - 1, grouped by owner."""
-    start = _segment_starts(count)
-    owner = np.repeat(np.arange(count.size), count)
-    return owner, np.arange(start[-1]) + np.repeat(first - start[:-1], count)
 
 
 def _roads_near(cfg, q, rng):
@@ -795,23 +800,34 @@ def _in_vehicle_region(points, row, roads, rho):
     iff the vehicle's position along the road is within
     w = sqrt(rho^2 - delta^2) of the point's.  For each road closer than rho
     one search in the sorted vehicles finds the first vehicle of that road
-    at or after the point's position minus w.
+    at or after the point's position minus w.  Roads go one slot at a time:
+    slot j tests each point against road j of its row, for the points whose
+    row keeps more than j roads.
     """
     starts, nx, ny, r, road, vehicles = roads
-    pt, line = _pairs(starts[row], np.diff(starts)[row])
-    px, py = points[:, 0], points[:, 1]
-    delta = px.take(pt) * nx.take(line) + py.take(pt) * ny.take(line) - r.take(line)
-    close = np.flatnonzero(np.abs(delta) <= rho)
-    pt, line, delta = pt[close], line[close], delta[close]
-    along = px.take(pt) * ny.take(line) - py.take(pt) * nx.take(line)
-    w = np.sqrt(rho * rho - delta * delta)
-    road = road.take(line)
-    first = np.searchsorted(vehicles, road + 1j * (along - w))
-    found = vehicles[np.minimum(first, vehicles.size - 1)]
-    hit = first < vehicles.size
-    hit &= (found.real == road) & (found.imag <= along + w)
+    first = starts.take(row)
+    count = starts.take(row + 1) - first
+    order = np.argsort(count, kind="stable")
+    count = count.take(order)
+    # points by descending road count: slot j takes the first n_more[j], the
+    # points that keep more than j roads
+    order = order[::-1]
+    n_more = count.size - np.searchsorted(count, np.arange(count.max(initial=0)), side="right")
+    px, py, first = points[:, 0].take(order), points[:, 1].take(order), first.take(order)
     near = np.zeros(points.shape[0], dtype=bool)
-    near[pt[hit]] = True
+    for j, n in enumerate(n_more):
+        line = first[:n] + j
+        delta = px[:n] * nx.take(line) + py[:n] * ny.take(line) - r.take(line)
+        close = np.flatnonzero(np.abs(delta) <= rho)
+        line, delta = line.take(close), delta.take(close)
+        along = px.take(close) * ny.take(line) - py.take(close) * nx.take(line)
+        w = np.sqrt(rho * rho - delta * delta)
+        line_road = road.take(line)
+        at = np.searchsorted(vehicles, line_road + 1j * (along - w))
+        found = vehicles[np.minimum(at, vehicles.size - 1)]
+        hit = at < vehicles.size
+        hit &= (found.real == line_road) & (found.imag <= along + w)
+        near[order.take(close[hit])] = True
     return near
 
 
@@ -821,7 +837,9 @@ def _zero_cell_chunk(cfg, n, rng, users):
 
     Returns per row the exact area, the point count and how many points lie
     in the vehicle region.  Points are drawn and tested a few rows at a time,
-    so that at most PAIR_BUDGET point-road pairs are held at once.  A batch
+    in ranges of rows whose points times (1 + kept roads) sum to at most
+    PAIR_BUDGET.  No point-road pairs are held, so the budget only fixes where
+    the point draws split, and with it the random stream.  A batch
     with no road near any cell places no points: none could be in the
     vehicle region, and they would be the batch's last draws.
     """

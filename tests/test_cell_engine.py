@@ -147,6 +147,30 @@ def test_zero_cell_far_competitor_still_cuts():
     assert area == pytest.approx(_scipy_area(pts, 0), rel=1e-9)
 
 
+def test_zero_cell_closes_at_the_sharp_bound():
+    # nucleus (1, 0), a ring of eight competitors about 1.5 from the origin
+    # that bounds the cell, then four arrivals at 2.3 to 3.2.  Over the
+    # cell's vertices x, max |x| + |x - nucleus| is about 2.06, so the first
+    # of the four closes the cell: it is drawn but never clipped.  The looser
+    # rule, distance from the nucleus above twice the farthest vertex's
+    # (about 1.28), would clip all four and draw the infinite arrival too
+    ring = [((1.5 + 0.01 * k) * math.cos(2 * math.pi * k / 8 + 0.1),
+             (1.5 + 0.01 * k) * math.sin(2 * math.pi * k / 8 + 0.1)) for k in range(8)]
+    outer = [(r * math.cos(2.0 + r), r * math.sin(2.0 + r)) for r in (2.3, 2.6, 2.9, 3.2)]
+    pts = np.array([(1.0, 0.0)] + ring + outer)
+    vor = Voronoi(pts)
+    x = vor.vertices[vor.regions[vor.point_region[0]]]
+    to_nucleus = np.hypot(x[:, 0] - 1.0, x[:, 1])
+    sharp = (np.hypot(x[:, 0], x[:, 1]) + to_nucleus).max()
+    assert sharp < 2.3 and 3.2 - 1.0 <= 2.0 * to_nucleus.max()
+    area, draws = _engine_area(pts, zero_cell=True)
+    # the nucleus, the ring and the first outer arrival; the looser rule
+    # would draw 2 + 8 + 4, the last being the infinite arrival
+    assert draws == 1 + len(ring) + 1
+    assert draws < 2 + len(ring) + len(outer)
+    assert area == pytest.approx(_scipy_area(pts, 0), rel=1e-9)
+
+
 def test_cell_beyond_start_square_raises(monkeypatch):
     monkeypatch.setattr(simulator, "CELL_SQUARE_HALF_SIDE", 0.05)
     with pytest.raises(RuntimeError, match="start square"):
@@ -242,6 +266,69 @@ def test_vehicle_region_matches_brute_force():
     boundary = np.abs(d_min - cfg.rho) < 1e-12
     assert np.array_equal(near[~boundary], (d_min <= cfg.rho)[~boundary])
     assert 0.1 < near.mean() < 0.9
+
+
+def _in_vehicle_region_pairs(points, row, roads, rho):
+    """The vehicle-region test as every point-road pair at once: the
+    reference the per-slot loop must match bit for bit."""
+    starts, nx, ny, r, road, vehicles = roads
+    count = np.diff(starts)[row]
+    owner = np.repeat(np.arange(count.size), count)
+    pair_start = np.zeros(count.size + 1, dtype=np.int64)
+    np.cumsum(count, out=pair_start[1:])
+    line = np.arange(pair_start[-1]) + np.repeat(starts[row] - pair_start[:-1], count)
+    px, py = points[:, 0], points[:, 1]
+    delta = px.take(owner) * nx.take(line) + py.take(owner) * ny.take(line) - r.take(line)
+    close = np.flatnonzero(np.abs(delta) <= rho)
+    pt, line, delta = owner[close], line[close], delta[close]
+    along = px.take(pt) * ny.take(line) - py.take(pt) * nx.take(line)
+    w = np.sqrt(rho * rho - delta * delta)
+    road = road.take(line)
+    first = np.searchsorted(vehicles, road + 1j * (along - w))
+    found = vehicles[np.minimum(first, vehicles.size - 1)]
+    hit = first < vehicles.size
+    hit &= (found.real == road) & (found.imag <= along + w)
+    near = np.zeros(points.shape[0], dtype=bool)
+    near[pt[hit]] = True
+    return near
+
+
+@pytest.mark.parametrize("lambda_l", [5.0, 0.5])
+@pytest.mark.parametrize("rho", [0.05, 0.15, 0.2])
+def test_vehicle_region_matches_the_pair_formula_bit_for_bit(monkeypatch, rho, lambda_l):
+    cfg = validate(replace(REF_CFG, rho=rho, lambda_l=lambda_l))
+    # one batch of cells: all rows, and rows 0 .. b for the last few rows b
+    # with points and no kept road, so that a range ends in such a row
+    rng = np.random.default_rng(29)
+    q, m = _voronoi_cells(cfg.lambda_b, 60, rng, zero_cell=True)
+    roads = _roads_near(cfg, q, rng)
+    n_roads = np.diff(roads[0])
+    counts = rng.integers(0, 40, 60)
+    points = _points_in_cells(q, m, _fan_areas(q, m), counts, rng)
+    row = np.repeat(np.arange(60), counts)
+    road_free = np.flatnonzero((n_roads == 0) & (counts > 0))
+    assert np.any(n_roads > 1) and (road_free.size or lambda_l > 1.0)
+    for b in [*(road_free[-3:] + 1), 60]:
+        mine = row < b
+        got = _in_vehicle_region(points[mine], row[mine], roads, rho)
+        assert np.array_equal(got, _in_vehicle_region_pairs(points[mine], row[mine],
+                                                            roads, rho))
+
+    # every call the zero-cell estimators make, users and probes
+    real, calls = simulator._in_vehicle_region, []
+
+    def checked(points, row, roads, rho):
+        got = real(points, row, roads, rho)
+        assert np.array_equal(got, _in_vehicle_region_pairs(points, row, roads, rho))
+        calls.append(np.diff(roads[0])[row[-1]] == 0)
+        return got
+    monkeypatch.setattr(simulator, "_in_vehicle_region", checked)
+    plan = SimPlan(window_radius=3.0, n_samples=BATCH_SIZE + 100, seed=31)
+    estimate_zero_cell_areas(cfg, plan)
+    estimate_zero_cell_load(cfg, plan)
+    assert len(calls) > 2
+    if lambda_l < 1.0:
+        assert any(calls)   # some range ends in a row with no kept road
 
 
 def test_cell_estimators_bit_reproducible():
