@@ -452,8 +452,9 @@ def _dl_coverages(cfg: NetworkConfig, taus, spec: QuadratureSpec) -> AnalyticRes
     adaptive outer rule whose panels serve all thresholds, with values and
     errors in the shape of ``taus``.
 
-    Each integrand call reads the road-sum table once for every threshold's
-    15 nodes; the panel set refines until each threshold meets its own
+    The adaptive pass reads the road-sum table once per round, for every
+    threshold at all of that round's nodes, and a finer inner grid's re-sum
+    once per panel; the panel set refines until each threshold meets its own
     tolerance, and each states its own outer error, inner-grid difference,
     Gaussian tail, coefficient and table error.  The base-station
     coefficients of all thresholds are one vector integral

@@ -1,4 +1,4 @@
-"""Adaptive one-dimensional quadrature with an error ledger.
+"""Adaptive one-dimensional quadrature with an error ledger, in rounds.
 
 A 15-point Kronrod rule with its embedded 7-point Gauss rule drives panel
 subdivision: the worst panel (largest |K15 - G7|) splits until the summed
@@ -8,6 +8,16 @@ bounded integrand.  The rule's nodes are interior, so the ends are never
 sampled: a panel too narrow for its nodes to stay inside it in floating point
 raises NonConvergenceError, as does a panel _MAX_DEPTH bisections deep whose
 error is still above tolerance.
+
+One engine, :func:`integrate_segments`, refines one or several adjacent
+ranges, each to its own tolerance, and evaluates in rounds: round 0 is every
+range whole, and each later round is the two halves of the worst panel of
+each range still above tolerance.  A round is one integrand call on the
+round's nodes, 15 per panel, so an integrand whose calls cost more than its
+nodes (a nested solve per call) is called once per round, not once per
+panel.  :func:`integrate` and :func:`integrate_with_panels` are its one-range
+case; a failing range raises what it would raise alone, and of several, the
+first to fail by round.
 
 Integrands are called with a numpy array of nodes and must return the
 matching array, or a (k, nodes) array for k integrals on one panel set; any
@@ -19,15 +29,6 @@ every component, and refinement stops only when every component meets its
 tolerance.  Values and errors then come back as arrays of k.  A plain array
 keeps its scalar dot products and sums, and a one-row vector integrand gives
 the same value and error to the last bit.
-
-:func:`integrate_segments` refines several adjacent segments at once, each
-to its own tolerance, with the panels, values and errors that
-:func:`integrate_with_panels` gives each alone; a failing segment raises what
-it would raise alone, and of several, the first to fail by round.  It
-evaluates in rounds: each round's new panels, across all segments still above
-tolerance, are one integrand call, so an integrand whose calls cost more than
-its nodes (a nested solve per call) is called once per round, not once per
-panel.
 """
 from __future__ import annotations
 
@@ -92,18 +93,6 @@ def _place(a, b):
     return xs, half
 
 
-def _call(f, xs):
-    """f at the nodes xs, a plain array of their shape or one row per
-    component; any other shape raises ValueError."""
-    ys = np.asarray(f(xs), dtype=float)
-    if ys.ndim not in (1, 2) or ys.shape[-1:] != xs.shape:
-        raise ValueError(f"integrand returned shape {ys.shape} for nodes of "
-                         f"shape {xs.shape}; it must map a node "
-                         "array to an array of the same shape, or to one row "
-                         "per component")
-    return ys
-
-
 def _sums(ys, half, a, b):
     """The GK15 value and |K15 - G7| of one panel's node values."""
     if not np.isfinite(ys).all():
@@ -117,9 +106,22 @@ def _sums(ys, half, a, b):
     return k15, np.abs(k15 - g7)
 
 
-def _panel(f, a, b):
-    xs, half = _place(a, b)
-    return _sums(_call(f, xs), half, a, b)
+def _evaluate(f, spans):
+    """f called once at the Kronrod nodes of every panel [a, b] of spans;
+    returns each panel's GK15 value and |K15 - G7|.  f must return an array
+    of the nodes' shape or one row per component; any other shape raises
+    ValueError."""
+    placed = [_place(a, b) for a, b in spans]
+    xs = np.concatenate([nodes for nodes, _ in placed])
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.ndim not in (1, 2) or ys.shape[-1:] != xs.shape:
+        raise ValueError(f"integrand returned shape {ys.shape} for nodes of "
+                         f"shape {xs.shape}; it must map a node "
+                         "array to an array of the same shape, or to one row "
+                         "per component")
+    ys = ys.reshape(ys.shape[:-1] + (len(spans), _KRONROD_NODES.size))
+    return [_sums(ys[..., i, :], half, a, b)
+            for i, ((_, half), (a, b)) in enumerate(zip(placed, spans))]
 
 
 def _fsum(parts):
@@ -127,14 +129,6 @@ def _fsum(parts):
     if isinstance(parts[0], float):
         return math.fsum(parts)
     return np.array([math.fsum(c) for c in np.array(parts).T.tolist()])
-
-
-def _check_limits(lower, upper):
-    lower, upper = float(lower), float(upper)
-    if not -math.inf < lower < upper < math.inf:
-        raise ValueError("integration needs finite limits with lower < upper, "
-                         f"got lower limit {lower} and upper limit {upper}")
-    return lower, upper
 
 
 class _Panels:
@@ -214,74 +208,52 @@ class _Panels:
         self._put(len(self.depths) - 1, *right)
 
 
-def _adaptive(f, lower, upper, spec: QuadratureSpec):
-    """Worst-panel refinement; returns (value, error, panel edge list).
-    Raises ValueError unless both limits are finite and lower < upper."""
-    lower, upper = _check_limits(lower, upper)
-    panels = _Panels(lower, upper, *_panel(f, lower, upper))
-    while (halves := panels.split(spec)) is not None:
-        panels.store(*[_panel(f, a, b) for a, b in halves])
-    return panels.total, panels.error, list(panels.edges)
-
-
 def integrate_segments(f, edges, spec: QuadratureSpec = DEFAULT_SPEC):
-    """Integrate an elementwise f over each segment [edges[i], edges[i + 1]];
-    returns one (value, error, panel edge list) per segment.
+    """Integrate f over each segment [edges[i], edges[i + 1]]; returns one
+    (value, error, panel edge list) per segment.
 
-    Each segment refines as :func:`integrate_with_panels` would refine it
-    alone, to its own tolerance, and gives the same panels, value and error
-    to the last bit.  A failing segment raises the error it would raise
-    alone; with several, the first to fail by round.  Only the calls to f
-    differ: each round's new panels, across every segment still above
-    tolerance, go to f as one flat array of 15 nodes per panel, and f must
-    return the array of its values.  Round 0 is every segment's whole range;
-    each later round is the two halves of each open segment's worst panel.
+    Each segment refines to its own tolerance, and its panels, value and
+    error do not depend on the other segments.  A failing segment raises the
+    error it would raise alone; with several, the first to fail by round.
+    Round 0 is every segment's whole range; each later round is the two
+    halves of each open segment's worst panel.  A round's panels go to f as
+    one flat array of 15 nodes per panel, and f returns the array of its
+    values or one row per component.  Raises ValueError unless every edge is
+    finite and the edges increase.
     """
     edges = [float(e) for e in edges]
     if len(edges) < 2:
         raise ValueError(f"integrate_segments needs at least two edges, got {edges}")
-    for lower, upper in zip(edges, edges[1:]):
-        _check_limits(lower, upper)
     todo = list(zip(edges, edges[1:]))
-    segments, refining = [], []
-    while todo:
-        placed = [_place(a, b) for a, b in todo]
-        xs = np.concatenate([nodes for nodes, _ in placed])
-        ys = _call(f, xs)
-        if ys.ndim != 1:
-            raise ValueError(f"integrand returned shape {ys.shape} for nodes of "
-                             f"shape {xs.shape}; integrate_segments takes "
-                             "elementwise integrands only")
-        sums = [_sums(row, half, a, b) for row, (_, half), (a, b)
-                in zip(ys.reshape(-1, _KRONROD_NODES.size), placed, todo)]
-        if not segments:
-            segments = refining = [_Panels(a, b, *s) for (a, b), s in zip(todo, sums)]
-        else:
-            for i, panels in enumerate(refining):
-                panels.store(sums[2 * i], sums[2 * i + 1])
+    for lower, upper in todo:
+        if not -math.inf < lower < upper < math.inf:
+            raise ValueError("integration needs finite limits with lower < upper, "
+                             f"got lower limit {lower} and upper limit {upper}")
+    segments = refining = [_Panels(a, b, *s) for (a, b), s in zip(todo, _evaluate(f, todo))]
+    while True:
         todo, still = [], []
         for panels in refining:
             halves = panels.split(spec)
             if halves is not None:
                 todo.extend(halves)
                 still.append(panels)
-        refining = still
-    return [(p.total, p.error, list(p.edges)) for p in segments]
+        if not still:
+            return [(p.total, p.error, list(p.edges)) for p in segments]
+        refining, sums = still, _evaluate(f, todo)
+        for i, panels in enumerate(refining):
+            panels.store(sums[2 * i], sums[2 * i + 1])
 
 
 def integrate_with_panels(f, lower, upper, spec: QuadratureSpec = DEFAULT_SPEC):
     """Like :func:`integrate`, also returning the refined panel edges so a
     perturbed integrand can be re-summed on the same grid."""
-    return _adaptive(f, lower, upper, spec)
+    return integrate_segments(f, (lower, upper), spec)[0]
 
 
 def resum_panels(f, panels):
-    """GK15 sum of f over an existing panel set; returns (value, error)."""
-    values, errors = [], []
-    for a, b in panels:
-        v, e = _panel(f, a, b)
-        values.append(v)
-        errors.append(e)
+    """GK15 sum of f over an existing panel set, one call per panel; returns
+    (value, error)."""
+    values, errors = zip(*[_evaluate(f, [span])[0] for span in panels])
     return _fsum(values), _fsum(errors)
 
 
@@ -295,4 +267,4 @@ def integrate(f, lower, upper, spec: QuadratureSpec = DEFAULT_SPEC):
     panel _MAX_DEPTH bisections deep still has its error above tolerance, or
     when a panel is too narrow to place its nodes inside it.
     """
-    return _adaptive(f, lower, upper, spec)[:2]
+    return integrate_with_panels(f, lower, upper, spec)[:2]

@@ -666,9 +666,10 @@ def _voronoi_cells(lambda_b, n, rng, zero_cell):
     r_next from the origin, can no longer cut it: r_next > |x| + |x - n| at
     every vertex x, nucleus n.  Every later arrival y has |y| >= r_next, so
     |x - y| >= r_next - |x| > |x - n|: each vertex, and so the convex
-    polygon, stays on the nucleus's side of y's bisector.  For the typical
-    cell (n at the origin) the test reads r_next^2 > 4 max |x|^2.  The
-    polygon is the exact cell once no vertex of the square is left.
+    polygon, stays on the nucleus's side of y's bisector.  Both cell types
+    take this test; for the typical cell (n at the origin) it reads
+    r_next > 2 max |x|.  The polygon is the exact cell once no vertex of the
+    square is left.
 
     Returns (q, m): (n, V, 2) nucleus-relative vertices, counter-clockwise
     and zero-padded, and the vertex count of each row.
@@ -686,13 +687,10 @@ def _voronoi_cells(lambda_b, n, rng, zero_cell):
     done = []
     while True:
         r_next = np.sqrt(arrival / (math.pi * lambda_b))
-        n2 = np.einsum("kvj,kvj->kv", q, q)
-        if zero_cell:
-            # |x| + |x - n| per vertex, x = v + (d0, 0) seen from the origin
-            reach = np.sqrt((q[..., 0] + d0[:, None]) ** 2 + q[..., 1] ** 2) + np.sqrt(n2)
-            closed = r_next > reach.max(axis=1)
-        else:
-            closed = r_next * r_next > 4.0 * n2.max(axis=1)
+        # |x| + |x - n| per vertex, x = v + (d0, 0) seen from the origin
+        reach = (np.sqrt((q[..., 0] + d0[:, None]) ** 2 + q[..., 1] ** 2)
+                 + np.sqrt(np.einsum("kvj,kvj->kv", q, q)))
+        closed = r_next > reach.max(axis=1)
         if closed.any():
             done.append((rows[closed], q[closed], m[closed]))
             keep = ~closed

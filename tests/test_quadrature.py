@@ -217,12 +217,91 @@ def test_segments_exhaust_the_panel_budget_as_the_segment_alone(monkeypatch):
     assert str(batched.value) == str(alone.value)
 
 
-def test_segments_take_increasing_finite_edges_and_elementwise_integrands():
+def test_segments_take_increasing_finite_edges_and_vector_integrands():
     with pytest.raises(ValueError, match="lower limit 1.0 and upper limit 1.0"):
         integrate_segments(np.exp, [0.0, 1.0, 1.0])
     with pytest.raises(ValueError, match="upper limit inf"):
         integrate_segments(np.exp, [0.0, np.inf])
     with pytest.raises(ValueError, match="at least two edges"):
         integrate_segments(np.exp, [0.0])
-    with pytest.raises(ValueError, match="elementwise integrands only"):
-        integrate_segments(lambda x: np.stack([x, x]), [0.0, 1.0, 2.0])
+    f = _three((np.sqrt, np.cos, lambda x: np.exp(-x) * np.sin(3.0 * x)))
+    got = integrate_segments(f, [0.0, 1.0, 2.0])
+    want = [_reference(f, a, b) for a, b in [(0.0, 1.0), (1.0, 2.0)]]
+    assert _bits(got) == _bits(want)
+
+
+def _reference_panel(f, a, b):
+    xs, half = quadrature._place(a, b)
+    return quadrature._sums(np.asarray(f(xs), dtype=float), half, a, b)
+
+
+def _reference(f, lower, upper, spec=QuadratureSpec()):
+    """Worst-panel refinement with one integrand call per panel, on the
+    engine's own ledger; returns (value, error, panel edge list)."""
+    panels = quadrature._Panels(lower, upper, *_reference_panel(f, lower, upper))
+    while (halves := panels.split(spec)) is not None:
+        panels.store(*[_reference_panel(f, a, b) for a, b in halves])
+    return panels.total, panels.error, list(panels.edges)
+
+
+def _bits(result):
+    """A nested result with every array turned into a list, for == tests."""
+    if isinstance(result, (list, tuple)):
+        return [_bits(part) for part in result]
+    return result.tolist() if isinstance(result, np.ndarray) else result
+
+
+REFERENCE_CASES = [
+    (lambda x: np.ones_like(x), 0.0, 1.0, QuadratureSpec()),
+    (lambda u: 2.0 * np.sqrt(np.clip(1.0 - u * u, 0.0, None)), 0.0, 1.0, QuadratureSpec()),
+    (lambda x: 7 * x ** 6, 0.0, 1.0, QuadratureSpec()),
+    (np.sin, 0.0, math.pi, QuadratureSpec()),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, QuadratureSpec()),
+    (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 4.0, QuadratureSpec()),
+    (np.sin, 0.0, 1.0, QuadratureSpec(rel_tol=1e-3, abs_tol=1e-6)),
+    (np.sin, 0.0, 1.0, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-13)),
+    (_three((np.sin, lambda x: x * x, lambda x: 1.0 / (1.0 + x))), 0.0, math.pi,
+     QuadratureSpec()),
+    (_three((lambda x: np.exp(-x) * np.sin(3 * x), np.cos, lambda x: x ** 4)), 0.0, 4.0,
+     QuadratureSpec()),
+]
+
+
+@pytest.mark.parametrize("f, lower, upper, spec", REFERENCE_CASES,
+                         ids=["one", "circle", "x6", "sin", "lorentz", "damped_sine",
+                              "loose", "tight", "three", "three_damped"])
+def test_rounds_match_the_per_panel_loop_bit_for_bit(f, lower, upper, spec):
+    want = _reference(f, lower, upper, spec)
+    assert _bits(integrate_with_panels(f, lower, upper, spec)) == _bits(want)
+    assert _bits(integrate(f, lower, upper, spec)) == _bits(want[:2])
+
+
+@pytest.mark.parametrize("f, lower, upper, max_panels", [
+    (lambda x: 1.0 / x, 0.0, 1.0, quadrature._MAX_PANELS),
+    (lambda x: (1.0 - x) ** -1.001, 0.0, 1.0, quadrature._MAX_PANELS),
+    (lambda x: np.sin(1e4 * x), 1.0, 2.0, 64),
+], ids=["depth", "resolution", "budget"])
+def test_rounds_fail_as_the_per_panel_loop(monkeypatch, f, lower, upper, max_panels):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
+    with pytest.raises(NonConvergenceError) as reference:
+        _reference(f, lower, upper)
+    for integrator in (integrate, integrate_with_panels):
+        with pytest.raises(NonConvergenceError) as rounds:
+            integrator(f, lower, upper)
+        assert str(rounds.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("f", [np.sqrt, _three((np.sin, np.sqrt, np.exp))],
+                         ids=["plain", "vector"])
+def test_one_range_calls_the_integrand_once_per_round(f):
+    # round 0 is the whole range, 15 nodes; every later round is the two
+    # halves of the worst panel, 30 nodes
+    calls = []
+
+    def counted(x):
+        calls.append(x.size)
+        return f(x)
+    _, _, panels = integrate_with_panels(counted, 0.0, 2.0)
+    splits = len(panels) - 1
+    assert splits > 0
+    assert calls == [15] + [30] * splits
