@@ -8,27 +8,31 @@ Gauss-Legendre tensors whose grid doubles (24, 48, 96, 192 nodes per axis)
 until the outer value is stable (:func:`_leveled_outer`).  The parts:
 
 * the road kernel, shared by both links: :func:`_road_exponents` (with
-  :func:`_interference_tail` and :func:`_far_power`), mu-free, and its
-  reduction with 2 mu, :meth:`_RoadExponents.reduce`;
-* the downlink, :func:`dl_coverage` (:func:`_dl_coverages` for a tau grid):
-  the base-station coefficient (:func:`_bs_tail_coeff`) and the road sum at
+  :func:`_interference_tail`, and one tail map for both, :func:`_tail_grid`
+  with :func:`_tail_power`), mu-free, and its reduction with 2 mu,
+  :meth:`_RoadExponents.reduce`;
+* the downlink, :func:`dl_coverage`, for one threshold or a tau grid: the
+  base-station coefficient (:func:`_bs_tail_coeff`) and the road sum at
   radius rho, read from a Chebyshev table per config and inner grid
   (:func:`_road_sum_table`, :func:`_table_exponents`);
 * the sidelink, :func:`sl_coverage`: the road kernel at radius 1, rescaled to
   the serving distance (:func:`_unit_road_exponents`);
 * the effective rate, :func:`effective_rate_with_error`: the downlink
   coverage integrated over the thresholds 2^x - 1 on dyadic segments that
-  refine in rounds, one :func:`_dl_coverages` call per round
+  refine in rounds, one :func:`dl_coverage` call per round
   (:func:`_rate_numerator_of`), and the utility and total rate built on it.
 
 Substitutions keep every integrand bounded on a finite range: r = radius
 sin(s) removes the factors sqrt(radius^2 - r^2) and the serving line's
-1/sqrt(x^2 - r^2) singularity; tails to infinity map onto [0, 1) and decay
-like u^(-alpha), alpha > 2, there.  The far-road sum decays only like
-r^(1 - alpha); closer to alpha = 2 (about 2.26 and below at lambda_b = 5,
-rho = 0.05) the inner-grid ladder raises NonConvergenceError.  Outer
-integrals over semi-infinite ranges are cut where a Gaussian envelope drops
-below abs_tol, and that envelope joins the error bound.
+1/sqrt(x^2 - r^2) singularity; the tails to infinity, u^(-alpha) along a
+road and r^(1 - alpha) across the far roads, alpha > 2, map onto [0, 1) by
+one map whose power makes the mapped integrand end in a whole power of
+1 - t.  That power is capped at 16, which keeps the far nodes finite; below
+about alpha = 2.10 at lambda_b = 5, rho = 0.05 the capped far map no longer
+resolves the far-road sum (at 2.05 every threshold fails), and the
+inner-grid ladder raises NonConvergenceError.  Outer integrals over
+semi-infinite ranges are cut where a Gaussian envelope drops below abs_tol,
+and that envelope joins the error bound.
 
 Every evaluator that states an error returns one named tuple,
 :class:`AnalyticResult` (value, est_abs_error).  ``p_assoc_sl``, ``nu`` and
@@ -94,18 +98,36 @@ def _gl01(m: int):
     return nodes, weights
 
 
-@lru_cache(maxsize=None)
-def _tail_grid(m: int):
-    """The m-node grid of the map u = t / (1 - t) from [0, 1) onto [0, inf):
-    mapped nodes T and Jacobian-folded weights w / (1 - t)^2; cached,
-    read-only."""
+@lru_cache(maxsize=64)
+def _tail_grid(m: int, p: float):
+    """The m-node grid of the map T (1 + T)^(p - 1), T = t / (1 - t), from
+    [0, 1) onto [0, inf): the mapped nodes and the Jacobian-folded weights
+    w (1 + T)^(p - 1) (1 + (p - 1) t) / (1 - t)^2.  p = 1 is the plain map T,
+    to the bit.  Keyed by the power, so by alpha: 64 entries hold 8 alphas'
+    grids at every inner level.  Cached, read-only."""
     t, w = _gl01(m)
     inv = 1.0 / (1.0 - t)
     nodes = t * inv
-    weights = w * (inv * inv)
+    stretch = np.power(1.0 + nodes, p - 1.0)
+    weights = w * (inv * inv) * stretch * (1.0 + (p - 1.0) * t)
+    nodes *= stretch
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return nodes, weights
+
+
+def _tail_power(d):
+    """The tail map's power p for an integrand that decays like x^(-1 - d).
+    Under x = T (1 + T)^(p - 1) the mapped integrand behaves like
+    (1 - t)^(p d - 1) at t = 1, while the map is linear at t = 0.  The least
+    p >= 1 that makes p d whole, ceil(d) / d, keeps that power bounded and
+    smooth for Gauss-Legendre; a fractional power near 0 (p = 1 at
+    alpha = 3.1 on the far roads) converges so slowly in m that the
+    inner-grid ladder gives up.  p stays at most 16, so the farthest node at
+    m = 192 lies within 4e70 knees and its square stays finite; on the far
+    roads, d = alpha - 2, below alpha = 2.0625 the mapped sum is then
+    unbounded again, and the ladder says so."""
+    return min(math.ceil(d) / d, 16.0)
 
 
 def _half_power(x, alpha):
@@ -131,15 +153,17 @@ def _interference_tail(r, amp, alpha, m, start=None):
     q = amp * (r^2 + u^2)^(-alpha/2); ``start`` None means 0.
 
     Written as amp / ((r^2 + u^2)^(alpha/2) + amp) so that neither tiny nor
-    huge amplitudes overflow.  The rational map u = start + scale * t/(1 - t)
-    is stretched to the integrand's own knee, the transverse distance plus
-    amp^(1/alpha), so one fixed m-node t grid resolves every (r, amp)
-    regime.  ``r``, ``start``, ``amp`` broadcast together; the t axis is
-    appended and summed out.  All work after the first product happens in
-    place on one buffer of the broadcast shape plus the t axis (odd integer
-    alpha adds one square-root temporary).
+    huge amplitudes overflow.  The map u = start + scale T (1 + T)^(p - 1) of
+    :func:`_tail_grid` is stretched to the integrand's own knee, the
+    transverse distance plus amp^(1/alpha), so one fixed m-node t grid
+    resolves every (r, amp) regime; the integrand decays like u^(-alpha), so
+    p is :func:`_tail_power` of alpha - 1 (1 at whole alpha).  ``r``,
+    ``start``, ``amp`` broadcast together; the t axis is appended and summed
+    out.  All work after the first product happens in place on one buffer of
+    the broadcast shape plus the t axis (odd integer alpha adds one
+    square-root temporary).
     """
-    nodes, weights = _tail_grid(m)
+    nodes, weights = _tail_grid(m, _tail_power(alpha - 1.0))
     knee = r if start is None else np.hypot(r, start)
     scale = knee + np.power(amp, 1.0 / alpha)
     scale = np.where(scale > 0.0, scale, 1.0)
@@ -158,21 +182,6 @@ def _interference_tail(r, amp, alpha, m, start=None):
     out = x @ weights
     out *= scale
     return out
-
-
-def _far_power(alpha):
-    """The far map's power p.  Under r = radius + kappa t / (1 - t)^p the far
-    integrand 1 - exp(-2 mu J_full(r)), which decays like r^(1 - alpha),
-    behaves like (1 - t)^(p (alpha - 2) - 1) at t = 1, while the map is
-    linear at t = 0.  The least p >= 1 that makes that power a whole number
-    keeps it bounded and smooth for Gauss-Legendre; a fractional power near
-    0 (p = 1 at alpha = 3.1) converges so slowly in m that the inner-grid
-    ladder gives up.  p stays at most 16, so the farthest node at m = 192
-    lies within 4e70 knees of the radius and its square stays finite; below
-    alpha = 2.0625 the far sum is then unbounded again, and the ladder says
-    so."""
-    d = alpha - 2.0
-    return min(math.ceil(d) / d, 16.0)
 
 
 class _RoadExponents(NamedTuple):
@@ -211,10 +220,12 @@ def _road_exponents(radius, amp, alpha, m):
     exclusion disk, a void of half-length a = sqrt(radius^2 - r^2); J_near(r)
     is the interference tail beyond it and J_full(r) that of a whole road.
     r = radius sin(s), a = radius cos(s) on the near roads; the far roads sit
-    at r = radius + kappa t / (1 - t)^p, stretched to the road's knee
-    kappa = radius + amp^(1/alpha), with p from :func:`_far_power`.
-    Every length here scales with the radius, so the exponents at
-    (x, tau x^alpha) are x times those at (1, tau) on the same nodes."""
+    at r = radius + kappa T (1 + T)^(p - 1), the map of :func:`_tail_grid`
+    stretched to the road's knee kappa = radius + amp^(1/alpha).  The far
+    integrand 1 - exp(-2 mu J_full(r)) decays like r^(1 - alpha), so p is
+    :func:`_tail_power` of alpha - 2.  Every length here scales with the
+    radius, so the exponents at (x, tau x^alpha) are x times those at
+    (1, tau) on the same nodes."""
     t01, w01 = _gl01(m)
     s = 0.5 * math.pi * t01
     sw = 0.5 * math.pi * w01
@@ -222,16 +233,11 @@ def _road_exponents(radius, amp, alpha, m):
     radius = radius[:, None]
     r = radius * np.sin(s)
     a = radius * np.cos(s)
-    # r = radius + kappa T (1 + T)^(p - 1) on the tail grid T = t / (1 - t),
-    # dr = kappa (1 + (p - 1) t) (1 + T)^(p - 1) dT
-    nodes, weights = _tail_grid(m)
-    p = _far_power(alpha)
-    stretch = np.power(1.0 + nodes, p - 1.0)
+    nodes, weights = _tail_grid(m, _tail_power(alpha - 2.0))
     kappa = radius + np.power(amp, 1.0 / alpha)
-    far = _interference_tail(radius + kappa * (nodes * stretch), amp, alpha, m)
-    far_w = kappa * (weights * stretch * (1.0 + (p - 1.0) * t01))
+    far = _interference_tail(radius + kappa * nodes, amp, alpha, m)
     return _RoadExponents(a + _interference_tail(r, amp, alpha, m, a), sw, a * sw,
-                          far, far_w)
+                          far, kappa * weights)
 
 
 @lru_cache(maxsize=256)
@@ -447,21 +453,29 @@ def p_assoc_sl(lambda_l, mu, rho, spec: QuadratureSpec = DEFAULT_SPEC) -> float:
     return _p_assoc_sl(lambda_l, mu, rho, spec).value
 
 
-def _dl_coverages(cfg: NetworkConfig, taus, spec: QuadratureSpec) -> AnalyticResult:
-    """:func:`dl_coverage` at every threshold of ``taus`` at once: one
-    adaptive outer rule whose panels serve all thresholds, with values and
-    errors in the shape of ``taus``.
+def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
+    """Joint probability that the typical user is base-station associated and
+    its downlink SIR exceeds ``tau``.
 
-    The adaptive pass reads the road-sum table once per round, for every
-    threshold at all of that round's nodes, and a finer inner grid's re-sum
-    once per panel; the panel set refines until each threshold meets its own
-    tolerance, and each states its own outer error, inner-grid difference,
-    Gaussian tail, coefficient and table error.  The base-station
-    coefficients of all thresholds are one vector integral
-    (:func:`_bs_tail_coeff`).  A scalar ``tau`` gives plain (15,) integrands
-    and floats, by the scalar arithmetic of the quadrature engine.
+    The outer variable is the nearest-base-station distance.  Substituting
+    y = x * sqrt(pi lambda_b k_tot), k_tot = 1 + 2 * bs_coeff, turns the
+    base-station factor into 2 y exp(-y^2) / k_tot, which keeps the
+    integrand's mass on an O(1) range for every tau; the vehicle factor is
+    the road-level sum at radius rho, read from the config's road-sum table
+    at k = (tau eta)^(1/alpha) x.
+
+    A sequence of thresholds gives arrays of values and errors in its shape,
+    from one adaptive outer rule whose panels serve them all; a scalar gives
+    plain (15,) integrands and floats, by the scalar arithmetic of the
+    quadrature engine.  The adaptive pass reads the road-sum table once per
+    round, for every threshold at all of that round's nodes, and a finer
+    inner grid's re-sum once per panel; the panel set refines until each
+    threshold meets its own tolerance, and each states its own outer error,
+    inner-grid difference, Gaussian tail, coefficient and table error.  The
+    base-station coefficients of all thresholds are one vector integral
+    (:func:`_bs_tail_coeff`).
     """
-    taus = np.asarray(taus, dtype=float)
+    taus = np.asarray(tau, dtype=float)
     if (taus < 0).any():
         raise ValueError("tau must be nonnegative")
     eta = cfg.p_v / cfg.p_b
@@ -501,27 +515,10 @@ def _dl_coverages(cfg: NetworkConfig, taus, spec: QuadratureSpec) -> AnalyticRes
     res = _leveled_outer(make_integrand, 0.0, y_max, spec, tail_bound + coeff_err)
     # exp(-2 lambda_l H) moves by at most 2 lambda_l eps_H, and the outer
     # weight 2 y exp(-y^2) / k_tot integrates to at most 1 / k_tot
-    return AnalyticResult(res.value, res.est_abs_error
-                          + 2.0 * cfg.lambda_l * table_err / k_tot)
-
-
-def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
-    """Joint probability that the typical user is base-station associated and
-    its downlink SIR exceeds ``tau``.
-
-    The outer variable is the nearest-base-station distance.  Substituting
-    y = x * sqrt(pi lambda_b k_tot), k_tot = 1 + 2 * bs_coeff, turns the
-    base-station factor into 2 y exp(-y^2) / k_tot, which keeps the
-    integrand's mass on an O(1) range for every tau; the vehicle factor is
-    the road-level sum at radius rho, read from the config's road-sum table
-    at k = (tau eta)^(1/alpha) x.  A sequence of thresholds gives arrays of
-    values and errors from one :func:`_dl_coverages` call, whose shared outer
-    rule serves them all; a scalar gives floats.
-    """
-    value, err = _dl_coverages(cfg, tau, spec)
+    err = res.est_abs_error + 2.0 * cfg.lambda_l * table_err / k_tot
     if np.ndim(tau):
-        return AnalyticResult(value, err)
-    return AnalyticResult(float(value), float(err))
+        return AnalyticResult(res.value, err)
+    return AnalyticResult(float(res.value), float(err))
 
 
 def sl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) -> AnalyticResult:
@@ -603,7 +600,7 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
     longer range raises NonConvergenceError.  The segments refine together
     (:func:`integrate_segments`), each to its own tolerance: the nodes of a
     round's new panels, 15 per panel across every segment still above
-    tolerance, are one :func:`_dl_coverages` call, and the largest of that
+    tolerance, are one :func:`dl_coverage` call, and the largest of that
     call's errors joins the inner-error ledger."""
     edges = [0.0, 1.0]
     while (tail := _rate_tail(edges[-1], alpha)) > spec.abs_tol:
@@ -616,7 +613,7 @@ def _rate_numerator_of(lambda_l, mu, lambda_b, rho, alpha, eta, spec):
     inner_errors: list[float] = []
 
     def g(xs):
-        res = _dl_coverages(cfg, [2.0 ** float(x) - 1.0 for x in xs], spec)
+        res = dl_coverage(cfg, [2.0 ** float(x) - 1.0 for x in xs], spec)
         inner_errors.append(float(res.est_abs_error.max()))
         return res.value
 

@@ -11,7 +11,6 @@ from vanetcov.analytic import (
     AnalyticResult,
     _bs_tail_coeff,
     _c_alpha,
-    _dl_coverages,
     _gl01,
     _half_power,
     _interference_tail,
@@ -22,6 +21,7 @@ from vanetcov.analytic import (
     _RoadSumTable,
     _road_sum_table,
     _table_exponents,
+    _tail_grid,
     _unit_road_exponents,
     dl_coverage,
     effective_rate_with_error,
@@ -332,16 +332,33 @@ def test_total_rate_edges():
 
 def _reference_tail(r, start, amp, alpha, m):
     """The interference tail as first written: temporaries throughout, the
-    general pow, and the Jacobian applied before the contraction."""
+    general pow, and the Jacobian applied before the contraction, on the map
+    u = start + scale T (1 + T)^(p - 1), T = t / (1 - t), with
+    p = ceil(alpha - 1) / (alpha - 1)."""
     t, tw = _gl01(m)
+    p = math.ceil(alpha - 1.0) / (alpha - 1.0)
     inv = 1.0 / (1.0 - t)
+    big_t = t * inv
+    stretch = (1.0 + big_t) ** (p - 1.0)
     scale = np.hypot(r, start) + np.power(amp, 1.0 / alpha)
     scale = np.where(scale > 0.0, scale, 1.0)[..., None]
-    u = start[..., None] + scale * (t * inv)
+    u = start[..., None] + scale * (big_t * stretch)
     den = (r[..., None] ** 2 + u * u) ** (0.5 * alpha)
     a = amp[..., None]
-    g = a / (den + a) * (inv * inv) * scale
+    g = a / (den + a) * (inv * inv * stretch * (1.0 + (p - 1.0) * t)) * scale
     return g @ tw
+
+
+@pytest.mark.parametrize("m", [24, 48, 96, 192])
+def test_whole_power_tail_grid_is_the_plain_map(m):
+    # at whole alpha both tail maps take p = 1, and their grids are the plain
+    # map u = t / (1 - t) with the weights w / (1 - t)^2, to the bit, as
+    # computed through inv = 1 / (1 - t)
+    t, w = _gl01(m)
+    inv = 1.0 / (1.0 - t)
+    nodes, weights = _tail_grid(m, 1.0)
+    assert np.array_equal(nodes, t * inv)
+    assert np.array_equal(weights, w * (inv * inv))
 
 
 @pytest.mark.parametrize("m", [24, 48])
@@ -503,7 +520,7 @@ def test_threshold_vector_agrees_with_scalar_coverage(changes):
     cfg = validate(replace(REF_CFG, **changes))
     taus = 2.0 ** np.linspace(0.0, 40.0, 15) - 1.0
     assert taus[0] == 0.0
-    values, errors = _dl_coverages(cfg, taus, DEFAULT_SPEC)
+    values, errors = dl_coverage(cfg, taus, DEFAULT_SPEC)
     assert values.shape == errors.shape == (15,)
     for tau, value, err in zip(taus, values, errors):
         want = dl_coverage(cfg, float(tau))
@@ -537,13 +554,14 @@ def test_cold_rate_reads_the_table_once_per_panel(monkeypatch):
 
 def test_alpha_below_three_still_reports_inner_grid_failure(monkeypatch):
     # the table interpolates each inner grid's road sum; it must not smooth
-    # away the far sum's slow convergence in m.  The far map's power keeps
+    # away the far sum's slow convergence in m.  The tail map's power keeps
     # that sum bounded below alpha = 3, so the slow convergence is made here
-    # with p = 1, under which the mapped far integrand is unbounded there
+    # with p = 1 on both tails, under which the mapped far integrand is
+    # unbounded there
     cfg = validate(replace(REF_CFG, alpha=2.9))
     res = dl_coverage(cfg, 0.01)
     assert 0.6 < res.value < 0.65 and res.est_abs_error < 1e-6
-    monkeypatch.setattr(analytic, "_far_power", lambda alpha: 1.0)
+    monkeypatch.setattr(analytic, "_tail_power", lambda d: 1.0)
     _road_sum_table.cache_clear()
     _table_exponents.cache_clear()
     try:
@@ -554,22 +572,28 @@ def test_alpha_below_three_still_reports_inner_grid_failure(monkeypatch):
         _table_exponents.cache_clear()
 
 
-@pytest.mark.parametrize("alpha", [2.5, 2.9])
-def test_alpha_below_three_converges_on_both_links(alpha):
+@pytest.mark.parametrize("alpha,spec", [
+    (2.5, DEFAULT_SPEC), (2.9, DEFAULT_SPEC), (2.5, QuadratureSpec(1e-9, 1e-13)),
+], ids=["2.5", "2.9", "2.5_tight"])
+def test_alpha_below_three_converges_on_both_links(alpha, spec):
+    # the tight spec needs the near tail's whole-power map: on the plain map
+    # u = start + scale t / (1 - t) the ladder fails there on both links
     cfg = validate(replace(REF_CFG, alpha=alpha))
-    for res in (dl_coverage(cfg, 1.0), sl_coverage(cfg, 1.0)):
+    for res in (dl_coverage(cfg, 1.0, spec), sl_coverage(cfg, 1.0, spec)):
         assert 0.0 < res.value < 1.0 and 0.0 < res.est_abs_error < 1e-6
 
 
 def test_both_links_and_the_rate_converge_at_alpha_2_28():
     # the base-station coefficient is bounded for every alpha > 2, so the
-    # floor is set by the road sums' inner-grid ladder
-    cfg = validate(replace(REF_CFG, alpha=2.28))
-    for tau in (0.01, 1.0, 100.0):
-        for res in (dl_coverage(cfg, tau), sl_coverage(cfg, tau)):
-            assert 0.0 < res.value < 1.0 and 0.0 < res.est_abs_error < 1e-5
-    rate = effective_rate_with_error(cfg)
-    assert 0.0 < rate.value < 1.0 and rate.est_abs_error < 1e-4 * rate.value
+    # floor is set by the road sums' inner-grid ladder; 2.10 needs the near
+    # tail's whole-power map
+    for alpha in (2.28, 2.10):
+        cfg = validate(replace(REF_CFG, alpha=alpha))
+        for tau in (0.01, 1.0, 100.0):
+            for res in (dl_coverage(cfg, tau), sl_coverage(cfg, tau)):
+                assert 0.0 < res.value < 1.0 and 0.0 < res.est_abs_error < 1e-5
+        rate = effective_rate_with_error(cfg)
+        assert 0.0 < rate.value < 1.0 and rate.est_abs_error < 1e-4 * rate.value
 
 
 @pytest.mark.parametrize("alpha", [35.0, 40.0, 40.5])
@@ -646,7 +670,7 @@ def test_coverage_stays_below_the_rate_envelope(case):
     changes, hi = RATE_RANGE_ENDS[case]
     cfg = validate(replace(REF_CFG, **changes))
     taus = 2.0 ** np.linspace(0.25, 4.0 * hi, 40) - 1.0
-    values, errors = _dl_coverages(cfg, taus, TIGHT_SPEC)
+    values, errors = dl_coverage(cfg, taus, TIGHT_SPEC)
     envelope = 1.0 / (2.0 * _c_alpha(cfg.alpha) * taus ** (2.0 / cfg.alpha))
     assert np.all(values - errors <= envelope)
 
@@ -659,7 +683,7 @@ def test_stated_rate_tail_bounds_the_computed_tail(case):
     cfg = validate(replace(REF_CFG, **changes))
 
     def g(xs):
-        return _dl_coverages(cfg, [2.0 ** float(x) - 1.0 for x in xs], TIGHT_SPEC).value
+        return dl_coverage(cfg, [2.0 ** float(x) - 1.0 for x in xs], TIGHT_SPEC).value
     computed, err = integrate(g, hi, 4.0 * hi, TIGHT_SPEC)
     stated = _rate_tail(hi, cfg.alpha)
     assert 0.0 < computed - err <= stated <= DEFAULT_SPEC.abs_tol
@@ -673,12 +697,12 @@ def test_rate_range_ends_where_the_envelope_meets_the_tolerance(monkeypatch, cas
     changes, hi = RATE_RANGE_ENDS[case]
     cfg = validate(replace(REF_CFG, **changes))
     largest = []
-    real = analytic._dl_coverages
+    real = analytic.dl_coverage
 
     def recorded(cfg, taus, spec):
         largest.append(max(taus))
         return real(cfg, taus, spec)
-    monkeypatch.setattr(analytic, "_dl_coverages", recorded)
+    monkeypatch.setattr(analytic, "dl_coverage", recorded)
     _rate_numerator_of.cache_clear()
     effective_rate_with_error(cfg)
     # Gauss-Kronrod nodes are interior, so the last segment [hi / 2, hi]
@@ -689,14 +713,14 @@ def test_rate_range_ends_where_the_envelope_meets_the_tolerance(monkeypatch, cas
 
 def _rate_numerator_per_segment(cfg, spec=DEFAULT_SPEC):
     """Reference rate numerator: one adaptive integral per dyadic segment,
-    one _dl_coverages call per outer panel, and the same error ledger."""
+    one dl_coverage call per outer panel, and the same error ledger."""
     edges = [0.0, 1.0]
     while (tail := _rate_tail(edges[-1], cfg.alpha)) > spec.abs_tol:
         edges.append(2.0 * edges[-1])
     inner_errors = []
 
     def g(xs):
-        res = _dl_coverages(cfg, [2.0 ** float(x) - 1.0 for x in xs], spec)
+        res = dl_coverage(cfg, [2.0 ** float(x) - 1.0 for x in xs], spec)
         inner_errors.append(float(res.est_abs_error.max()))
         return res.value
 
@@ -715,12 +739,12 @@ def _cold_rate_numerator(cfg):
 def test_cold_rate_makes_one_downlink_call_per_round(monkeypatch):
     # all dyadic segments refine together: a round's new panels are one call
     calls = []
-    real = analytic._dl_coverages
+    real = analytic.dl_coverage
 
     def counted(cfg, taus, spec):
         calls.append(len(taus))
         return real(cfg, taus, spec)
-    monkeypatch.setattr(analytic, "_dl_coverages", counted)
+    monkeypatch.setattr(analytic, "dl_coverage", counted)
     _cold_rate_numerator(REF_CFG)
     assert 0 < len(calls) <= 8
     # round 0: the 15 nodes of each of the 7 segments [0, 1], ..., [32, 64]
@@ -751,7 +775,7 @@ def test_rate_range_past_the_float_range_raises_before_integrating(monkeypatch):
     # at alpha = 60 the envelope needs x > 1024, where 2^x - 1 overflows
     def never(*args):
         raise AssertionError("integrand called")
-    monkeypatch.setattr(analytic, "_dl_coverages", never)
+    monkeypatch.setattr(analytic, "dl_coverage", never)
     with pytest.raises(NonConvergenceError, match="x = 1024"):
         effective_rate_with_error(validate(replace(REF_CFG, alpha=60.0)))
 

@@ -285,18 +285,18 @@ def test_montecarlo_zero_load_gives_an_error_row(cfg_path, tmp_path, monkeypatch
 
 @pytest.mark.parametrize("mode", ["analytic", "validate"])
 def test_one_failing_threshold_keeps_the_others(cfg_path, tmp_path, mode, capsys):
-    # at alpha = 2.2 the downlink integral converges at tau = 0.01, but at
-    # tau = 1 the road sums' inner-grid ladder does not stabilise
-    out = tmp_path / "a22.csv"
+    # at alpha = 2.06 the downlink integral converges at tau = 0.001, but at
+    # tau = 0.01 the road sums' inner-grid ladder does not stabilise
+    out = tmp_path / "a206.csv"
     rc = cli.main(["--config", cfg_path, "--mode", mode, "--metric", "dl_cov",
-                   "--tau", "0.01,1", "--sweep", "alpha=2.2", "--samples", "2000",
+                   "--tau", "0.001,0.01", "--sweep", "alpha=2.06", "--samples", "2000",
                    "--seed", "5", "--out", str(out), "--no-timestamp"])
     assert rc == 1
     good, bad = json.loads(out.with_suffix(".json").read_text())["rows"]
-    assert good["tau_or_epsilon"] == 0.01 and not good["error"]
+    assert good["tau_or_epsilon"] == 0.001 and not good["error"]
     analytic_value = good["value"] if mode == "analytic" else good["analytic_value"]
-    assert analytic_value == pytest.approx(0.492780, abs=1e-6)
-    assert bad["tau_or_epsilon"] == 1.0
+    assert analytic_value == pytest.approx(0.700883, abs=1e-6)
+    assert bad["tau_or_epsilon"] == 0.01
     assert bad["error"].startswith("NonConvergenceError")
     assert bad["verdict"] == ""
     if mode == "validate":
