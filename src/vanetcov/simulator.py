@@ -7,12 +7,12 @@ Every estimator draws the road network with one sampler, ``_roads`` and
 ``_chord_vehicles``.
 Replications are vectorised in batches of BATCH_SIZE = 1,024; each batch
 owns an RNG stream spawned from the master seed, so the seed alone fixes
-every result, however the batches are scheduled.  ``_map_batches`` runs the
-batches of one call on a thread pool with one worker per available CPU:
-numpy's random fills and ufuncs release the interpreter lock, so batches
-really run at once.  At most MAX_WORKERS = 4 batches in flight bound the
-kernel's memory; a run of a single batch starts no thread, and a pool task
-never submits to a pool.
+every result, however the batches are scheduled.  ``_map_batches`` runs
+batches on one thread pool shared by the whole process, with one worker per
+available CPU: numpy's random fills and ufuncs release the interpreter lock,
+so batches really run at once.  At most MAX_WORKERS = 4 batches in flight,
+across every caller, bound the kernel's memory; a run of a single batch
+starts no thread, and a pool task never submits to a pool.
 
 Within a batch every population is one flat array grouped by replication and
 described by per-replication start offsets; minima and sums are segment
@@ -55,6 +55,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,7 +68,8 @@ TOTAL = "Total"
 
 DEGENERATE_ABORT_FRACTION = 1e-6
 BATCH_SIZE = 1024          # replications per batch, each with its own stream
-MAX_WORKERS = 4            # batches in flight at once
+MAX_WORKERS = 4            # batches in flight at once, across all callers
+GATHER_SLICE = 1 << 14     # vehicles per slice of a per-road gather
 
 
 class DegenerateRealizationError(RuntimeError):
@@ -98,9 +100,9 @@ class SimPlan:
     samples on the acceptance configs; a smaller one raises the bound.
 
     Replications are drawn in batches of BATCH_SIZE, each with its own random
-    stream, so the seed fixes every result.  Batches run on a thread pool of
-    at most MAX_WORKERS workers, capped by the CPUs available; a plan of one
-    batch runs without threads."""
+    stream, so the seed fixes every result.  Batches run on the process's
+    shared thread pool of at most MAX_WORKERS workers, capped by the CPUs
+    available; a plan of one batch runs without threads."""
     window_radius: float
     n_samples: int
     seed: int
@@ -323,13 +325,37 @@ def _roads(lambda_l, radius, n, rng):
     return starts, r, np.sqrt(np.maximum(radius * radius - r * r, 0.0))
 
 
+def _segment_index(counts):
+    """The segment of each entry of consecutive count-sized segments, as
+    np.repeat(arange(counts.size), counts) gives it, in int64: a cumsum over
+    marks at the starts of the nonempty segments.  Unlike np.repeat, the
+    cumsum and the gathers through the index release the interpreter lock."""
+    nonempty = np.flatnonzero(counts)
+    index = np.zeros(counts.sum(), dtype=np.int64)
+    if nonempty.size:
+        index[np.cumsum(counts.take(nonempty[:-1]))] = np.diff(nonempty)
+        index[0] = nonempty[0]
+        np.cumsum(index, out=index)
+    return index
+
+
+def _gather(ufunc, out, values, index):
+    """ufunc(out, values[index]) in place, GATHER_SLICE entries at a time, so
+    no full-length copy of the gathered values is held."""
+    for a in range(0, index.size, GATHER_SLICE):
+        part = out[a:a + GATHER_SLICE]
+        ufunc(part, values.take(index[a:a + GATHER_SLICE]), out=part)
+
+
 def _chord_vehicles(mu, half, rng):
     """Poisson(2 mu half) vehicles per chord of half-length ``half``, uniform
-    along it; returns their counts and signed positions, grouped by chord."""
+    along it; returns their counts per chord, and each vehicle's chord index
+    and signed position, grouped by chord."""
     counts = rng.poisson(2.0 * mu * half)
     t = rng.uniform(-1.0, 1.0, counts.sum())
-    t *= np.repeat(half, counts)
-    return counts, t
+    road = _segment_index(counts)
+    _gather(np.multiply, t, half, road)
+    return counts, road, t
 
 
 # ---------------------------------------------------------------------------
@@ -450,17 +476,18 @@ def _sir_chunk(cfg, plan, n, rng, depth=0):
     m_far += far_field_mean(cfg, R) - _crossing_far_field_mean(cfg, R)
     v_bs, v_miss, v_road = _far_field_variances(cfg, R)
     far_var = v_road * np.diff(line_starts) + (v_bs + v_miss)
-    n_veh, d2_v = _chord_vehicles(cfg.mu, half, rng)
+    n_veh, road, d2_v = _chord_vehicles(cfg.mu, half, rng)
     veh_offsets = _segment_starts(n_veh)
     # a vehicle at chord position t on the line at distance r_l
     d2_v *= d2_v
-    d2_v += np.repeat(r_l * r_l, n_veh)
+    _gather(np.add, d2_v, r_l * r_l, road)
 
     bs_starts = _segment_starts(rng.poisson(cfg.lambda_b * math.pi * R * R, n))
     d2_b = rng.random(bs_starts[-1])
     d2_b *= R * R
 
-    fade_v = rng.standard_exponential(d2_v.size)
+    # the road index is spent: its memory takes the vehicles' fades
+    fade_v = rng.standard_exponential(out=road.view(np.float64))
     fade_b = rng.standard_exponential(d2_b.size)
     is_sl, sir, degenerate, loss, interference = _resolve_sir(
         cfg, m_far, veh_offsets[line_starts], d2_v, fade_v,
@@ -497,23 +524,54 @@ def _available_cpus():
     return os.cpu_count() or 1
 
 
+_pool = None                # (workers, executor): the shared batch pool
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """In a forked child: the parent's pool threads do not exist here."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _map_batches(fn, batches):
     """[fn(size, rng) for (size, rng) in batches], in batch order.
 
-    Batches run on a thread pool made for this call, with one worker per
-    available CPU, no more workers than batches, and at most MAX_WORKERS.
-    Each batch draws only from its own generator, so the results do not
-    depend on the number of workers.  With one batch or one worker this is a
-    plain loop and starts no thread.  ``fn`` must not call this helper: a
-    pool task never submits to a pool.  The first exception a batch raises
-    propagates, and batches not yet started are cancelled.
+    Batches run on one thread pool shared by every call in the process, with
+    one worker per available CPU and at most MAX_WORKERS.  The pool is made
+    on the first threaded call, and made again in a forked child or when
+    that worker count changes.  It starts a worker only when a batch finds
+    none idle, so no call starts more threads than it has batches, and it
+    bounds the batches in flight across concurrent callers too.  Each batch
+    draws only from its own generator, so the results do not depend on the
+    number of workers.  With one batch or one CPU this is a plain loop and
+    starts no thread.  ``fn`` must not call this helper: a pool task never
+    submits to a pool.  The first exception a batch raises propagates once
+    the running batches end, and batches not yet started are cancelled.
     """
-    workers = min(len(batches), _available_cpus(), MAX_WORKERS)
-    if workers <= 1:
+    global _pool
+    workers = min(_available_cpus(), MAX_WORKERS)
+    if min(len(batches), workers) <= 1:
         return [fn(size, rng) for size, rng in batches]
-    from concurrent.futures import ThreadPoolExecutor  # only threaded calls pay the import
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*batches)))
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            from concurrent.futures import ThreadPoolExecutor  # only threaded calls pay the import
+            _pool = workers, ThreadPoolExecutor(max_workers=workers)
+        futures = [_pool[1].submit(fn, size, rng) for size, rng in batches]
+    try:
+        return [future.result() for future in futures]
+    except BaseException:
+        from concurrent.futures import wait
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
 
 
 def draw_sir_samples(cfg: NetworkConfig, plan: SimPlan,
@@ -549,7 +607,7 @@ def estimate_association(cfg: NetworkConfig, plan: SimPlan):
     less than handing it to a thread pool."""
     def vehicle_associated(size, rng):
         starts, _, half = _roads(cfg.lambda_l, cfg.rho, size, rng)
-        n_veh, _ = _chord_vehicles(cfg.mu, half, rng)
+        n_veh, _, _ = _chord_vehicles(cfg.mu, half, rng)
         return _segment_reduce(np.maximum, n_veh, starts, 0) > 0
     is_sl = np.concatenate([vehicle_associated(*batch) for batch in _batches(plan)])
     sl = _proportion_estimate(is_sl)
@@ -768,9 +826,10 @@ def _roads_near(cfg, q, rng):
     reach = np.sqrt(np.einsum("kvj,kvj->kv", q, q).max(axis=1))
     line_starts, r, half = _roads(cfg.lambda_l, reach + cfg.rho, n, rng)
     theta = rng.uniform(0.0, math.pi, r.size)
-    veh_count, t = _chord_vehicles(cfg.mu, half, rng)
+    veh_count, road, t = _chord_vehicles(cfg.mu, half, rng)
     row = np.repeat(np.arange(n), np.diff(line_starts))
-    vehicles = np.sort(np.repeat(np.arange(r.size), veh_count) + 1j * t)
+    vehicles = np.sort(road + 1j * t)
+    del road, t  # not held while the per-vertex distances below are formed
     nx, ny = -np.sin(theta), np.cos(theta)
     s = q[row, :, 0] * nx[:, None] + q[row, :, 1] * ny[:, None] - r[:, None]
     keep = (veh_count > 0) & (s.min(axis=1) <= cfg.rho) & (s.max(axis=1) >= -cfg.rho)

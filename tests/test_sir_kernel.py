@@ -15,9 +15,12 @@ from vanetcov.simulator import (
     DOWNLINK,
     SIDELINK,
     DegenerateRealizationError,
+    GATHER_SLICE,
     SimPlan,
+    _gather,
     _received_power,
     _resolve_sir,
+    _segment_index,
     _segment_reduce,
     _segment_starts,
     _sir_chunk,
@@ -159,6 +162,23 @@ def test_kernel_searches_only_vehicles_within_rho_bit_for_bit(alpha, p_v):
         assert want[0].any() == (mean_veh > 0) and want[2].any()
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counts=st.lists(st.integers(0, 4), max_size=12),
+       spread=st.sampled_from([1, GATHER_SLICE]))
+def test_segment_index_and_gather_match_repeat(counts, spread):
+    # empty segments first, last and in a row; with ``spread`` the vehicles
+    # span several gather slices
+    counts = np.array(counts, dtype=np.int64) * spread
+    index = _segment_index(counts)
+    assert index.dtype == np.int64
+    np.testing.assert_array_equal(index, np.repeat(np.arange(counts.size), counts))
+    values = np.linspace(0.5, 2.0, counts.size)
+    out = np.linspace(-1.0, 1.0, index.size)
+    want = out * np.repeat(values, counts)
+    _gather(np.multiply, out, values, index)
+    assert np.array_equal(out, want)
 
 
 def test_kernel_resamples_degenerate_rows_and_draws_abort():
