@@ -10,7 +10,9 @@ spans several 1,024-row batches, so a run on one CPU and a run on several
 (``taskset -c 0`` against no affinity) exercise the inline loop and the
 thread pool on the same streams; their digests must match.  A digest hashes
 each result's dtype, shape and bytes (arrays) or the float.hex of each value
-(estimates and analytic results), config by config and seed by seed.
+(estimates and analytic results), config by config and seed by seed.  The
+analytic evaluators are also hashed on STEEP_CONFIGS (whole alpha 4 and 6,
+and alpha 4 with no roads), one line each.
 """
 import dataclasses
 import hashlib
@@ -30,6 +32,11 @@ CONFIGS = {
     "rho 0.15": dict(REF, rho=0.15),
     "lambda_l 2 / mu 1": dict(REF, lambda_l=2.0, mu=1.0),
     "alpha 2.5 / p_v 0.3": dict(REF, alpha=2.5, p_v=0.3),
+}
+STEEP_CONFIGS = {
+    "alpha 4": dict(REF, alpha=4.0),
+    "alpha 6": dict(REF, alpha=6.0),
+    "no roads / alpha 4": dict(REF, lambda_l=0.0, mu=0.0, alpha=4.0),
 }
 SEEDS = (11, 2026)
 SIR_SAMPLES = 5000       # four full batches and a short one
@@ -69,10 +76,25 @@ ANALYTIC = {
     "analytic.sl_coverage": lambda cfg: [analytic.sl_coverage(cfg, tau) for tau in TAUS],
     "analytic.effective_rate_with_error": analytic.effective_rate_with_error,
 }
+# more evaluators on CONFIGS; a scalar tau takes dl_coverage's plain integrand
+ANALYTIC_MORE = {
+    "analytic.dl_coverage scalar tau": lambda cfg: [analytic.dl_coverage(cfg, tau)
+                                                    for tau in TAUS],
+    "analytic.network_utility_with_error": analytic.network_utility_with_error,
+    "analytic.total_rate_with_error": analytic.total_rate_with_error,
+}
+
+
+def _analytic_digest(fn, configs):
+    h = hashlib.sha256()
+    for cfg in configs.values():
+        _update(h, fn(cfg))
+    return h.hexdigest()
 
 
 def main():
     configs = {name: validate(NetworkConfig(**kw)) for name, kw in CONFIGS.items()}
+    steep = {name: validate(NetworkConfig(**kw)) for name, kw in STEEP_CONFIGS.items()}
     print(f"# configs: {', '.join(configs)}; seeds {SEEDS}; "
           f"{simulator._available_cpus()} CPU(s) available")
     for name, (n_samples, fn) in ESTIMATORS.items():
@@ -81,11 +103,10 @@ def main():
             for seed in SEEDS:
                 _update(h, fn(cfg, simulator.make_plan(cfg, n_samples, seed)))
         print(f"{name:34} {h.hexdigest()}")
+    for name, fn in {**ANALYTIC, **ANALYTIC_MORE}.items():
+        print(f"{name:34} {_analytic_digest(fn, configs)}")
     for name, fn in ANALYTIC.items():
-        h = hashlib.sha256()
-        for cfg in configs.values():
-            _update(h, fn(cfg))
-        print(f"{name:34} {h.hexdigest()}")
+        print(f"{'steep: ' + name.removeprefix('analytic.'):34} {_analytic_digest(fn, steep)}")
 
 
 if __name__ == "__main__":

@@ -466,14 +466,13 @@ def dl_coverage(cfg: NetworkConfig, tau, spec: QuadratureSpec = DEFAULT_SPEC) ->
 
     A sequence of thresholds gives arrays of values and errors in its shape,
     from one adaptive outer rule whose panels serve them all; a scalar gives
-    plain (15,) integrands and floats, by the scalar arithmetic of the
-    quadrature engine.  The adaptive pass reads the road-sum table once per
-    round, for every threshold at all of that round's nodes, and a finer
-    inner grid's re-sum once per panel; the panel set refines until each
-    threshold meets its own tolerance, and each states its own outer error,
-    inner-grid difference, Gaussian tail, coefficient and table error.  The
-    base-station coefficients of all thresholds are one vector integral
-    (:func:`_bs_tail_coeff`).
+    plain (15,) integrands and floats.  The adaptive pass reads the road-sum
+    table once per round, for every threshold at all of that round's nodes,
+    and a finer inner grid's re-sum once per panel; the panel set refines
+    until each threshold meets its own tolerance, and each states its own
+    outer error, inner-grid difference, Gaussian tail, coefficient and table
+    error.  The base-station coefficients of all thresholds are one vector
+    integral (:func:`_bs_tail_coeff`).
     """
     taus = np.asarray(tau, dtype=float)
     if (taus < 0).any():

@@ -26,9 +26,10 @@ their own fsum'd value and error and their own tolerance max(abs_tol,
 rel_tol * |value|).  The panel with the largest error-to-tolerance ratio
 splits, QUADPACK's worst-panel rule (Piessens et al., 1983) taken over
 every component, and refinement stops only when every component meets its
-tolerance.  Values and errors then come back as arrays of k.  A plain array
-keeps its scalar dot products and sums, and a one-row vector integrand gives
-the same value and error to the last bit.
+tolerance.  Values and errors then come back as arrays of k.  Both kinds
+share one GK15 sum and one panel ledger, so a one-row vector integrand
+refines the same panels and gives the same value and error as the plain
+array, to the last bit.
 """
 from __future__ import annotations
 
@@ -56,8 +57,6 @@ DEFAULT_SPEC = QuadratureSpec()
 
 _MAX_DEPTH = 48
 _MAX_PANELS = 4096
-# a vector integrand's panel arrays start with this many columns and double
-_PANEL_BLOCK = 64
 
 # 15-point Kronrod extension of 7-point Gauss on [-1, 1].
 _KRONROD_NODES = np.array([
@@ -97,13 +96,9 @@ def _sums(ys, half, a, b):
     """The GK15 value and |K15 - G7| of one panel's node values."""
     if not np.isfinite(ys).all():
         raise ValueError(f"integrand returned non-finite values on [{a}, {b}]")
-    if ys.ndim == 1:
-        k15 = half * float(_KRONROD_WEIGHTS @ ys)
-        g7 = half * float(_GAUSS_WEIGHTS @ ys[1::2])
-        return k15, abs(k15 - g7)
     k15 = half * (ys @ _KRONROD_WEIGHTS)
-    g7 = half * (ys[:, 1::2] @ _GAUSS_WEIGHTS)
-    return k15, np.abs(k15 - g7)
+    g7 = half * (ys[..., 1::2] @ _GAUSS_WEIGHTS)
+    return k15, abs(k15 - g7)
 
 
 def _evaluate(f, spans):
@@ -134,58 +129,36 @@ def _fsum(parts):
 class _Panels:
     """One range under worst-panel refinement: each panel's edges and depth,
     and its value and error, which math.fsum sums exactly at every step.  A
-    split panel's entries change in place and its right half goes last.  A
-    plain integrand keeps two lists and splits the first panel of largest
-    error; a vector integrand keeps two (components, panels) arrays of
-    _PANEL_BLOCK columns, doubled when full (one column per panel up to the
-    budget, 3.4 MB at 105 components, raised an analytic sweep's peak RSS
-    by 1.6 MB)."""
+    split panel's entries change in place and its right half goes last.  The
+    values and errors are lists of one entry per panel: a float for a plain
+    integrand, which splits the first panel of largest error, and an array
+    of components for a vector integrand."""
 
     def __init__(self, lower, upper, value, error):
         self.edges, self.depths = [(lower, upper)], [0]
-        self.scalar = isinstance(value, float)
-        if self.scalar:
-            self.values, self.errors = [], []
-        else:
-            self.values = np.empty((value.size, _PANEL_BLOCK))
-            self.errors = np.empty_like(self.values)
-        self._put(0, value, error)
-
-    def _put(self, slot, value, error):
-        if self.scalar:
-            # replaces the entry at slot, or appends one at the end
-            self.values[slot:slot + 1] = (value,)
-            self.errors[slot:slot + 1] = (error,)
-            return
-        if slot == self.values.shape[1]:
-            self.values = np.concatenate([self.values, np.empty_like(self.values)], axis=1)
-            self.errors = np.concatenate([self.errors, np.empty_like(self.errors)], axis=1)
-        self.values[:, slot] = value
-        self.errors[:, slot] = error
+        self.values, self.errors = [value], [error]
 
     def split(self, spec):
         """The two halves of the worst panel, or None once every component
         meets its tolerance; ``total`` and ``error`` then hold the sums.
         Raises NonConvergenceError at the depth limit or the panel budget."""
         n = len(self.depths)
-        if self.scalar:
-            self.total, self.error = math.fsum(self.values), math.fsum(self.errors)
+        self.total, self.error = _fsum(self.values), _fsum(self.errors)
+        if isinstance(self.total, float):
             tol = max(spec.abs_tol, spec.rel_tol * abs(self.total))
             if self.error <= tol:
                 return None
             worst = self.errors.index(max(self.errors))
             report = self.error, tol
         else:
-            errors = self.errors[:, :n]
-            self.total = np.array([math.fsum(row) for row in self.values[:, :n].tolist()])
-            self.error = np.array([math.fsum(row) for row in errors.tolist()])
             tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(self.total))
             if np.all(self.error <= tol):
                 return None
             # the worst panel of the component farthest above its tolerance
             # has the largest error-to-tolerance ratio
-            j = int(np.argmax(errors.max(axis=1) / tol))
-            worst = int(np.argmax(errors[j]))
+            errors = np.array(self.errors)
+            j = int(np.argmax(errors.max(axis=0) / tol))
+            worst = int(np.argmax(errors[:, j]))
             report = self.error[j], tol[j]
         (a, b), depth = self.edges[worst], self.depths[worst]
         if depth >= _MAX_DEPTH:
@@ -204,8 +177,9 @@ class _Panels:
 
     def store(self, left, right):
         """The (value, error) of the last split's two halves."""
-        self._put(self.worst, *left)
-        self._put(len(self.depths) - 1, *right)
+        self.values[self.worst], self.errors[self.worst] = left
+        self.values.append(right[0])
+        self.errors.append(right[1])
 
 
 def integrate_segments(f, edges, spec: QuadratureSpec = DEFAULT_SPEC):

@@ -280,23 +280,6 @@ def _segment_reduce(ufunc, values, starts, empty):
     return out
 
 
-def _nearest_within(d2, starts, limit):
-    """(rows, minima, flat indices) of the segments with an entry at or below
-    ``limit``: each such segment's minimum and the flat index of the first
-    entry equal to it.  Past one scan of ``d2``, only the entries at or below
-    ``limit`` are searched."""
-    near = np.flatnonzero(d2 <= limit)
-    if near.size == 0:
-        return near, d2[near], near
-    d2_near = d2[near]
-    seg = np.searchsorted(starts, near, side="right") - 1
-    first = np.flatnonzero(np.diff(seg, prepend=-1))
-    d2_min = np.minimum.reduceat(d2_near, first)
-    hit = np.flatnonzero(d2_near == np.repeat(d2_min, np.diff(first, append=near.size)))
-    rows = seg[first]
-    return rows, d2_min, near[hit[np.searchsorted(seg[hit], rows)]]
-
-
 def _first_min_index(d2, starts, d2_min, rows):
     """Flat index of the first entry equal to its segment minimum, for each
     segment in ``rows`` (all nonempty).  Only entries at or below the largest
@@ -431,18 +414,20 @@ def _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
     d2 arrays with scratch values.
     """
     eta = cfg.p_v / cfg.p_b
-    # a row is vehicle associated if a vehicle lies within rho, and served by
-    # the nearest one: only those few vehicles are searched
-    sl_rows, dv2_min, iv = _nearest_within(d2_v, veh_starts, cfg.rho * cfg.rho)
+    # a row is vehicle associated if its nearest vehicle lies within rho (the
+    # closed ball), else base station associated, and is served by the first
+    # nearest of its population; the minima scan every entry, and the index
+    # search only those at or below the largest served minimum (for vehicles,
+    # at most rho^2)
+    dv2_min = _segment_reduce(np.minimum, d2_v, veh_starts, np.inf)
     db2_min = _segment_reduce(np.minimum, d2_b, bs_starts, np.inf)
-    is_sl = np.zeros(db2_min.size, dtype=bool)
-    is_sl[sl_rows] = True
+    is_sl = dv2_min <= cfg.rho * cfg.rho
     degenerate = ~is_sl & np.isinf(db2_min)
+    sl_rows = np.flatnonzero(is_sl)
     dl_rows = np.flatnonzero(~is_sl & ~degenerate)
-    serving_d2 = db2_min.copy()
-    serving_d2[sl_rows] = dv2_min
     with np.errstate(divide="ignore"):
-        loss = np.power(serving_d2, -0.5 * cfg.alpha, out=serving_d2)
+        loss = np.power(np.where(is_sl, dv2_min, db2_min), -0.5 * cfg.alpha)
+    iv = _first_min_index(d2_v, veh_starts, dv2_min, sl_rows)
     ib = _first_min_index(d2_b, bs_starts, db2_min, dl_rows)
 
     pw_v = _received_power(fade_v, d2_v, cfg.alpha)

@@ -137,11 +137,15 @@ def test_vector_integrand_meets_each_component_error(fns, lower, upper, truths):
 @pytest.mark.parametrize("f, lower, upper", [
     (lambda x: np.exp(-x) * np.sin(3 * x), 0.0, 4.0),
     (lambda u: 2.0 * np.sqrt(np.clip(1.0 - u * u, 0.0, None)), 0.0, 1.0),
+    (lambda x: np.sqrt(np.abs(x)), -1.0, 1.0),
 ])
 def test_one_component_vector_matches_scalar_bit_for_bit(f, lower, upper):
-    value, err = integrate(f, lower, upper)
-    vec_value, vec_err = integrate(lambda x: f(x)[None, :], lower, upper)
+    # both kinds of integrand refine the same panels on the same ledger
+    value, err, panels = integrate_with_panels(f, lower, upper)
+    vec_value, vec_err, vec_panels = integrate_with_panels(
+        lambda x: f(x)[None, :], lower, upper)
     assert (vec_value.tolist(), vec_err.tolist()) == ([value], [err])
+    assert vec_panels == panels
 
 
 def test_vector_panel_resum_matches_adaptive():

@@ -142,16 +142,30 @@ def _resolve_sir_by_full_scan(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d
 @pytest.mark.parametrize("p_v", [1.0, 0.3])
 @pytest.mark.parametrize("alpha", [3.0, 3.7])
 def test_kernel_searches_only_vehicles_within_rho_bit_for_bit(alpha, p_v):
-    # the serving vehicle is looked for among the vehicles within rho only;
-    # empty segments on both sides, rows without any vehicle within rho, no
-    # vehicle at all, and tied distances (squared distances on a coarse grid)
-    # give the same outputs, bit for bit, as a search over every vehicle
+    # the nearest vehicle's distance comes from every vehicle, and its index
+    # is looked for among the vehicles within rho only; empty segments on both
+    # sides, rows without any vehicle within rho, no vehicle at all, tied
+    # distances (squared distances on a coarse grid), nearest vehicles exactly
+    # at rho and tied pairs of nearest vehicles within rho give the same
+    # outputs, bit for bit, as a search over every vehicle
     cfg = replace(CFG, alpha=alpha, p_v=p_v)
+    rho2 = cfg.rho * cfg.rho
     rng = np.random.default_rng(int(10 * alpha + 10 * p_v))
-    for n, mean_veh, mean_bs in ((400, 3.0, 2.0), (300, 0.5, 0.3), (50, 0.0, 1.0)):
+    for n, mean_veh, mean_bs, boundary in ((400, 3.0, 2.0, False), (300, 0.5, 0.3, False),
+                                           (50, 0.0, 1.0, False), (300, 3.0, 2.0, True)):
         veh_starts = _segment_starts(rng.poisson(mean_veh, n))
         bs_starts = _segment_starts(rng.poisson(mean_bs, n))
         d2_v = np.round(rng.uniform(0.0, 0.5, veh_starts[-1]), 2) + 1e-3
+        if boundary:
+            # every vehicle outside rho, then even rows get one exactly at
+            # rho (the closed ball: sidelink) and odd rows two tied within
+            # rho, the segment's first and last (the first serves)
+            d2_v += rho2
+            lo, hi = veh_starts[:-1], veh_starts[1:]
+            at_rho = np.flatnonzero((hi > lo) & (np.arange(n) % 2 == 0))
+            tied = np.flatnonzero((hi - lo >= 2) & (np.arange(n) % 2 == 1))
+            d2_v[hi[at_rho] - 1] = rho2
+            d2_v[lo[tied]] = d2_v[hi[tied] - 1] = 0.5 * rho2
         d2_b = rng.uniform(1e-3, 2.0, bs_starts[-1])
         fade_v = rng.standard_exponential(d2_v.size)
         fade_b = rng.standard_exponential(d2_b.size)
@@ -160,6 +174,9 @@ def test_kernel_searches_only_vehicles_within_rho_bit_for_bit(alpha, p_v):
                                          bs_starts, d2_b.copy(), fade_b.copy())
         got = _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b)
         assert want[0].any() == (mean_veh > 0) and want[2].any()
+        if boundary:
+            assert at_rho.size and tied.size
+            assert np.array_equal(np.flatnonzero(want[0]), np.union1d(at_rho, tied))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
 
