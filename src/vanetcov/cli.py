@@ -19,11 +19,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 
 from . import analytic, simulator
-from .config import ValidationError, config_dict, config_field_names, load_config, validate
+from .config import NetworkConfig, ValidationError, load_config, validate
 from .quadrature import NonConvergenceError
 
 SEED_ENV_VAR = "VANET_SEED"
@@ -33,7 +33,7 @@ MODES = ("analytic", "montecarlo", "validate")
 METRICS = ("assoc", "dl_cov", "sl_cov", "total_cov", "eff_rate", "utility",
            "total_rate", "nu")
 
-_COLUMNS = config_field_names() + [
+_COLUMNS = [f.name for f in fields(NetworkConfig)] + [
     "metric", "tau_or_epsilon", "value", "std_error_or_quad_error",
     "n_samples", "seed", "verdict", "error",
 ]
@@ -154,8 +154,8 @@ def _mc_results(cfg, req, seed):
                                        est.n_samples))]
 
 
-def _row(cfg, **fields) -> dict:
-    return {**dict.fromkeys(_COLUMNS, ""), **config_dict(cfg), **fields}
+def _row(cfg, **values) -> dict:
+    return {**dict.fromkeys(_COLUMNS, ""), **vars(cfg), **values}
 
 
 def _error_text(exc: Exception) -> str:
@@ -188,18 +188,19 @@ def _rows_for_config(cfg, req, seed):
 
 
 def _resolve_seed(req: RunRequest):
-    if req.seed is not None:
-        return req.seed
     env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{SEED_ENV_VAR} must be a decimal integer") from exc
-    if req.mode in ("montecarlo", "validate"):
-        raise ValidationError(
-            f"montecarlo/validate modes need --seed or {SEED_ENV_VAR}")
-    return 0
+    if req.seed is None and env is None:
+        if req.mode in ("montecarlo", "validate"):
+            raise ValidationError(
+                f"montecarlo/validate modes need --seed or {SEED_ENV_VAR}")
+        return 0
+    try:
+        seed = req.seed if req.seed is not None else int(env)
+    except ValueError as exc:
+        raise ValidationError(f"{SEED_ENV_VAR} must be a decimal integer") from exc
+    if seed < 0:
+        raise ValidationError(f"the seed must be nonnegative, not {seed}")
+    return seed
 
 
 def _fmt(v) -> str:
@@ -223,7 +224,7 @@ def run(req: RunRequest) -> list[dict]:
 
     if req.sweep is not None:
         field, values = req.sweep
-        if field not in config_field_names():
+        if field not in vars(base_cfg):
             raise ValidationError(f"sweep parameter {field!r} is not a config field")
         variants = [{field: v} for v in values]
     else:
@@ -265,17 +266,22 @@ def _write_outputs(req: RunRequest, rows: list[dict]) -> None:
         fh.write(json.dumps(doc, indent=1, default=str, allow_nan=False) + "\n")
 
 
+def _numbers(text: str) -> tuple[float, ...]:
+    """argparse type of --tau and --sweep's values: one or more numbers."""
+    try:
+        values = tuple(float(v) for v in text.split(",") if v != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number list: {text}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("number list is empty")
+    return values
+
+
 def _parse_sweep(text: str):
     if "=" not in text:
         raise argparse.ArgumentTypeError("sweep must look like name=v1,v2,...")
     name, _, values = text.partition("=")
-    try:
-        parsed = tuple(float(v) for v in values.split(",") if v != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad sweep values: {values}") from exc
-    if not parsed:
-        raise argparse.ArgumentTypeError("sweep value list is empty")
-    return name.strip(), parsed
+    return name.strip(), _numbers(values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,13 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="flat JSON config file")
     p.add_argument("--mode", required=True, choices=MODES)
     p.add_argument("--metric", required=True, choices=METRICS)
-    p.add_argument("--tau", default="",
-                   help="comma-separated SIR thresholds (linear ratios)")
+    p.add_argument("--tau", type=_numbers, default=(),
+                   help="comma-separated SIR thresholds, linear (dB with "
+                        "--db-thresholds), positive and finite once converted")
     p.add_argument("--sweep", type=_parse_sweep, default=None,
                    metavar="name=v1,v2,...")
     p.add_argument("--samples", type=int, default=0)
     p.add_argument("--seed", type=int, default=None,
-                   help=f"master seed; falls back to ${SEED_ENV_VAR}")
+                   help=f"nonnegative master seed; falls back to ${SEED_ENV_VAR}")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--db-thresholds", action="store_true",
                    help="interpret --tau values as dB and convert on parse")
@@ -311,24 +318,17 @@ def _chance_note(n_rows: int) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    taus: tuple[float, ...] = ()
-    if args.tau:
-        try:
-            taus = tuple(float(t) for t in args.tau.split(",") if t != "")
-        except ValueError:
-            print(f"error: bad --tau list: {args.tau}", file=sys.stderr)
-            return 2
-        if args.db_thresholds:
-            taus = tuple(10.0 ** (t / 10.0) for t in taus)
-        if any(t <= 0 for t in taus):
-            print("error: tau values must be positive", file=sys.stderr)
-            return 2
+    taus = args.tau
+    if args.db_thresholds:
+        taus = tuple(10.0 ** (t / 10.0) for t in taus)
     req = RunRequest(
         config_path=args.config, mode=args.mode, metric=args.metric,
         output_path=args.out, tau_grid=taus, sweep=args.sweep,
         seed=args.seed, n_samples=args.samples,
         timestamp=not args.no_timestamp)
     try:
+        if not all(0.0 < t < math.inf for t in taus):  # NaN fails both
+            raise ValidationError("tau values must be positive and finite")
         rows = run(req)
     except (ValidationError, OSError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

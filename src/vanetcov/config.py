@@ -4,7 +4,9 @@ Distances are in kilometres, line intensities in 1/km, planar intensities in
 1/km^2, and transmit powers in linear units, so the vehicle/base-station power
 ratio is a plain quotient.  SIR thresholds (tau) are arguments of the coverage
 operations, not configuration; the sidelink encoding rate epsilon lives here
-because the utility and total-rate formulas consume it.
+because the utility and total-rate formulas consume it.  A config file's
+values must be JSON numbers: a string, boolean, null, list or object is
+rejected, not converted.
 """
 from __future__ import annotations
 
@@ -34,74 +36,56 @@ class NetworkConfig:
     w_d: float = 0.5  # downlink utility weight
 
 
-def _fail(name: str, message: str) -> None:
-    raise ValidationError(f"{name} {message}")
+# each field's lower bound and whether the bound itself is allowed, in field
+# order; lambda_l = 0 and mu = 0 are degenerate road-free scenarios
+_LOWER_BOUNDS = {"lambda_l": (0, True), "mu": (0, True), "lambda_b": (0, False),
+                 "lambda_u": (0, False), "rho": (0, True), "alpha": (2, False),
+                 "p_b": (0, False), "p_v": (0, False), "epsilon": (0, True),
+                 "w_s": (0, True), "w_d": (0, True)}
 
 
 def validate(cfg: NetworkConfig) -> NetworkConfig:
     """Return ``cfg`` unchanged iff every invariant holds.
 
-    Raises :class:`ValidationError` naming the first violated invariant.
-    lambda_l = 0 and mu = 0 are allowed as degenerate road-free scenarios.
+    Raises :class:`ValidationError` naming the first violated invariant: a
+    field not a finite real number, one below its bound, lambda_u <= lambda_b.
     """
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not isinstance(value, (int, float)) or isinstance(value, bool):
-            _fail(f.name, "must be a real number")
+            raise ValidationError(f"{f.name} must be a real number")
         if not math.isfinite(value):
-            _fail(f.name, "must be finite")
-    if cfg.lambda_l < 0:
-        _fail("lambda_l", "must be nonnegative")
-    if cfg.mu < 0:
-        _fail("mu", "must be nonnegative")
-    if cfg.lambda_b <= 0:
-        _fail("lambda_b", "must be positive")
-    if cfg.lambda_u <= 0:
-        _fail("lambda_u", "must be positive")
-    if cfg.rho < 0:
-        _fail("rho", "must be nonnegative")
-    if cfg.alpha <= 2:
-        _fail("alpha", "must exceed 2")
-    if cfg.p_b <= 0:
-        _fail("p_b", "must be positive")
-    if cfg.p_v <= 0:
-        _fail("p_v", "must be positive")
-    if cfg.epsilon < 0:
-        _fail("epsilon", "must be nonnegative")
-    if cfg.w_s < 0:
-        _fail("w_s", "must be nonnegative")
-    if cfg.w_d < 0:
-        _fail("w_d", "must be nonnegative")
+            raise ValidationError(f"{f.name} must be finite")
+    for name, (bound, closed) in _LOWER_BOUNDS.items():
+        value = getattr(cfg, name)
+        if value < bound or value == bound and not closed:
+            rule = ("be nonnegative" if closed else
+                    "be positive" if bound == 0 else f"exceed {bound}")
+            raise ValidationError(f"{name} must {rule}")
     if cfg.lambda_u <= cfg.lambda_b:
-        _fail("lambda_u", "must exceed lambda_b")
+        raise ValidationError("lambda_u must exceed lambda_b")
     return cfg
-
-
-def config_field_names() -> list[str]:
-    return [f.name for f in fields(NetworkConfig)]
-
-
-def config_dict(cfg: NetworkConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
 
 
 def load_config(path) -> NetworkConfig:
     """Load a flat JSON document with exactly the NetworkConfig field names.
 
     Unknown keys are an error so that typos never pass silently.  `w_s` and
-    `w_d` may be omitted and take their defaults.
+    `w_d` may be omitted and take their defaults.  A file that is not JSON,
+    and a value that is not a finite JSON number, raise ValidationError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            # JSON integers load as floats (inf past the float range, -0 as
+            # 0); any other value keeps its JSON type for validate to name
+            raw = json.load(fh, parse_int=lambda text: float(text) + 0.0)
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValidationError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError("config file must hold a flat JSON object")
-    known = set(config_field_names())
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-    optional = {"w_s", "w_d"}
-    missing = sorted(known - optional - set(raw))
-    if missing:
-        raise ValidationError(f"missing config keys: {', '.join(missing)}")
-    cfg = NetworkConfig(**{k: float(v) for k, v in raw.items()})
-    return validate(cfg)
+    known = {f.name for f in fields(NetworkConfig)}
+    for kind, keys in (("unknown", set(raw) - known),
+                       ("missing", known - {"w_s", "w_d"} - set(raw))):
+        if keys:
+            raise ValidationError(f"{kind} config keys: {', '.join(sorted(keys))}")
+    return validate(NetworkConfig(**raw))

@@ -438,3 +438,31 @@ def test_coverage_rows_take_one_downlink_call_per_config(cfg_path, tmp_path, mon
     for row in rows:
         want = real(validate(replace(base, mu=row["mu"])), row["tau_or_epsilon"])
         assert abs(row["value"] - want.value) <= row["std_error_or_quad_error"]
+
+
+@pytest.mark.parametrize("config_text, args, env_seed", [
+    (json.dumps(REF_DOC)[:-1], ["--tau", "1", "--seed", "7"], None),
+    (json.dumps({**REF_DOC, "lambda_l": "5"}), ["--tau", "1", "--seed", "7"], None),
+    (json.dumps(REF_DOC), ["--tau", "nan", "--seed", "7"], None),
+    (json.dumps(REF_DOC), ["--tau", "inf", "--seed", "7"], None),
+    (json.dumps(REF_DOC), ["--tau", "inf", "--db-thresholds", "--seed", "7"], None),
+    (json.dumps(REF_DOC), ["--tau", "1", "--seed", "-1"], None),
+    (json.dumps(REF_DOC), ["--tau", "1"], "-3"),
+], ids=["malformed-json", "string-value", "tau-nan", "tau-inf", "tau-inf-db",
+        "negative-seed", "negative-env-seed"])
+def test_malformed_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
+                                                 config_text, args, env_seed):
+    # one error line, no traceback, and no output file
+    if env_seed is None:
+        monkeypatch.delenv(cli.SEED_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(cli.SEED_ENV_VAR, env_seed)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config_text)
+    out = tmp_path / "x.csv"
+    rc = cli.main(["--config", str(cfg), "--mode", "validate", "--metric", "dl_cov",
+                   "--samples", "100", "--out", str(out)] + args)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists() and not out.with_suffix(".json").exists()

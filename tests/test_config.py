@@ -84,3 +84,26 @@ def test_load_config_rejects_missing_keys(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="missing config keys: rho"):
         load_config(path)
+
+
+def test_load_config_rejects_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(REF_KWARGS)[:-1])
+    with pytest.raises(ValidationError, match="config file is not valid JSON"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("value", ["5", True, "x", None, [1], {"v": 1}],
+                         ids=["numeric-string", "true", "string", "null", "list", "object"])
+def test_load_config_rejects_values_that_are_not_json_numbers(tmp_path, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**REF_KWARGS, "lambda_l": value}))
+    with pytest.raises(ValidationError, match="^lambda_l must be a real number$"):
+        load_config(path)
+
+
+def test_load_config_rejects_an_integer_past_the_float_range(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**REF_KWARGS, "mu": 10 ** 400}))
+    with pytest.raises(ValidationError, match="^mu must be finite$"):
+        load_config(path)
