@@ -11,8 +11,9 @@ spans several 1,024-row batches, so a run on one CPU and a run on several
 thread pool on the same streams; their digests must match.  A digest hashes
 each result's dtype, shape and bytes (arrays) or the float.hex of each value
 (estimates and analytic results), config by config and seed by seed.  The
-analytic evaluators are also hashed on STEEP_CONFIGS (whole alpha 4 and 6,
-and alpha 4 with no roads), one line each.
+analytic evaluators and draw_sir_samples are also hashed on STEEP_CONFIGS
+(whole alpha 4 and 6, and alpha 4 with no roads), one line each; the Monte
+Carlo line covers the path loss of whole even alpha.
 """
 import dataclasses
 import hashlib
@@ -85,6 +86,14 @@ ANALYTIC_MORE = {
 }
 
 
+def _mc_digest(n_samples, fn, configs):
+    h = hashlib.sha256()
+    for cfg in configs.values():
+        for seed in SEEDS:
+            _update(h, fn(cfg, simulator.make_plan(cfg, n_samples, seed)))
+    return h.hexdigest()
+
+
 def _analytic_digest(fn, configs):
     h = hashlib.sha256()
     for cfg in configs.values():
@@ -98,15 +107,13 @@ def main():
     print(f"# configs: {', '.join(configs)}; seeds {SEEDS}; "
           f"{simulator._available_cpus()} CPU(s) available")
     for name, (n_samples, fn) in ESTIMATORS.items():
-        h = hashlib.sha256()
-        for cfg in configs.values():
-            for seed in SEEDS:
-                _update(h, fn(cfg, simulator.make_plan(cfg, n_samples, seed)))
-        print(f"{name:34} {h.hexdigest()}")
+        print(f"{name:34} {_mc_digest(n_samples, fn, configs)}")
     for name, fn in {**ANALYTIC, **ANALYTIC_MORE}.items():
         print(f"{name:34} {_analytic_digest(fn, configs)}")
     for name, fn in ANALYTIC.items():
         print(f"{'steep: ' + name.removeprefix('analytic.'):34} {_analytic_digest(fn, steep)}")
+    print(f"{'steep: draw_sir_samples':34} "
+          f"{_mc_digest(*ESTIMATORS['draw_sir_samples'], steep)}")
 
 
 if __name__ == "__main__":

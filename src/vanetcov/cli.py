@@ -229,6 +229,10 @@ def run(req: RunRequest) -> list[dict]:
         variants = [{field: v} for v in values]
     else:
         variants = [{}]
+    if os.path.isdir(req.output_path):
+        raise ValidationError(f"--out {req.output_path} is a directory")
+    if not os.path.isdir(os.path.dirname(req.output_path) or "."):
+        raise ValidationError(f"--out {req.output_path}: no such directory")
 
     rows: list[dict] = []
     for variant in variants:
@@ -316,11 +320,19 @@ def _chance_note(n_rows: int) -> str:
             f"{n_rows} rows at {VERDICT_SIGMAS:g} sigma")
 
 
+def _from_db(t: float) -> float:
+    """Linear threshold of t dB; past the float range it reads inf."""
+    try:
+        return 10.0 ** (t / 10.0)
+    except OverflowError:
+        return math.inf
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     taus = args.tau
     if args.db_thresholds:
-        taus = tuple(10.0 ** (t / 10.0) for t in taus)
+        taus = tuple(_from_db(t) for t in taus)
     req = RunRequest(
         config_path=args.config, mode=args.mode, metric=args.metric,
         output_path=args.out, tau_grid=taus, sweep=args.sweep,

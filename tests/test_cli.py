@@ -446,10 +446,11 @@ def test_coverage_rows_take_one_downlink_call_per_config(cfg_path, tmp_path, mon
     (json.dumps(REF_DOC), ["--tau", "nan", "--seed", "7"], None),
     (json.dumps(REF_DOC), ["--tau", "inf", "--seed", "7"], None),
     (json.dumps(REF_DOC), ["--tau", "inf", "--db-thresholds", "--seed", "7"], None),
+    (json.dumps(REF_DOC), ["--tau", "4000", "--db-thresholds", "--seed", "7"], None),
     (json.dumps(REF_DOC), ["--tau", "1", "--seed", "-1"], None),
     (json.dumps(REF_DOC), ["--tau", "1"], "-3"),
 ], ids=["malformed-json", "string-value", "tau-nan", "tau-inf", "tau-inf-db",
-        "negative-seed", "negative-env-seed"])
+        "tau-db-overflow", "negative-seed", "negative-env-seed"])
 def test_malformed_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
                                                  config_text, args, env_seed):
     # one error line, no traceback, and no output file
@@ -466,3 +467,19 @@ def test_malformed_input_exits_2_before_any_work(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not out.exists() and not out.with_suffix(".json").exists()
+
+
+@pytest.mark.parametrize("out_name", ["missing/x.csv", "."], ids=["missing-dir", "directory"])
+def test_out_path_is_checked_before_any_work(cfg_path, tmp_path, monkeypatch, capsys,
+                                             out_name):
+    # an --out that cannot be a file is a request error: no config is
+    # evaluated, one error line, and nothing written
+    monkeypatch.setattr(cli, "_rows_for_config",
+                        lambda *a: pytest.fail("a config was evaluated"))
+    out = tmp_path / out_name
+    rc = cli.main(["--config", cfg_path, "--mode", "validate", "--metric", "eff_rate",
+                   "--samples", "100", "--seed", "1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
