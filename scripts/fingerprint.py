@@ -13,7 +13,9 @@ each result's dtype, shape and bytes (arrays) or the float.hex of each value
 (estimates and analytic results), config by config and seed by seed.  The
 analytic evaluators and draw_sir_samples are also hashed on STEEP_CONFIGS
 (whole alpha 4 and 6, and alpha 4 with no roads), one line each; the Monte
-Carlo line covers the path loss of whole even alpha.
+Carlo line covers the path loss of whole even alpha.  A last line hashes
+draw_sir_samples on DENSE_CONFIGS (REF at mu = 40): about 1.5M vehicles a
+batch, which the kernel passes in many row ranges of VEHICLE_SLICE vehicles.
 """
 import dataclasses
 import hashlib
@@ -39,6 +41,7 @@ STEEP_CONFIGS = {
     "alpha 6": dict(REF, alpha=6.0),
     "no roads / alpha 4": dict(REF, lambda_l=0.0, mu=0.0, alpha=4.0),
 }
+DENSE_CONFIGS = {"mu 40": dict(REF, mu=40.0)}
 SEEDS = (11, 2026)
 SIR_SAMPLES = 5000       # four full batches and a short one
 CELL_SAMPLES = 2500      # two full batches and a short one
@@ -104,6 +107,7 @@ def _analytic_digest(fn, configs):
 def main():
     configs = {name: validate(NetworkConfig(**kw)) for name, kw in CONFIGS.items()}
     steep = {name: validate(NetworkConfig(**kw)) for name, kw in STEEP_CONFIGS.items()}
+    dense = {name: validate(NetworkConfig(**kw)) for name, kw in DENSE_CONFIGS.items()}
     print(f"# configs: {', '.join(configs)}; seeds {SEEDS}; "
           f"{simulator._available_cpus()} CPU(s) available")
     for name, (n_samples, fn) in ESTIMATORS.items():
@@ -114,6 +118,8 @@ def main():
         print(f"{'steep: ' + name.removeprefix('analytic.'):34} {_analytic_digest(fn, steep)}")
     print(f"{'steep: draw_sir_samples':34} "
           f"{_mc_digest(*ESTIMATORS['draw_sir_samples'], steep)}")
+    print(f"{'dense: draw_sir_samples':34} "
+          f"{_mc_digest(*ESTIMATORS['draw_sir_samples'], dense)}")
 
 
 if __name__ == "__main__":

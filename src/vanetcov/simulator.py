@@ -3,21 +3,36 @@
 The typical user sits at the origin of a disk window.  Per replication the
 kernel draws roads, vehicles, base stations and per-transmitter unit-mean
 exponential fades, resolves the vehicle-first association, and forms the SIR.
-Every estimator draws the road network with one sampler, ``_roads`` and
-``_chord_vehicles``.
+Every estimator draws its roads with ``_roads``; the cell and association
+estimators place vehicles with ``_chord_vehicles``, and the SIR kernel draws
+the same chord counts and positions a row range at a time (below).
 Replications are vectorised in batches of BATCH_SIZE = 1,024; each batch
 owns an RNG stream spawned from the master seed, so the seed alone fixes
 every result, however the batches are scheduled.  ``_map_batches`` runs
 batches on one thread pool shared by the whole process, with one worker per
 available CPU: numpy's random fills and ufuncs release the interpreter lock,
 so batches really run at once.  At most MAX_WORKERS = 4 batches in flight,
-across every caller, bound the kernel's memory; a run of a single batch
-starts no thread, and a pool task never submits to a pool.
+across every caller, bound how many batches are in memory at once; a run of
+a single batch starts no thread, and a pool task never submits to a pool.
 
 Within a batch every population is one flat array grouped by replication and
 described by per-replication start offsets; minima and sums are segment
 reductions over it.  The kernel works on squared distances throughout: path
 loss is (d^2)^(-alpha/2) and association compares with rho^2.
+
+The SIR kernel never holds all of a batch's vehicles, whose number grows
+with lambda_l mu.  It reads the batch's PCG64 stream through two cursors.
+Right after the chord counts a copy of the generator starts at the vehicle
+positions, one double each (t = 2u - 1, bit for bit uniform(-1, 1)), while
+the batch's own generator skips them with ``advance`` and draws the base
+stations and then the vehicle fades.  The vehicles then pass through the
+kernel in row ranges of at most VEHICLE_SLICE vehicles (a heavier row forms
+a range alone): per range their squared distances, each row's nearest
+vehicle, the serving vehicle's power and the other vehicles' interference
+sum.  After the base-station fades the base stations take the same steps,
+and the association and SIR follow per row.  Every draw keeps the value it
+has when the batch's vehicles are drawn whole, in this order, so a batch's
+memory is bounded by the slice and not by the vehicle density.
 
 Interference beyond the window would bias SIR low-side truncation: with a
 path-loss exponent close to 2 the far field decays too slowly to ignore at
@@ -70,6 +85,7 @@ DEGENERATE_ABORT_FRACTION = 1e-6
 BATCH_SIZE = 1024          # replications per batch, each with its own stream
 MAX_WORKERS = 4            # batches in flight at once, across all callers
 GATHER_SLICE = 1 << 14     # vehicles per slice of a per-road gather
+VEHICLE_SLICE = 1 << 16    # vehicles per row range of the SIR kernel
 
 
 class DegenerateRealizationError(RuntimeError):
@@ -102,7 +118,10 @@ class SimPlan:
     Replications are drawn in batches of BATCH_SIZE, each with its own random
     stream, so the seed fixes every result.  Batches run on the process's
     shared thread pool of at most MAX_WORKERS workers, capped by the CPUs
-    available; a plan of one batch runs without threads."""
+    available; a plan of one batch runs without threads.  A batch of the SIR
+    kernel holds its vehicles one row range of VEHICLE_SLICE at a time, so
+    its memory is bounded by the slice, not by the vehicle density;
+    MAX_WORKERS bounds the memory only across batches."""
     window_radius: float
     n_samples: int
     seed: int
@@ -290,6 +309,18 @@ def _first_min_index(d2, starts, d2_min, rows):
     return cand[hit][np.searchsorted(seg[hit], rows)]
 
 
+def _row_ranges(weight, budget):
+    """Consecutive row ranges [a, b) whose weights sum to at most ``budget``;
+    a heavier row forms a range alone."""
+    ends = np.cumsum(weight)
+    a = 0
+    while a < weight.size:
+        base = ends[a - 1] if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + budget, side="right")))
+        yield a, b
+        a = b
+
+
 # ---------------------------------------------------------------------------
 # the road network: a Poisson line Cox process
 # ---------------------------------------------------------------------------
@@ -399,84 +430,126 @@ def _received_power(fade, d2, alpha):
     return fade
 
 
-def _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
+def _nearest_serves(alpha, gain, starts, d2, fade, served):
+    """One population's per-row powers: in each row that ``served`` marks,
+    the first nearest transmitter serves and the others interfere; in the
+    other rows all of them interfere.
+
+    The population is a flat array of squared distances and unit-mean fades
+    grouped by replication (segment i is [starts[i], starts[i + 1])), and
+    ``gain`` scales its powers (eta for vehicles).  ``served`` maps the
+    per-row nearest squared distances to a boolean per row and must mark
+    only nonempty rows.  Returns (d2_min, serving, interference) per row:
+    the nearest squared distance (inf for an empty row), the serving power
+    (0 in unserved rows) and the sum of the other powers.  The serving term
+    is taken out of the sum, not subtracted from the total: at a large SIR
+    the subtraction would leave mostly rounding.  ``fade`` is overwritten
+    with received powers and ``d2`` with scratch values.
+    """
+    # the minima scan every entry, and the index search only those at or
+    # below the largest served minimum
+    d2_min = _segment_reduce(np.minimum, d2, starts, np.inf)
+    rows = np.flatnonzero(served(d2_min))
+    first = _first_min_index(d2, starts, d2_min, rows)
+    pw = _received_power(fade, d2, alpha)
+    if gain != 1.0:
+        pw *= gain
+    serving = np.zeros(d2_min.size)
+    serving[rows] = pw[first]
+    pw[first] = 0.0
+    return d2_min, serving, _segment_reduce(np.add, pw, starts, 0.0)
+
+
+def _vehicle_rows(cfg, starts, d2, fade):
+    """``_nearest_serves`` for vehicles, the kernel's step per slice: a row
+    is vehicle associated if its nearest vehicle lies within rho (the closed
+    ball)."""
+    rho2 = cfg.rho * cfg.rho
+    return _nearest_serves(cfg.alpha, cfg.p_v / cfg.p_b, starts, d2, fade,
+                           lambda d2_min: d2_min <= rho2)
+
+
+def _resolve_sir(cfg, m_far, vehicles, bs_starts, d2_b, fade_b):
     """Association and SIR per replication.
 
-    Vehicles and base stations are flat arrays of squared distances and
-    unit-mean fades grouped by replication (segment i of each population is
-    [starts[i], starts[i + 1])).  ``m_far`` is the deterministic far-field
-    interference added to each row, a scalar or one per row.  Returns
-    (is_sl, sir, degenerate, loss, interference): per row the association,
-    the SIR, whether the row is degenerate (no vehicle within rho and no base
-    station; its other outputs are meaningless), the serving path-loss power
-    (eta included for a vehicle, no fade) and the interference without
-    ``m_far``.  The fade arrays are overwritten with received powers and the
-    d2 arrays with scratch values.
+    ``vehicles`` is ``_vehicle_rows``'s (d2_min, serving, interference) per
+    row; the base stations are flat arrays of squared distances and
+    unit-mean fades grouped by replication, overwritten as
+    ``_nearest_serves`` says.  A row that is not vehicle associated is
+    served by its nearest base station.  ``m_far`` is the deterministic
+    far-field interference added to each row, a scalar or one per row.
+    Returns (is_sl, sir, degenerate, loss, interference): per row the
+    association, the SIR, whether the row is degenerate (no vehicle within
+    rho and no base station; its other outputs are meaningless), the serving
+    path-loss power (eta included for a vehicle, no fade) and the
+    interference without ``m_far``.
     """
     eta = cfg.p_v / cfg.p_b
-    # a row is vehicle associated if its nearest vehicle lies within rho (the
-    # closed ball), else base station associated, and is served by the first
-    # nearest of its population; the minima scan every entry, and the index
-    # search only those at or below the largest served minimum (for vehicles,
-    # at most rho^2)
-    dv2_min = _segment_reduce(np.minimum, d2_v, veh_starts, np.inf)
-    db2_min = _segment_reduce(np.minimum, d2_b, bs_starts, np.inf)
+    dv2_min, serving_v, interference = vehicles
     is_sl = dv2_min <= cfg.rho * cfg.rho
+    db2_min, serving_b, interference_b = _nearest_serves(
+        cfg.alpha, 1.0, bs_starts, d2_b, fade_b,
+        lambda d2_min: ~is_sl & np.isfinite(d2_min))
     degenerate = ~is_sl & np.isinf(db2_min)
-    sl_rows = np.flatnonzero(is_sl)
-    dl_rows = np.flatnonzero(~is_sl & ~degenerate)
     with np.errstate(divide="ignore"):
         loss = np.power(np.where(is_sl, dv2_min, db2_min), -0.5 * cfg.alpha)
-    iv = _first_min_index(d2_v, veh_starts, dv2_min, sl_rows)
-    ib = _first_min_index(d2_b, bs_starts, db2_min, dl_rows)
-
-    pw_v = _received_power(fade_v, d2_v, cfg.alpha)
-    pw_b = _received_power(fade_b, d2_b, cfg.alpha)
     if eta != 1.0:
-        loss[sl_rows] *= eta
-        pw_v *= eta
-
-    # The serving term is taken out of the sum, not subtracted from the
-    # total: at a large SIR the subtraction would leave mostly rounding.
-    serving_pw = np.zeros(is_sl.size)
-    serving_pw[sl_rows] = pw_v[iv]
-    pw_v[iv] = 0.0
-    serving_pw[dl_rows] = pw_b[ib]
-    pw_b[ib] = 0.0
-    interference = _segment_reduce(np.add, pw_v, veh_starts, 0.0)
-    interference += _segment_reduce(np.add, pw_b, bs_starts, 0.0)
+        loss[is_sl] *= eta
+    interference = interference + interference_b
     with np.errstate(divide="ignore", invalid="ignore"):
-        sir = np.divide(serving_pw, interference + m_far, out=serving_pw)
+        sir = np.where(is_sl, serving_v, serving_b)
+        sir /= interference + m_far
     return is_sl, sir, degenerate, loss, interference
 
 
 def _sir_chunk(cfg, plan, n, rng, depth=0):
-    """One vectorised batch of n replications; resamples degenerate rows."""
+    """One vectorised batch of n replications; resamples degenerate rows.
+
+    The batch's stream is read through two cursors (see the module
+    docstring): ``rng`` must be a PCG64 generator, else TypeError."""
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError("the SIR kernel skips its vehicle positions with "
+                        "PCG64.advance: the batch generator must be PCG64")
     R = plan.window_radius
     line_starts, r_l, half = _roads(cfg.lambda_l, R, n, rng)
     # the far field given this row's crossing roads: its mean
-    # m - m_cross + sum_j g_j and a ceiling on its variance, formed before the
-    # vehicles are drawn so their temporaries add no memory
+    # m - m_cross + sum_j g_j and a ceiling on its variance
     m_far = _segment_reduce(np.add, _road_far_field(cfg, R, half), line_starts, 0.0)
     m_far += far_field_mean(cfg, R) - _crossing_far_field_mean(cfg, R)
     v_bs, v_miss, v_road = _far_field_variances(cfg, R)
     far_var = v_road * np.diff(line_starts) + (v_bs + v_miss)
-    n_veh, road, d2_v = _chord_vehicles(cfg.mu, half, rng)
-    veh_offsets = _segment_starts(n_veh)
-    # a vehicle at chord position t on the line at distance r_l
-    d2_v *= d2_v
-    _gather(np.add, d2_v, r_l * r_l, road)
+
+    # vehicles per chord; their positions, one double each, are read by a
+    # second cursor while the batch's own skips past them
+    n_veh = rng.poisson(2.0 * cfg.mu * half)
+    veh_starts = _segment_starts(n_veh)[line_starts]
+    positions = np.random.Generator(np.random.PCG64())
+    positions.bit_generator.state = rng.bit_generator.state
+    rng.bit_generator.advance(int(veh_starts[-1]))
 
     bs_starts = _segment_starts(rng.poisson(cfg.lambda_b * math.pi * R * R, n))
     d2_b = rng.random(bs_starts[-1])
     d2_b *= R * R
 
-    # the road index is spent: its memory takes the vehicles' fades
-    fade_v = rng.standard_exponential(out=road.view(np.float64))
+    r2_l = r_l * r_l
+    vehicles = np.empty((3, n))      # _vehicle_rows' three rows, range by range
+    for a, b in _row_ranges(np.diff(veh_starts), VEHICLE_SLICE):
+        roads = slice(line_starts[a], line_starts[b])
+        # a vehicle at chord position t = 2u - 1 (uniform(-1, 1) bit for
+        # bit) on the line at distance r_l
+        d2_v = positions.random(veh_starts[b] - veh_starts[a])
+        d2_v *= 2.0
+        d2_v -= 1.0
+        d2_v *= np.repeat(half[roads], n_veh[roads])
+        d2_v *= d2_v
+        d2_v += np.repeat(r2_l[roads], n_veh[roads])
+        fade_v = rng.standard_exponential(d2_v.size)
+        vehicles[:, a:b] = _vehicle_rows(cfg, veh_starts[a:b + 1] - veh_starts[a],
+                                         d2_v, fade_v)
+
     fade_b = rng.standard_exponential(d2_b.size)
     is_sl, sir, degenerate, loss, interference = _resolve_sir(
-        cfg, m_far, veh_offsets[line_starts], d2_v, fade_v,
-        bs_starts, d2_b, fade_b)
+        cfg, m_far, vehicles, bs_starts, d2_b, fade_b)
     batch = SirBatch(is_sl, sir, loss, interference, m_far, far_var)
 
     where = np.flatnonzero(degenerate)
@@ -531,9 +604,11 @@ def _map_batches(fn, batches):
     on the first threaded call, and made again in a forked child or when
     that worker count changes.  It starts a worker only when a batch finds
     none idle, so no call starts more threads than it has batches, and it
-    bounds the batches in flight across concurrent callers too.  Each batch
-    draws only from its own generator, so the results do not depend on the
-    number of workers.  With one batch or one CPU this is a plain loop and
+    bounds the batches in flight across concurrent callers too.  So
+    MAX_WORKERS bounds the memory only across batches; within an SIR batch
+    the kernel's row ranges of VEHICLE_SLICE vehicles bound it, whatever the
+    vehicle density.  Each batch draws only from its own generator, so the
+    results do not depend on the number of workers.  With one batch or one CPU this is a plain loop and
     starts no thread.  ``fn`` must not call this helper: a pool task never
     submits to a pool.  The first exception a batch raises propagates once
     the running batches end, and batches not yet started are cancelled.
@@ -820,18 +895,6 @@ def _roads_near(cfg, q, rng):
     keep = (veh_count > 0) & (s.min(axis=1) <= cfg.rho) & (s.max(axis=1) >= -cfg.rho)
     starts = _segment_starts(np.bincount(row[keep], minlength=n))
     return starts, nx[keep], ny[keep], r[keep], np.flatnonzero(keep), vehicles
-
-
-def _row_ranges(weight, budget):
-    """Consecutive row ranges [a, b) whose weights sum to at most ``budget``;
-    a heavier row forms a range alone."""
-    ends = np.cumsum(weight)
-    a = 0
-    while a < weight.size:
-        base = ends[a - 1] if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, base + budget, side="right")))
-        yield a, b
-        a = b
 
 
 def _in_vehicle_region(points, row, roads, rho):

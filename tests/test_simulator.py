@@ -25,6 +25,7 @@ from vanetcov.simulator import (
     _resolve_sir,
     _road_far_field,
     _segment_starts,
+    _vehicle_rows,
     default_window_radius,
     draw_sir_samples,
     estimate_association,
@@ -346,9 +347,9 @@ def test_compensation_toggle_changes_sir():
     fade_v, fade_b = rng.standard_exponential(d2_v.size), rng.standard_exponential(d2_b.size)
 
     def resolve(m_far):
-        # _resolve_sir overwrites its distance and fade arrays
-        return _resolve_sir(REF_CFG, m_far, veh_starts, d2_v.copy(), fade_v.copy(),
-                            bs_starts, d2_b.copy(), fade_b.copy())
+        # the resolvers overwrite their distance and fade arrays
+        vehicles = _vehicle_rows(REF_CFG, veh_starts, d2_v.copy(), fade_v.copy())
+        return _resolve_sir(REF_CFG, m_far, vehicles, bs_starts, d2_b.copy(), fade_b.copy())
     on_sl, on_sir, *_ = resolve(far_field_mean(REF_CFG, R))
     off_sl, off_sir, *_ = resolve(0.0)
     assert np.array_equal(on_sl, off_sl)

@@ -1,6 +1,8 @@
 """The vectorised SIR kernel against the scalar reference
-``oracle.sample_sir``, and the kernel's degenerate-resample path."""
+``oracle.sample_sir`` and against a whole-batch copy of its draws, its
+memory per batch, and the kernel's degenerate-resample path."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracle import sample_sir
-from vanetcov import NetworkConfig, validate
+from vanetcov import NetworkConfig, simulator, validate
 from vanetcov.analytic import p_assoc_sl
 from vanetcov.simulator import (
     DOWNLINK,
@@ -17,15 +19,23 @@ from vanetcov.simulator import (
     DegenerateRealizationError,
     GATHER_SLICE,
     SimPlan,
+    SirBatch,
+    _batches,
+    _crossing_far_field_mean,
+    _far_field_variances,
     _gather,
     _received_power,
     _resolve_sir,
+    _road_far_field,
     _segment_index,
     _segment_reduce,
     _segment_starts,
     _sir_chunk,
+    _vehicle_rows,
     draw_sir_samples,
     estimate_coverage_grid,
+    far_field_mean,
+    make_plan,
 )
 
 CFG = validate(NetworkConfig(lambda_l=5.0, mu=5.0, lambda_b=5.0,
@@ -83,7 +93,7 @@ def test_kernel_matches_scalar_reference(replications, alpha):
     veh_starts, d2_v, fade_v = _flat(replications, 0)
     bs_starts, d2_b, fade_b = _flat(replications, 1)
     is_sl, sir, degenerate, _, _ = _resolve_sir(
-        cfg, 0.0, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b)
+        cfg, 0.0, _vehicle_rows(cfg, veh_starts, d2_v, fade_v), bs_starts, d2_b, fade_b)
 
     for i, (vehicles, bss) in enumerate(replications):
         real = (_points(vehicles), _points(bss))
@@ -172,7 +182,8 @@ def test_kernel_searches_only_vehicles_within_rho_bit_for_bit(alpha, p_v):
         m_far = rng.uniform(0.0, 0.1, n)
         want = _resolve_sir_by_full_scan(cfg, m_far, veh_starts, d2_v.copy(), fade_v.copy(),
                                          bs_starts, d2_b.copy(), fade_b.copy())
-        got = _resolve_sir(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b)
+        got = _resolve_sir(cfg, m_far, _vehicle_rows(cfg, veh_starts, d2_v, fade_v),
+                           bs_starts, d2_b, fade_b)
         assert want[0].any() == (mean_veh > 0) and want[2].any()
         if boundary:
             assert at_rho.size and tied.size
@@ -252,3 +263,165 @@ def test_scalar_reference_interference_at_huge_sir(serving):
     assert (ref.association == SIDELINK) == (serving == "vehicle")
     assert 1e11 < want < 1e13
     assert ref.sir == pytest.approx(want, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# vehicles in row ranges: the same bits as the whole batch, bounded memory
+# ---------------------------------------------------------------------------
+
+REF = validate(NetworkConfig(lambda_l=5.0, mu=5.0, lambda_b=5.0, lambda_u=50.0,
+                             rho=0.05, alpha=3.0, p_b=1.0, p_v=1.0, epsilon=1.0))
+
+
+def _sums(values, starts):
+    """Per-segment sums by one reduceat, 0 for an empty segment."""
+    lo = starts[:-1]
+    nonempty = starts[1:] > lo
+    out = np.zeros(lo.size)
+    if values.size:
+        out[nonempty] = np.add.reduceat(values, lo[nonempty])
+    return out
+
+
+def _powers(fade, d2, alpha):
+    """fade * d2^(-alpha/2), rounded as the kernel rounds it: repeated
+    division by d2 and one by its square root for whole alpha."""
+    if alpha != math.floor(alpha):
+        return fade * np.power(d2, -0.5 * alpha)
+    k, odd = divmod(int(alpha), 2)
+    for _ in range(k):
+        fade = fade / d2
+    return fade / np.sqrt(d2) if odd else fade
+
+
+def _whole_batch(cfg, plan, n, rng, depth=0):
+    """The kernel's batch with every vehicle in one array: the stream read
+    in order (roads, chord counts, vehicle positions, base stations, vehicle
+    fades, base-station fades, then the degenerate rows again) and each
+    serving transmitter found by a row-by-row argmin.  The far-field closed
+    forms are the module's: they read only the roads.  Returns the SirBatch
+    fields in SirBatch.ROWS order, then n_degenerate."""
+    R = plan.window_radius
+    n_lines = rng.poisson(2.0 * cfg.lambda_l * R, n)
+    line_starts = _segment_starts(n_lines)
+    r_l = rng.uniform(-R, R, line_starts[-1])
+    half = np.sqrt(np.maximum(R * R - r_l * r_l, 0.0))
+    far_mean = _sums(_road_far_field(cfg, R, half), line_starts)
+    far_mean += far_field_mean(cfg, R) - _crossing_far_field_mean(cfg, R)
+    v_bs, v_miss, v_road = _far_field_variances(cfg, R)
+    far_var = v_road * n_lines + (v_bs + v_miss)
+    n_veh = rng.poisson(2.0 * cfg.mu * half)
+    road = np.repeat(np.arange(half.size), n_veh)
+    t = rng.uniform(-1.0, 1.0, road.size) * half[road]
+    d2_v = t * t + (r_l * r_l)[road]
+    veh_starts = _segment_starts(n_veh)[line_starts]
+    bs_starts = _segment_starts(rng.poisson(cfg.lambda_b * math.pi * R * R, n))
+    d2_b = rng.random(bs_starts[-1]) * (R * R)
+    fade_v = rng.standard_exponential(d2_v.size)
+    fade_b = rng.standard_exponential(d2_b.size)
+
+    eta = cfg.p_v / cfg.p_b
+    iv, ib = _first_minima(d2_v, veh_starts), _first_minima(d2_b, bs_starts)
+    dv2_min = np.append(d2_v, np.inf)[iv]
+    db2_min = np.append(d2_b, np.inf)[ib]
+    is_sl = dv2_min <= cfg.rho * cfg.rho
+    degenerate = ~is_sl & np.isinf(db2_min)
+    is_dl = ~is_sl & ~degenerate
+    with np.errstate(divide="ignore"):
+        loss = np.power(np.where(is_sl, dv2_min, db2_min), -0.5 * cfg.alpha)
+    loss[is_sl] *= eta
+    pw_v = _powers(fade_v, d2_v, cfg.alpha) * eta
+    pw_b = _powers(fade_b, d2_b, cfg.alpha)
+    serving = np.zeros(n)
+    serving[is_sl] = pw_v[iv[is_sl]]
+    pw_v[iv[is_sl]] = 0.0
+    serving[is_dl] = pw_b[ib[is_dl]]
+    pw_b[ib[is_dl]] = 0.0
+    interference = _sums(pw_v, veh_starts) + _sums(pw_b, bs_starts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sir = serving / (interference + far_mean)
+
+    fields = [is_sl, sir, loss, interference, far_mean, far_var]
+    where = np.flatnonzero(degenerate)
+    if not where.size:
+        return fields + [0]
+    assert depth <= 8
+    *redo, n_redo = _whole_batch(cfg, plan, where.size, rng, depth + 1)
+    for field, value in zip(fields, redo):
+        field[where] = value
+    return fields + [where.size + n_redo]
+
+
+_DEGENERATE_CFG = validate(replace(CFG, rho=0.05))
+_SLICED_CASES = {
+    # name: (config, window radius or None for the floor, rows, seed,
+    #        VEHICLE_SLICE or None for the module's)
+    "REF": (REF, None, 1024, 3, None),
+    "mu 40": (replace(REF, mu=40.0), None, 1024, 4, None),
+    "a row per range": (REF, None, 300, 5, 50),
+    "no roads": (replace(REF, lambda_l=0.0), None, 1024, 6, None),
+    "alpha 2.5 / p_v 0.3": (replace(REF, alpha=2.5, p_v=0.3), None, 1024, 7, None),
+    "alpha 4": (replace(REF, alpha=4.0), None, 1024, 8, None),
+    "degenerate rows": (_DEGENERATE_CFG, math.sqrt(2.0 / (math.pi * _DEGENERATE_CFG.lambda_b)),
+                        4096, 8, None),
+}
+
+
+@pytest.mark.parametrize("case", list(_SLICED_CASES))
+def test_sliced_kernel_matches_whole_batch_bit_for_bit(case, monkeypatch):
+    cfg, radius, n, seed, vehicle_slice = _SLICED_CASES[case]
+    cfg = validate(cfg)
+    plan = SimPlan(radius, n, seed) if radius else make_plan(cfg, n, seed)
+    if vehicle_slice:
+        monkeypatch.setattr(simulator, "VEHICLE_SLICE", vehicle_slice)
+    R = plan.window_radius
+    mean_vehicles = cfg.lambda_l * cfg.mu * math.pi * R * R
+    if case == "mu 40":
+        assert n * mean_vehicles > 16 * simulator.VEHICLE_SLICE
+    if vehicle_slice:
+        assert mean_vehicles > 3 * vehicle_slice
+    got = _sir_chunk(cfg, plan, n, np.random.default_rng(seed))
+    want = _whole_batch(cfg, plan, n, np.random.default_rng(seed))
+    for name, w in zip(SirBatch.ROWS, want):
+        g = getattr(got, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert got.n_degenerate == want[-1]
+    assert (got.n_degenerate > 0) == (case == "degenerate rows")
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 100_000])
+def test_a_double_takes_one_pcg64_step(k):
+    # the kernel reads vehicle positions through a copy of the batch's
+    # generator and skips them on the batch's own with advance: that needs
+    # each double to take exactly one 64-bit output, and 2u - 1 to equal
+    # uniform(-1, 1)
+    drawn, skipped, shifted = (np.random.default_rng(17) for _ in range(3))
+    u = drawn.random(k)
+    skipped.bit_generator.advance(k)
+    assert drawn.bit_generator.state == skipped.bit_generator.state
+    assert np.array_equal(shifted.uniform(-1.0, 1.0, k), 2.0 * u - 1.0)
+
+
+def test_kernel_needs_pcg64_batches():
+    plan = make_plan(REF, 3000, 1)
+    assert all(isinstance(rng.bit_generator, np.random.PCG64) for _, rng in _batches(plan))
+    with pytest.raises(TypeError, match="PCG64"):
+        _sir_chunk(REF, plan, 8, np.random.Generator(np.random.Philox(1)))
+
+
+def test_kernel_memory_per_batch_does_not_grow_with_vehicle_density():
+    # one batch at mu = 40 holds about 1.5M vehicles, eight times as many as
+    # at mu = 5; only a row range of them is in memory at once
+    peaks = {}
+    for mu in (5.0, 40.0):
+        cfg = replace(REF, mu=mu)
+        plan = make_plan(cfg, 1024, 1)
+        _sir_chunk(cfg, plan, 1024, np.random.default_rng(1))  # fills the far-field table cache
+        tracemalloc.start()
+        try:
+            _sir_chunk(cfg, plan, 1024, np.random.default_rng(2))
+            peaks[mu] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[40.0] <= 1.25 * peaks[5.0]
+    assert max(peaks.values()) < 4.1e6
