@@ -3,18 +3,22 @@ one BENCH file.
 
 Usage, from the repository root:
 
-    python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json [--seed0 22001]
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json [--seed0 22001] [--aa]
 
 The parent side is ``git archive REV``; the change side is a copy of the
-working tree's src/, benchmarks/, BENCHMARK.json and pyproject.toml.  Each is
-unpacked into its own directory under .bench_pairs/, and every run is
+working tree's src/, benchmarks/, BENCHMARK.json and pyproject.toml.  With
+``--aa`` a second ``git archive REV`` runs as a third side, parent_copy: the
+A/A run.  Its gap to the parent is the spread between two checkouts of the
+same code, the floor below which a parent/change gap says nothing.  Each
+side is unpacked into its own directory under .bench_pairs/, and every run is
 
     python3 benchmarks/run.py --workload W --seed S --trace 0 --seconds T
 
 in that directory, with T the run_seconds of BENCHMARK.json, one run per side
-and pair.  Each workload gets 10 pairs.  Pairs alternate which side runs
-first (even pair index: parent first), and both sides of a pair use the same
-seed.  Workload number w (in WORKLOADS order) uses seeds seed0 + 100 w + i
+and pair.  Each workload gets 10 pairs.  Pairs rotate which side runs first
+(pair i starts at side i mod the side count, in the order parent, change,
+parent_copy: even pairs start with the parent when there are two sides), and
+every side of a pair uses the same seed.  Workload number w (in WORKLOADS order) uses seeds seed0 + 100 w + i
 for pair i.  The values come from the result file
 run.py writes to .bench_work/results/; quartiles are
 statistics.quantiles(n=4), and wall_raw_s is the median raw pass time of a
@@ -78,17 +82,20 @@ def quartiles(values):
 
 
 def summarise(runs):
-    parent, change = runs["parent"], runs["change"]
     summary = {side: {**{m: quartiles([r[m] for r in rows]) for m in METRICS},
                       "failed": sum(r["failed"] for r in rows),
                       "attempted": sum(r["attempted"] for r in rows)}
                for side, rows in runs.items()}
-    ratios = {m: [c[m] / p[m] for p, c in zip(parent, change)] for m in METRICS}
-    return {"summary": summary,
-            "change_better_pairs": {m: sum(r < 1.0 for r in ratios[m]) for m in METRICS},
-            "pairs": len(parent),
-            "median_ratio_change_over_parent": {m: statistics.median(ratios[m])
-                                                for m in METRICS}}
+    doc = {"summary": summary, "pairs": len(runs["parent"])}
+    for side in runs:
+        if side == "parent":
+            continue
+        ratios = {m: [c[m] / p[m] for p, c in zip(runs["parent"], runs[side])]
+                  for m in METRICS}
+        doc[f"{side}_better_pairs"] = {m: sum(r < 1.0 for r in ratios[m]) for m in METRICS}
+        doc[f"median_ratio_{side}_over_parent"] = {m: statistics.median(ratios[m])
+                                                   for m in METRICS}
+    return doc
 
 
 def note(workload, doc):
@@ -98,13 +105,16 @@ def note(workload, doc):
         p, c = s["parent"][m], s["change"][m]
         iqr = p["q3"] - p["q1"]
         gap = p["median"] - c["median"]
+        aa = ""
+        if "parent_copy" in s:
+            aa = (f", A/A gap {p['median'] - s['parent_copy'][m]['median']:.3g} "
+                  f"(copy better in {doc['parent_copy_better_pairs'][m]}/{n})")
         parts.append(f"{m} {p['median']:.4g} -> {c['median']:.4g} "
                      f"(ratio {doc['median_ratio_change_over_parent'][m]:.3f}, "
                      f"better in {doc['change_better_pairs'][m]}/{n} pairs, "
-                     f"median gap {gap:.3g} against parent IQR {iqr:.3g})")
-    return (f"{workload}: " + "; ".join(parts)
-            + f"; failed output checks {s['parent']['failed']} (parent) and "
-            f"{s['change']['failed']} (change).")
+                     f"median gap {gap:.3g} against parent IQR {iqr:.3g}{aa})")
+    failed = ", ".join(f"{v['failed']} ({side})" for side, v in s.items())
+    return f"{workload}: " + "; ".join(parts) + f"; failed output checks {failed}."
 
 
 def main():
@@ -112,15 +122,19 @@ def main():
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--out", required=True)
     ap.add_argument("--seed0", type=int, default=22001)
+    ap.add_argument("--aa", action="store_true",
+                    help="also run a second copy of the parent (an A/A floor)")
     args = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         seconds = json.load(fh)["run_seconds"]
 
     shutil.rmtree(WORKDIR, ignore_errors=True)
-    sides = {"parent": os.path.join(WORKDIR, "parent"),
-             "change": os.path.join(WORKDIR, "change")}
+    names = ("parent", "change", "parent_copy") if args.aa else ("parent", "change")
+    sides = {name: os.path.join(WORKDIR, name) for name in names}
     checkout_parent(args.parent, sides["parent"])
     checkout_change(sides["change"])
+    if args.aa:
+        checkout_parent(args.parent, sides["parent_copy"])
     parent_commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                                    capture_output=True, text=True).stdout.strip()
 
@@ -128,8 +142,10 @@ def main():
                     "copied from the result files that `python3 benchmarks/run.py "
                     "--workload W --seed S --trace 0` writes to .bench_work/results/, "
                     "each side run from its own directory with identical benchmark "
-                    "code; pairs alternate which side runs first (even pair index: "
-                    "parent first). Written by scripts/bench_pairs.py."),
+                    "code; pairs rotate which side runs first (see the script). "
+                    "parent_copy, when present, is a second checkout of the parent: "
+                    "its gap to the parent is the A/A spread between checkouts. "
+                    "Written by scripts/bench_pairs.py."),
            "end_to_end_unit": {"setup_s": "s (scaled to reference speed)",
                                "wall_s": "s (scaled to reference speed)",
                                "peak_rss_mb": "MB"},
@@ -138,16 +154,16 @@ def main():
            "workloads": {}, "notes": []}
     for w, workload in enumerate(WORKLOADS):
         seeds = [args.seed0 + 100 * w + i for i in range(PAIRS)]
-        runs = {"parent": [], "change": []}
+        runs = {name: [] for name in names}
         for i, seed in enumerate(seeds):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = names[i % len(names):] + names[:i % len(names)]
             for side in order:
                 row, prov = run(sides[side], workload, seed, seconds)
                 row["ran_first"] = side == order[0]
                 runs[side].append(row)
                 out["provenance"][side] = {k: v for k, v in prov.items() if k != "seed"}
-            print(f"{workload} pair {i}: wall_s parent {runs['parent'][-1]['wall_s']:.4f} "
-                  f"change {runs['change'][-1]['wall_s']:.4f}", flush=True)
+            print(f"{workload} pair {i}: wall_s " + " ".join(
+                f"{side} {rows[-1]['wall_s']:.4f}" for side, rows in runs.items()), flush=True)
         doc = {"seeds": seeds, "runs": runs, **summarise(runs)}
         out["workloads"][workload] = doc
         out["notes"].append(note(workload, doc))

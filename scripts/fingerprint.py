@@ -16,6 +16,9 @@ analytic evaluators and draw_sir_samples are also hashed on STEEP_CONFIGS
 Carlo line covers the path loss of whole even alpha.  A last line hashes
 draw_sir_samples on DENSE_CONFIGS (REF at mu = 40): about 1.5M vehicles a
 batch, which the kernel passes in many row ranges of VEHICLE_SLICE vehicles.
+Two lines hash draw_sir_samples on CONFIGS with one link resolved
+(``link=SIDELINK`` and ``link=DOWNLINK``), the path of single-link requests;
+their rows of that link must equal the two-link draw's.
 """
 import dataclasses
 import hashlib
@@ -61,13 +64,17 @@ def _update(h, value):
         h.update(float(value).hex().encode())
 
 
-def _sir_fields(cfg, plan):
-    batch = simulator.draw_sir_samples(cfg, plan)
+def _sir_fields(cfg, plan, link=None):
+    batch = simulator.draw_sir_samples(cfg, plan, link=link)
     return [getattr(batch, name) for name in simulator.SirBatch.ROWS] + [batch.n_degenerate]
 
 
 ESTIMATORS = {
     "draw_sir_samples": (SIR_SAMPLES, _sir_fields),
+    "draw_sir_samples SL only": (
+        SIR_SAMPLES, lambda cfg, plan: _sir_fields(cfg, plan, simulator.SIDELINK)),
+    "draw_sir_samples DL only": (
+        SIR_SAMPLES, lambda cfg, plan: _sir_fields(cfg, plan, simulator.DOWNLINK)),
     "estimate_association": (SIR_SAMPLES, simulator.estimate_association),
     "estimate_voronoi_area_moment": (
         CELL_SAMPLES, lambda cfg, plan: simulator.estimate_voronoi_area_moment(cfg.lambda_b, plan)),

@@ -132,8 +132,10 @@ def _mc_results(cfg, req, seed):
         sl, dl = simulator.estimate_association(cfg, plan)
         return [("assoc_sl", "", sl), ("assoc_dl", "", dl)]
     if m in _COVERAGE:
-        grid = simulator.estimate_coverage_grid(cfg, req.tau_grid, plan)
-        return [(m, tau, grid[(_COVERAGE[m][1], float(tau))]) for tau in req.tau_grid]
+        link = _COVERAGE[m][1]
+        grid = simulator.estimate_coverage_grid(
+            cfg, req.tau_grid, plan, link=None if link == simulator.TOTAL else link)
+        return [(m, tau, grid[(link, float(tau))]) for tau in req.tau_grid]
     if m == "eff_rate":
         return [(m, "", simulator.estimate_effective_rate(cfg, plan))]
     if m in ("utility", "total_rate"):
@@ -142,7 +144,7 @@ def _mc_results(cfg, req, seed):
         w_sl, w_dl = (cfg.w_s, cfg.w_d) if m == "utility" else (cfg.epsilon, 1.0)
         zero = simulator.Estimate(0.0, 0.0, plan.n_samples)
         tau_eps = 2.0 ** cfg.epsilon - 1.0
-        sl = simulator.estimate_coverage_grid(cfg, (tau_eps,), plan)[
+        sl = simulator.estimate_coverage_grid(cfg, (tau_eps,), plan, link=simulator.SIDELINK)[
             (simulator.SIDELINK, tau_eps)] if w_sl > 0 else zero
         rate = simulator.estimate_effective_rate(cfg, plan) if w_dl > 0 else zero
         return [(m, cfg.epsilon, simulator.Estimate(

@@ -1,11 +1,10 @@
 """Monte Carlo estimators for every metric, from repeated network draws.
 
 The typical user sits at the origin of a disk window.  Per replication the
-kernel draws roads, vehicles, base stations and per-transmitter unit-mean
+SIR kernel draws roads, vehicles, base stations and per-transmitter unit-mean
 exponential fades, resolves the vehicle-first association, and forms the SIR.
-Every estimator draws its roads with ``_roads``; the cell and association
-estimators place vehicles with ``_chord_vehicles``, and the SIR kernel draws
-the same chord counts and positions a row range at a time (below).
+Every estimator draws its roads with ``_roads``, and the association sub-draw
+below places its vehicles with ``_chord_vehicles``, as the cell estimators do.
 Replications are vectorised in batches of BATCH_SIZE = 1,024; each batch
 owns an RNG stream spawned from the master seed, so the seed alone fixes
 every result, however the batches are scheduled.  ``_map_batches`` runs
@@ -20,18 +19,41 @@ described by per-replication start offsets; minima and sums are segment
 reductions over it.  The kernel works on squared distances throughout: path
 loss is (d^2)^(-alpha/2) and association compares with rho^2.
 
-The SIR kernel never holds all of a batch's vehicles, whose number grows
-with lambda_l mu.  It reads the batch's PCG64 stream through two cursors.
-Right after the chord counts a copy of the generator starts at the vehicle
-positions, one double each (t = 2u - 1, bit for bit uniform(-1, 1)), while
-the batch's own generator skips them with ``advance`` and draws the base
-stations and then the vehicle fades.  The vehicles then pass through the
-kernel in row ranges of at most VEHICLE_SLICE vehicles (a heavier row forms
-a range alone): per range their squared distances, each row's nearest
-vehicle, the serving vehicle's power and the other vehicles' interference
-sum.  After the base-station fades the base stations take the same steps,
-and the association and SIR follow per row.  Every draw keeps the value it
-has when the batch's vehicles are drawn whole, in this order, so a batch's
+The SIR kernel draws the association first.  A user is sidelink iff a
+vehicle lies within rho, and only the roads through the rho-disk can bring
+one that close, so the batch's own stream draws exactly the sub-draw of
+``estimate_association``: the roads hitting each row's rho-disk
+(``_roads``), then the vehicles on their chords in it (``_chord_vehicles``).
+A row with such a chord vehicle is sidelink and its nearest one serves it;
+the kernel's association is ``estimate_association``'s, row for row.  The
+batch's generator then spawns two child streams, sidelink first, and each
+link's rows (in row order) draw the rest of the window from their link's
+stream, in this order:
+  1. the counts of the roads with rho < |r| < R, Poisson(2 lambda_l (R - rho));
+  2. their r, uniform on (-(R - rho), R - rho) plus copysign(rho, r);
+  3. the vehicle counts on those roads, Poisson(2 mu h_R), h_R being a
+     road's chord half-length in the window;
+  4. the vehicle counts on the rho-disk roads' outer parts, the window
+     chord less the rho-chord, Poisson(2 mu (h_R - h_rho));
+  5. the base-station counts, Poisson(lambda_b pi R^2), and their d^2;
+  6. the outer-part positions, s = sign(u) (h_rho + |u| (h_R - h_rho));
+  7. the other roads' positions, s = u h_R;
+  8. the fades of the chord vehicles, the outer parts, the other roads, and
+     then the base stations.
+A row of a link therefore holds the same bits whether one link or both are
+drawn, and a caller that reads one link (``draw_sir_samples``' ``link``)
+never draws the other link's rows; those hold NaN.  A downlink row with no
+base station in the window is degenerate and draws its downlink rest again,
+on the downlink stream, keeping its association.
+
+The kernel never holds all of a link's vehicles, whose number grows with
+lambda_l mu.  It reads each link's PCG64 stream through two cursors: after
+the base stations a copy of the generator reads the positions of steps 6
+and 7, one double each (u = 2v - 1, bit for bit uniform(-1, 1)), while the
+link's own generator skips them with ``advance`` and draws the fades.  The
+outer parts and then the other roads pass through the kernel in row ranges
+of at most VEHICLE_SLICE vehicles (a heavier row forms a range alone): per
+range their squared distances and each row's interference sum.  So a batch's
 memory is bounded by the slice and not by the vehicle density.
 
 Interference beyond the window would bias SIR low-side truncation: with a
@@ -51,8 +73,8 @@ exterior one, while the row's indicator has mean exp(-s (I_in + m_c)), m_c
 the far-field term.  Jensen's inequality and a second-order Taylor bound give
     0 <= truth - MC <= exp(-s I_in) min(s^2 V_c / 2, 1 - exp(-s m_c)),
 V_c being the exterior variance given the crossing roads, from Campbell's
-second moment, road by road.  The degenerate resample conditions the law on
-a base station in the window, which moves it by at most
+second moment, road by road.  The degenerate redraw conditions a downlink
+row's law on a base station in the window, which moves it by at most
 exp(-pi lambda_b R^2).  Each coverage ``Estimate`` carries the mean of the
 row bound over its rows plus that term as ``bias_bound``.
 
@@ -84,7 +106,6 @@ TOTAL = "Total"
 DEGENERATE_ABORT_FRACTION = 1e-6
 BATCH_SIZE = 1024          # replications per batch, each with its own stream
 MAX_WORKERS = 4            # batches in flight at once, across all callers
-GATHER_SLICE = 1 << 14     # vehicles per slice of a per-road gather
 VEHICLE_SLICE = 1 << 16    # vehicles per row range of the SIR kernel
 
 
@@ -309,6 +330,16 @@ def _first_min_index(d2, starts, d2_min, rows):
     return cand[hit][np.searchsorted(seg[hit], rows)]
 
 
+def _select_rows(starts, rows):
+    """Segments ``rows`` (ascending) of a grouped flat array: their starts
+    in the selection, and the flat index of their entries."""
+    counts = np.diff(starts)[rows]
+    selected = _segment_starts(counts)
+    index = np.repeat(starts[rows] - selected[:-1], counts)
+    index += np.arange(selected[-1])
+    return selected, index
+
+
 def _row_ranges(weight, budget):
     """Consecutive row ranges [a, b) whose weights sum to at most ``budget``;
     a heavier row forms a range alone."""
@@ -339,37 +370,25 @@ def _roads(lambda_l, radius, n, rng):
     return starts, r, np.sqrt(np.maximum(radius * radius - r * r, 0.0))
 
 
-def _segment_index(counts):
-    """The segment of each entry of consecutive count-sized segments, as
-    np.repeat(arange(counts.size), counts) gives it, in int64: a cumsum over
-    marks at the starts of the nonempty segments.  Unlike np.repeat, the
-    cumsum and the gathers through the index release the interpreter lock."""
-    nonempty = np.flatnonzero(counts)
-    index = np.zeros(counts.sum(), dtype=np.int64)
-    if nonempty.size:
-        index[np.cumsum(counts.take(nonempty[:-1]))] = np.diff(nonempty)
-        index[0] = nonempty[0]
-        np.cumsum(index, out=index)
-    return index
-
-
-def _gather(ufunc, out, values, index):
-    """ufunc(out, values[index]) in place, GATHER_SLICE entries at a time, so
-    no full-length copy of the gathered values is held."""
-    for a in range(0, index.size, GATHER_SLICE):
-        part = out[a:a + GATHER_SLICE]
-        ufunc(part, values.take(index[a:a + GATHER_SLICE]), out=part)
-
-
 def _chord_vehicles(mu, half, rng):
     """Poisson(2 mu half) vehicles per chord of half-length ``half``, uniform
     along it; returns their counts per chord, and each vehicle's chord index
     and signed position, grouped by chord."""
     counts = rng.poisson(2.0 * mu * half)
-    t = rng.uniform(-1.0, 1.0, counts.sum())
-    road = _segment_index(counts)
-    _gather(np.multiply, t, half, road)
+    road = np.repeat(np.arange(half.size), counts)
+    t = rng.uniform(-1.0, 1.0, road.size)
+    t *= half.take(road)
     return counts, road, t
+
+
+def _association_draw(cfg, n, rng):
+    """The association sub-draw of n rows: the roads hitting each row's
+    rho-disk and the vehicles on their chords in it.  A row is sidelink iff
+    it has such a vehicle.  Returns (road starts, r, chord half-lengths,
+    vehicle starts per row, vehicle road index, vehicle position)."""
+    starts, r, half = _roads(cfg.lambda_l, cfg.rho, n, rng)
+    counts, road, t = _chord_vehicles(cfg.mu, half, rng)
+    return starts, r, half, _segment_starts(counts)[starts], road, t
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +401,11 @@ class SirBatch:
     bias bound needs: the serving path-loss power (eta included for a
     vehicle, no fade), the in-window interference without the far field,
     the far-field term m_c the SIR includes and the far field's variance V_c
-    given the crossing roads."""
+    given the crossing roads.
+
+    ``link`` names the link whose rows were drawn, None for both.  Every row
+    has its association (``is_sl``); the other fields of a row of a link not
+    drawn hold NaN."""
     is_sl: np.ndarray
     sir: np.ndarray
     loss: np.ndarray
@@ -390,6 +413,7 @@ class SirBatch:
     far_mean: np.ndarray
     far_var: np.ndarray
     n_degenerate: int = 0
+    link: str | None = None
 
     ROWS = ("is_sl", "sir", "loss", "interference", "far_mean", "far_var")
 
@@ -399,7 +423,7 @@ class SirBatch:
     @classmethod
     def concatenate(cls, parts):
         return cls(*(np.concatenate([getattr(p, f) for p in parts]) for f in cls.ROWS),
-                   sum(p.n_degenerate for p in parts))
+                   sum(p.n_degenerate for p in parts), parts[0].link)
 
     def window_bias(self, tau):
         """Per row, exp(-s I_in) min(s^2 V_c / 2, 1 - exp(-s m_c)) with
@@ -460,107 +484,165 @@ def _nearest_serves(alpha, gain, starts, d2, fade, served):
     return d2_min, serving, _segment_reduce(np.add, pw, starts, 0.0)
 
 
-def _vehicle_rows(cfg, starts, d2, fade):
-    """``_nearest_serves`` for vehicles, the kernel's step per slice: a row
-    is vehicle associated if its nearest vehicle lies within rho (the closed
-    ball)."""
-    rho2 = cfg.rho * cfg.rho
-    return _nearest_serves(cfg.alpha, cfg.p_v / cfg.p_b, starts, d2, fade,
-                           lambda d2_min: d2_min <= rho2)
+def _road_interference(cfg, road_starts, r, counts, span, inner, positions, rng):
+    """Per row, the summed received power (units of p_b) of ``counts``
+    vehicles on each road, the roads grouped by row and at distance r.
+
+    A vehicle sits at distance |u| span + inner along its road, or u span
+    when ``inner`` is None, with u = 2v - 1 (bit for bit uniform(-1, 1)) and
+    v read from ``positions``; its fade comes from ``rng``.  The vehicles
+    pass in row ranges of at most VEHICLE_SLICE (a heavier row forms a range
+    alone), so only one range is in memory at once.
+    """
+    veh_starts = _segment_starts(counts)[road_starts]
+    eta = cfg.p_v / cfg.p_b
+    r2 = r * r
+    out = np.empty(road_starts.size - 1)
+    for a, b in _row_ranges(np.diff(veh_starts), VEHICLE_SLICE):
+        roads = slice(road_starts[a], road_starts[b])
+        k = counts[roads]
+        d2 = positions.random(veh_starts[b] - veh_starts[a])
+        d2 *= 2.0
+        d2 -= 1.0
+        if inner is not None:
+            np.abs(d2, out=d2)
+        d2 *= np.repeat(span[roads], k)
+        if inner is not None:
+            d2 += np.repeat(inner[roads], k)
+        d2 *= d2
+        d2 += np.repeat(r2[roads], k)
+        pw = _received_power(rng.standard_exponential(d2.size), d2, cfg.alpha)
+        if eta != 1.0:
+            pw *= eta
+        out[a:b] = _segment_reduce(np.add, pw, veh_starts[a:b + 1] - veh_starts[a], 0.0)
+    return out
 
 
-def _resolve_sir(cfg, m_far, vehicles, bs_starts, d2_b, fade_b):
-    """Association and SIR per replication.
+def _resolve_link(cfg, sl, m_far, chord, roads, bs):
+    """SIR per row of one link (``sl``: sidelink) from its transmitters.
 
-    ``vehicles`` is ``_vehicle_rows``'s (d2_min, serving, interference) per
-    row; the base stations are flat arrays of squared distances and
-    unit-mean fades grouped by replication, overwritten as
-    ``_nearest_serves`` says.  A row that is not vehicle associated is
-    served by its nearest base station.  ``m_far`` is the deterministic
-    far-field interference added to each row, a scalar or one per row.
-    Returns (is_sl, sir, degenerate, loss, interference): per row the
-    association, the SIR, whether the row is degenerate (no vehicle within
-    rho and no base station; its other outputs are meaningless), the serving
-    path-loss power (eta included for a vehicle, no fade) and the
-    interference without ``m_far``.
+    ``chord`` and ``bs`` are (starts, d2, fade) of the rows' vehicles on
+    their rho-chords and of their base stations, overwritten as
+    ``_nearest_serves`` says; ``roads`` is each row's summed power of every
+    other vehicle, and ``m_far`` the far-field term, a scalar or one per
+    row.  A sidelink row is served by its nearest chord vehicle, a downlink
+    row by its nearest base station.  Returns per row (sir, loss,
+    interference, degenerate): the serving path-loss power (eta included for
+    a vehicle, no fade), the interference without ``m_far``, and whether the
+    row is a downlink row with no base station (its other outputs are then
+    meaningless).
     """
     eta = cfg.p_v / cfg.p_b
-    dv2_min, serving_v, interference = vehicles
-    is_sl = dv2_min <= cfg.rho * cfg.rho
+    dv2_min, serving_v, interference = _nearest_serves(cfg.alpha, eta, *chord, np.isfinite)
+    interference += roads
     db2_min, serving_b, interference_b = _nearest_serves(
-        cfg.alpha, 1.0, bs_starts, d2_b, fade_b,
-        lambda d2_min: ~is_sl & np.isfinite(d2_min))
-    degenerate = ~is_sl & np.isinf(db2_min)
+        cfg.alpha, 1.0, *bs, lambda d2_min: np.isfinite(d2_min) & (not sl))
+    interference += interference_b
     with np.errstate(divide="ignore"):
-        loss = np.power(np.where(is_sl, dv2_min, db2_min), -0.5 * cfg.alpha)
-    if eta != 1.0:
-        loss[is_sl] *= eta
-    interference = interference + interference_b
+        loss = np.power(dv2_min if sl else db2_min, -0.5 * cfg.alpha)
+    if sl and eta != 1.0:
+        loss *= eta
     with np.errstate(divide="ignore", invalid="ignore"):
-        sir = np.where(is_sl, serving_v, serving_b)
-        sir /= interference + m_far
-    return is_sl, sir, degenerate, loss, interference
+        sir = (serving_v if sl else serving_b) / (interference + m_far)
+    return [sir, loss, interference, np.isinf(db2_min) & (not sl)]
 
 
-def _sir_chunk(cfg, plan, n, rng, depth=0):
-    """One vectorised batch of n replications; resamples degenerate rows.
+def _window_rest(cfg, R, sl, rho_roads, chord, rng, depth=0):
+    """The rest of the window for the rows of one link, drawn from that
+    link's stream ``rng``, and their SIR.
 
-    The batch's stream is read through two cursors (see the module
-    docstring): ``rng`` must be a PCG64 generator, else TypeError."""
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise TypeError("the SIR kernel skips its vehicle positions with "
-                        "PCG64.advance: the batch generator must be PCG64")
-    R = plan.window_radius
-    line_starts, r_l, half = _roads(cfg.lambda_l, R, n, rng)
-    # the far field given this row's crossing roads: its mean
-    # m - m_cross + sum_j g_j and a ceiling on its variance
-    m_far = _segment_reduce(np.add, _road_far_field(cfg, R, half), line_starts, 0.0)
-    m_far += far_field_mean(cfg, R) - _crossing_far_field_mean(cfg, R)
-    v_bs, v_miss, v_road = _far_field_variances(cfg, R)
-    far_var = v_road * np.diff(line_starts) + (v_bs + v_miss)
-
-    # vehicles per chord; their positions, one double each, are read by a
-    # second cursor while the batch's own skips past them
+    ``sl`` says which link; ``rho_roads`` is (starts, r, half-lengths in the
+    rho-disk) of the rows' roads through their rho-disk, and ``chord`` is
+    (starts, d2) of the vehicles on those chords, d2 overwritten.  The draws
+    follow the module docstring's order.  A downlink row with no base
+    station in the window is degenerate: its rest is drawn again, up to
+    eight times.  Returns per row (sir, loss, interference, far_mean,
+    far_var), then the number of rows redrawn.
+    """
+    rho_starts, r_rho, h_rho = rho_roads
+    n = rho_starts.size - 1
+    # the roads with rho < |r| < R, and the rho-disk roads' chords in the window
+    starts, r, _ = _roads(cfg.lambda_l, R - cfg.rho, n, rng)
+    r += np.copysign(cfg.rho, r)
+    half = np.sqrt(np.maximum(R * R - r * r, 0.0))
+    h_out = np.sqrt(R * R - r_rho * r_rho)
     n_veh = rng.poisson(2.0 * cfg.mu * half)
-    veh_starts = _segment_starts(n_veh)[line_starts]
-    positions = np.random.Generator(np.random.PCG64())
-    positions.bit_generator.state = rng.bit_generator.state
-    rng.bit_generator.advance(int(veh_starts[-1]))
-
+    span = h_out - h_rho
+    n_outer = rng.poisson(2.0 * cfg.mu * span)
     bs_starts = _segment_starts(rng.poisson(cfg.lambda_b * math.pi * R * R, n))
     d2_b = rng.random(bs_starts[-1])
     d2_b *= R * R
 
-    r2_l = r_l * r_l
-    vehicles = np.empty((3, n))      # _vehicle_rows' three rows, range by range
-    for a, b in _row_ranges(np.diff(veh_starts), VEHICLE_SLICE):
-        roads = slice(line_starts[a], line_starts[b])
-        # a vehicle at chord position t = 2u - 1 (uniform(-1, 1) bit for
-        # bit) on the line at distance r_l
-        d2_v = positions.random(veh_starts[b] - veh_starts[a])
-        d2_v *= 2.0
-        d2_v -= 1.0
-        d2_v *= np.repeat(half[roads], n_veh[roads])
-        d2_v *= d2_v
-        d2_v += np.repeat(r2_l[roads], n_veh[roads])
-        fade_v = rng.standard_exponential(d2_v.size)
-        vehicles[:, a:b] = _vehicle_rows(cfg, veh_starts[a:b + 1] - veh_starts[a],
-                                         d2_v, fade_v)
+    # the far field given this row's crossing roads: its mean
+    # m - m_cross + sum_j g_j and a ceiling on its variance
+    m_far = _segment_reduce(np.add, _road_far_field(cfg, R, h_out), rho_starts, 0.0)
+    m_far += _segment_reduce(np.add, _road_far_field(cfg, R, half), starts, 0.0)
+    m_far += far_field_mean(cfg, R) - _crossing_far_field_mean(cfg, R)
+    v_bs, v_miss, v_road = _far_field_variances(cfg, R)
+    far_var = v_road * (np.diff(rho_starts) + np.diff(starts)) + (v_bs + v_miss)
 
+    # the vehicle positions, one double each, are read by a second cursor
+    # while the link's own generator skips past them to the fades
+    positions = np.random.Generator(np.random.PCG64())
+    positions.bit_generator.state = rng.bit_generator.state
+    rng.bit_generator.advance(int(n_outer.sum() + n_veh.sum()))
+    chord_starts, d2_c = chord
+    fade_c = rng.standard_exponential(d2_c.size)
+    roads = _road_interference(cfg, rho_starts, r_rho, n_outer, span, h_rho, positions, rng)
+    roads += _road_interference(cfg, starts, r, n_veh, half, None, positions, rng)
     fade_b = rng.standard_exponential(d2_b.size)
-    is_sl, sir, degenerate, loss, interference = _resolve_sir(
-        cfg, m_far, vehicles, bs_starts, d2_b, fade_b)
-    batch = SirBatch(is_sl, sir, loss, interference, m_far, far_var)
+    *out, degenerate = _resolve_link(cfg, sl, m_far, (chord_starts, d2_c, fade_c), roads,
+                                     (bs_starts, d2_b, fade_b))
+    out += [m_far, far_var]
 
     where = np.flatnonzero(degenerate)
-    if where.size:
-        if depth > 8:
-            raise DegenerateRealizationError(
-                "degenerate realizations persist after repeated resampling")
-        redo = _sir_chunk(cfg, plan, where.size, rng, depth + 1)
-        for name in SirBatch.ROWS:
-            getattr(batch, name)[where] = getattr(redo, name)
-        batch.n_degenerate = where.size + redo.n_degenerate
+    if not where.size:
+        return (*out, 0)
+    if depth > 8:
+        raise DegenerateRealizationError(
+            "degenerate realizations persist after repeated resampling")
+    redo_starts, take = _select_rows(rho_starts, where)
+    *redo, n_redo = _window_rest(cfg, R, False, (redo_starts, r_rho[take], h_rho[take]),
+                                 (np.zeros(where.size + 1, dtype=np.int64), d2_c[:0]),
+                                 rng, depth + 1)
+    for field, value in zip(out, redo):
+        field[where] = value
+    return (*out, where.size + n_redo)
+
+
+def _sir_chunk(cfg, plan, n, rng, link=None):
+    """One vectorised batch of n replications, association first: every
+    row's association from the batch's own stream, then the rest of the
+    window for the rows of ``link`` (None: both links), each link from its
+    own child stream (see the module docstring).
+
+    ``rng`` must be a PCG64 generator, else TypeError: each link's stream is
+    read through two cursors."""
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError("the SIR kernel skips its vehicle positions with "
+                        "PCG64.advance: the batch generator must be PCG64")
+    R = plan.window_radius
+    if R < cfg.rho:
+        raise ValueError("the window must hold the association disk")
+    rho_starts, r, h_rho, chord_starts, road, d2_c = _association_draw(cfg, n, rng)
+    is_sl = chord_starts[1:] > chord_starts[:-1]
+    d2_c *= d2_c
+    d2_c += (r * r).take(road)
+    batch = SirBatch(is_sl, *np.full((5, n), np.nan), link=link)
+    for name, link_rng in zip((SIDELINK, DOWNLINK), rng.spawn(2)):
+        if link not in (None, name):
+            continue
+        sl = name == SIDELINK
+        rows = np.flatnonzero(is_sl == sl)
+        starts, take = _select_rows(rho_starts, rows)
+        # the sidelink rows hold every chord vehicle, the downlink rows none
+        chord = ((np.append(chord_starts[rows], chord_starts[-1]), d2_c) if sl
+                 else (np.zeros(rows.size + 1, dtype=np.int64), d2_c[:0]))
+        *fields, n_degenerate = _window_rest(cfg, R, sl, (starts, r[take], h_rho[take]),
+                                             chord, link_rng)
+        for field, value in zip(SirBatch.ROWS[1:], fields):
+            getattr(batch, field)[rows] = value
+        batch.n_degenerate += n_degenerate
     return batch
 
 
@@ -635,10 +717,21 @@ def _map_batches(fn, batches):
 
 
 def draw_sir_samples(cfg: NetworkConfig, plan: SimPlan,
-                     seed_sequence: np.random.SeedSequence | None = None) -> SirBatch:
-    """Draw plan.n_samples SIR samples in reproducible fixed-size batches."""
+                     seed_sequence: np.random.SeedSequence | None = None,
+                     link: str | None = None) -> SirBatch:
+    """Draw plan.n_samples SIR samples in reproducible fixed-size batches.
+
+    Every row gets its association, from the sub-draw ``estimate_association``
+    makes at the same plan.  Only the rows of ``link`` (SIDELINK or
+    DOWNLINK; None, the default, for both) get the rest of the window and an
+    SIR; the others hold NaN (see ``SirBatch``).  Each link reads its own
+    stream, so a row of a link holds the same bits whether one link or both
+    are drawn.  A downlink row with no base station in the window draws its
+    downlink rest again (``n_degenerate`` counts the redraws)."""
+    if link not in (None, SIDELINK, DOWNLINK):
+        raise ValueError(f"link must be {SIDELINK}, {DOWNLINK} or None, not {link!r}")
     n = plan.n_samples
-    chunks = _map_batches(lambda size, rng: _sir_chunk(cfg, plan, size, rng),
+    chunks = _map_batches(lambda size, rng: _sir_chunk(cfg, plan, size, rng, link),
                           _batches(plan, seed_sequence))
     batch = SirBatch.concatenate(chunks)
     if batch.n_degenerate > DEGENERATE_ABORT_FRACTION * max(n, 1) + 1:
@@ -666,9 +759,8 @@ def estimate_association(cfg: NetworkConfig, plan: SimPlan):
     its chord.  The batches run in a plain loop: each costs about 0.1 ms,
     less than handing it to a thread pool."""
     def vehicle_associated(size, rng):
-        starts, _, half = _roads(cfg.lambda_l, cfg.rho, size, rng)
-        n_veh, _, _ = _chord_vehicles(cfg.mu, half, rng)
-        return _segment_reduce(np.maximum, n_veh, starts, 0) > 0
+        veh_starts = _association_draw(cfg, size, rng)[3]
+        return veh_starts[1:] > veh_starts[:-1]
     is_sl = np.concatenate([vehicle_associated(*batch) for batch in _batches(plan)])
     sl = _proportion_estimate(is_sl)
     return sl, Estimate(1.0 - sl.mean, sl.std_error, sl.n_samples)
@@ -679,11 +771,16 @@ def estimate_association(cfg: NetworkConfig, plan: SimPlan):
 # ---------------------------------------------------------------------------
 
 def estimate_coverage_grid(cfg: NetworkConfig, taus, plan: SimPlan,
-                           samples: SirBatch | None = None):
+                           samples: SirBatch | None = None, link: str | None = None):
     """Joint probability of (SIR > tau together with each association) for
     every (link, tau) pair, link=Total being the samplewise sum of the two
     joint events.  All pairs share one sample set, so decomposition and
     tau-monotonicity hold exactly samplewise.
+
+    ``link`` (SIDELINK or DOWNLINK) asks for that link's pairs only: the
+    draw then resolves only that link's rows, and the grid holds only its
+    keys.  None, the default, draws both links and gives all three.
+    ``samples`` drawn for one link serve only that link.
 
     tau = 0 asks for SIR > 0, which holds wherever the serving signal is
     nonzero: the grid then gives the association fractions, as ``analytic.sl_coverage`` and
@@ -691,13 +788,17 @@ def estimate_coverage_grid(cfg: NetworkConfig, taus, plan: SimPlan,
 
     Each estimate's ``bias_bound`` is the mean over all rows of the window
     bias bound (``SirBatch.window_bias``) on the rows of its link, plus
-    exp(-pi lambda_b R^2) for the degenerate resample; Total's is the sum of
-    the two links'.  It draws no random numbers.
+    exp(-pi lambda_b R^2) for the redraw of degenerate downlink rows;
+    Total's is the sum of the two links'.  It draws no random numbers.
     """
     if any(tau < 0 for tau in taus):
         raise ValueError("tau must be nonnegative")
-    batch = samples if samples is not None else draw_sir_samples(cfg, plan)
+    batch = samples if samples is not None else draw_sir_samples(cfg, plan, link=link)
+    if batch.link not in (None, link):
+        raise ValueError(f"the samples hold only the {batch.link} rows")
     links = {SIDELINK: batch.is_sl, DOWNLINK: ~batch.is_sl, TOTAL: True}
+    if link is not None:
+        links = {link: links[link]}
     conditioning = math.exp(-math.pi * cfg.lambda_b * plan.window_radius ** 2)
     out = {}
     for tau in taus:
@@ -705,9 +806,9 @@ def estimate_coverage_grid(cfg: NetworkConfig, taus, plan: SimPlan,
         dl_bias, sl_bias = np.bincount(batch.is_sl, weights=batch.window_bias(tau),
                                        minlength=2) / len(batch) + conditioning
         bias = {SIDELINK: sl_bias, DOWNLINK: dl_bias, TOTAL: sl_bias + dl_bias}
-        for link, associated in links.items():
+        for name, associated in links.items():
             est = _proportion_estimate(above & associated)
-            out[(link, float(tau))] = replace(est, bias_bound=float(bias[link]))
+            out[(name, float(tau))] = replace(est, bias_bound=float(bias[name]))
     return out
 
 
@@ -1027,8 +1128,9 @@ def estimate_effective_rate(cfg: NetworkConfig, plan: SimPlan,
     """
     ss = np.random.SeedSequence(plan.seed)
     ss_num, ss_den = ss.spawn(2)
-    batch = draw_sir_samples(cfg, plan, seed_sequence=ss_num)
-    # log2(1 + SIR) on downlink rows, 0 on sidelink ones; the far field keeps
+    batch = draw_sir_samples(cfg, plan, seed_sequence=ss_num, link=DOWNLINK)
+    # log2(1 + SIR) on downlink rows, 0 on sidelink ones (not drawn, NaN
+    # there); the far field keeps
     # every SIR finite unless a serving distance is exactly 0, about 2^-53 a
     # draw
     rate = np.where(batch.is_sl, 0.0, np.log1p(batch.sir) / math.log(2.0))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vanetcov.analytic import p_assoc_sl
-from vanetcov import analytic, cli, validate
+from vanetcov import analytic, cli, simulator, validate
 from vanetcov.config import load_config
 
 REF_DOC = {
@@ -65,6 +65,28 @@ def test_validate_mode_coverage_small(cfg_path, tmp_path):
     assert len(rows) == 2
     assert all(r["verdict"] == "pass" for r in rows)
     assert [float(r["tau_or_epsilon"]) for r in rows] == [0.5, 2.0]
+
+
+@pytest.mark.parametrize("metric, links", [
+    ("dl_cov", {False}), ("sl_cov", {True}), ("eff_rate", {False}),
+    ("total_cov", {True, False}), ("utility", {True, False})])
+def test_monte_carlo_requests_resolve_only_the_links_they_read(
+        metric, links, cfg_path, tmp_path, monkeypatch):
+    # the SIR kernel draws the rest of the window only for the rows of the
+    # link a request reads: the downlink rows for dl_cov and the effective
+    # rate, the sidelink rows for sl_cov and utility's sidelink term
+    resolved = []
+    real = simulator._window_rest
+
+    def recording(cfg, R, sl, *args, **kwargs):
+        resolved.append(sl)
+        return real(cfg, R, sl, *args, **kwargs)
+    monkeypatch.setattr(simulator, "_window_rest", recording)
+    out = tmp_path / "mc.csv"
+    rc = cli.main(["--config", cfg_path, "--mode", "montecarlo", "--metric", metric,
+                   "--tau", "1", "--samples", "3000", "--seed", "5", "--out", str(out)])
+    assert rc == 0 and all(r["value"] for r in _read_rows(out))
+    assert set(resolved) == links
 
 
 def test_montecarlo_requires_seed(cfg_path, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kernel_rows import resolve_rows
 from oracle import sample_network, sample_sir
 from vanetcov import NetworkConfig, simulator, validate
 from vanetcov.analytic import (
@@ -22,10 +23,8 @@ from vanetcov.simulator import (
     SimPlan,
     _crossing_far_field_mean,
     _far_field_variances,
-    _resolve_sir,
     _road_far_field,
     _segment_starts,
-    _vehicle_rows,
     default_window_radius,
     draw_sir_samples,
     estimate_association,
@@ -347,9 +346,7 @@ def test_compensation_toggle_changes_sir():
     fade_v, fade_b = rng.standard_exponential(d2_v.size), rng.standard_exponential(d2_b.size)
 
     def resolve(m_far):
-        # the resolvers overwrite their distance and fade arrays
-        vehicles = _vehicle_rows(REF_CFG, veh_starts, d2_v.copy(), fade_v.copy())
-        return _resolve_sir(REF_CFG, m_far, vehicles, bs_starts, d2_b.copy(), fade_b.copy())
+        return resolve_rows(REF_CFG, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b)
     on_sl, on_sir, *_ = resolve(far_field_mean(REF_CFG, R))
     off_sl, off_sir, *_ = resolve(0.0)
     assert np.array_equal(on_sl, off_sl)

@@ -1,6 +1,7 @@
 """The vectorised SIR kernel against the scalar reference
 ``oracle.sample_sir`` and against a whole-batch copy of its draws, its
-memory per batch, and the kernel's degenerate-resample path."""
+one-link draws against its two-link draws, its memory per batch, and the
+kernel's degenerate-resample path."""
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kernel_rows import resolve_rows
 from oracle import sample_sir
 from vanetcov import NetworkConfig, simulator, validate
 from vanetcov.analytic import p_assoc_sl
@@ -17,22 +19,18 @@ from vanetcov.simulator import (
     DOWNLINK,
     SIDELINK,
     DegenerateRealizationError,
-    GATHER_SLICE,
     SimPlan,
     SirBatch,
     _batches,
     _crossing_far_field_mean,
     _far_field_variances,
-    _gather,
     _received_power,
-    _resolve_sir,
     _road_far_field,
-    _segment_index,
     _segment_reduce,
     _segment_starts,
     _sir_chunk,
-    _vehicle_rows,
     draw_sir_samples,
+    estimate_association,
     estimate_coverage_grid,
     far_field_mean,
     make_plan,
@@ -92,8 +90,8 @@ def test_kernel_matches_scalar_reference(replications, alpha):
         assume(all(abs(d - cfg.rho) > 1e-9 for d, _, _ in vehicles))
     veh_starts, d2_v, fade_v = _flat(replications, 0)
     bs_starts, d2_b, fade_b = _flat(replications, 1)
-    is_sl, sir, degenerate, _, _ = _resolve_sir(
-        cfg, 0.0, _vehicle_rows(cfg, veh_starts, d2_v, fade_v), bs_starts, d2_b, fade_b)
+    is_sl, sir, degenerate, _, _ = resolve_rows(
+        cfg, 0.0, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b)
 
     for i, (vehicles, bss) in enumerate(replications):
         real = (_points(vehicles), _points(bss))
@@ -118,10 +116,20 @@ def _first_minima(d2, starts):
                      for lo, hi in zip(starts[:-1], starts[1:])], dtype=np.int64)
 
 
+def _subset_sums(values, starts, keep):
+    """Per segment, the sum of the entries ``keep`` marks, by one reduceat
+    over them."""
+    row = np.repeat(np.arange(starts.size - 1), np.diff(starts))
+    return _sums(values[keep], _segment_starts(np.bincount(row[keep], minlength=starts.size - 1)))
+
+
 def _resolve_sir_by_full_scan(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b,
                              fade_b):
     """The kernel with the association and both serving transmitters taken
-    from a scan of every segment, row by row."""
+    from a scan of every segment, row by row.  As in the kernel, the
+    vehicles within rho, the vehicles beyond it and the base stations are
+    summed apart."""
+    inside = d2_v <= cfg.rho * cfg.rho
     iv, ib = _first_minima(d2_v, veh_starts), _first_minima(d2_b, bs_starts)
     # index -1 (an empty segment) reads the appended inf
     dv2_min = np.append(d2_v, np.inf)[iv]
@@ -142,7 +150,8 @@ def _resolve_sir_by_full_scan(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d
     pw_v[iv] = 0.0
     serving_pw[dl_rows] = pw_b[ib]
     pw_b[ib] = 0.0
-    interference = _segment_reduce(np.add, pw_v, veh_starts, 0.0)
+    interference = _subset_sums(pw_v, veh_starts, inside)
+    interference += _subset_sums(pw_v, veh_starts, ~inside)
     interference += _segment_reduce(np.add, pw_b, bs_starts, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         sir = np.divide(serving_pw, interference + m_far, out=serving_pw)
@@ -182,31 +191,13 @@ def test_kernel_searches_only_vehicles_within_rho_bit_for_bit(alpha, p_v):
         m_far = rng.uniform(0.0, 0.1, n)
         want = _resolve_sir_by_full_scan(cfg, m_far, veh_starts, d2_v.copy(), fade_v.copy(),
                                          bs_starts, d2_b.copy(), fade_b.copy())
-        got = _resolve_sir(cfg, m_far, _vehicle_rows(cfg, veh_starts, d2_v, fade_v),
-                           bs_starts, d2_b, fade_b)
+        got = resolve_rows(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b)
         assert want[0].any() == (mean_veh > 0) and want[2].any()
         if boundary:
             assert at_rho.size and tied.size
             assert np.array_equal(np.flatnonzero(want[0]), np.union1d(at_rho, tied))
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w, equal_nan=True)
-
-
-@settings(max_examples=200, deadline=None)
-@given(counts=st.lists(st.integers(0, 4), max_size=12),
-       spread=st.sampled_from([1, GATHER_SLICE]))
-def test_segment_index_and_gather_match_repeat(counts, spread):
-    # empty segments first, last and in a row; with ``spread`` the vehicles
-    # span several gather slices
-    counts = np.array(counts, dtype=np.int64) * spread
-    index = _segment_index(counts)
-    assert index.dtype == np.int64
-    np.testing.assert_array_equal(index, np.repeat(np.arange(counts.size), counts))
-    values = np.linspace(0.5, 2.0, counts.size)
-    out = np.linspace(-1.0, 1.0, index.size)
-    want = out * np.repeat(values, counts)
-    _gather(np.multiply, out, values, index)
-    assert np.array_equal(out, want)
 
 
 def test_kernel_resamples_degenerate_rows_and_draws_abort():
@@ -294,62 +285,124 @@ def _powers(fade, d2, alpha):
     return fade / np.sqrt(d2) if odd else fade
 
 
-def _whole_batch(cfg, plan, n, rng, depth=0):
-    """The kernel's batch with every vehicle in one array: the stream read
-    in order (roads, chord counts, vehicle positions, base stations, vehicle
-    fades, base-station fades, then the degenerate rows again) and each
-    serving transmitter found by a row-by-row argmin.  The far-field closed
-    forms are the module's: they read only the roads.  Returns the SirBatch
-    fields in SirBatch.ROWS order, then n_degenerate."""
-    R = plan.window_radius
-    n_lines = rng.poisson(2.0 * cfg.lambda_l * R, n)
+def _whole_rest(cfg, R, sl, rho_starts, r_rho, h_rho, chord_starts, d2_c, rng, depth=0):
+    """One link's rest of the window with every vehicle in one array, drawn
+    from the link's stream in the kernel's order: the roads with
+    rho < |r| < R (counts, then r uniform on (-(R - rho), R - rho) moved out
+    by rho), their vehicle counts, the vehicle counts on the rho-disk roads'
+    outer parts, the base stations, the outer-part positions, the other
+    roads' positions, then the fades of the chord vehicles, the outer
+    parts, the other roads and the base stations.  Each serving transmitter
+    is found by a row-by-row argmin, and a downlink row with no base station
+    draws its rest again.  Returns (sir, loss, interference, far_mean,
+    far_var, n_degenerate)."""
+    n = rho_starts.size - 1
+    W = R - cfg.rho
+    n_lines = rng.poisson(2.0 * cfg.lambda_l * W, n)
     line_starts = _segment_starts(n_lines)
-    r_l = rng.uniform(-R, R, line_starts[-1])
+    r_l = rng.uniform(-W, W, line_starts[-1])
+    r_l = r_l + np.copysign(cfg.rho, r_l)
     half = np.sqrt(np.maximum(R * R - r_l * r_l, 0.0))
-    far_mean = _sums(_road_far_field(cfg, R, half), line_starts)
-    far_mean += far_field_mean(cfg, R) - _crossing_far_field_mean(cfg, R)
-    v_bs, v_miss, v_road = _far_field_variances(cfg, R)
-    far_var = v_road * n_lines + (v_bs + v_miss)
+    h_out = np.sqrt(R * R - r_rho * r_rho)
     n_veh = rng.poisson(2.0 * cfg.mu * half)
+    n_outer = rng.poisson(2.0 * cfg.mu * (h_out - h_rho))
+    bs_starts = _segment_starts(rng.poisson(cfg.lambda_b * math.pi * R * R, n))
+    d2_b = rng.random(bs_starts[-1]) * (R * R)
+    outer = np.repeat(np.arange(h_rho.size), n_outer)
+    s = np.abs(rng.uniform(-1.0, 1.0, outer.size)) * (h_out - h_rho)[outer] + h_rho[outer]
+    d2_o = s * s + (r_rho * r_rho)[outer]
     road = np.repeat(np.arange(half.size), n_veh)
     t = rng.uniform(-1.0, 1.0, road.size) * half[road]
     d2_v = t * t + (r_l * r_l)[road]
-    veh_starts = _segment_starts(n_veh)[line_starts]
-    bs_starts = _segment_starts(rng.poisson(cfg.lambda_b * math.pi * R * R, n))
-    d2_b = rng.random(bs_starts[-1]) * (R * R)
+    fade_c = rng.standard_exponential(d2_c.size)
+    fade_o = rng.standard_exponential(d2_o.size)
     fade_v = rng.standard_exponential(d2_v.size)
     fade_b = rng.standard_exponential(d2_b.size)
 
+    far_mean = _sums(_road_far_field(cfg, R, h_out), rho_starts)
+    far_mean += _sums(_road_far_field(cfg, R, half), line_starts)
+    far_mean += far_field_mean(cfg, R) - _crossing_far_field_mean(cfg, R)
+    v_bs, v_miss, v_road = _far_field_variances(cfg, R)
+    far_var = v_road * (np.diff(rho_starts) + n_lines) + (v_bs + v_miss)
+
     eta = cfg.p_v / cfg.p_b
-    iv, ib = _first_minima(d2_v, veh_starts), _first_minima(d2_b, bs_starts)
-    dv2_min = np.append(d2_v, np.inf)[iv]
+    ic, ib = _first_minima(d2_c, chord_starts), _first_minima(d2_b, bs_starts)
+    dc2_min = np.append(d2_c, np.inf)[ic]
     db2_min = np.append(d2_b, np.inf)[ib]
-    is_sl = dv2_min <= cfg.rho * cfg.rho
-    degenerate = ~is_sl & np.isinf(db2_min)
-    is_dl = ~is_sl & ~degenerate
+    degenerate = np.isinf(db2_min) & (not sl)
     with np.errstate(divide="ignore"):
-        loss = np.power(np.where(is_sl, dv2_min, db2_min), -0.5 * cfg.alpha)
-    loss[is_sl] *= eta
+        loss = np.power(dc2_min if sl else db2_min, -0.5 * cfg.alpha)
+    if sl:
+        loss *= eta
+    pw_c = _powers(fade_c, d2_c, cfg.alpha) * eta
+    pw_o = _powers(fade_o, d2_o, cfg.alpha) * eta
     pw_v = _powers(fade_v, d2_v, cfg.alpha) * eta
     pw_b = _powers(fade_b, d2_b, cfg.alpha)
     serving = np.zeros(n)
-    serving[is_sl] = pw_v[iv[is_sl]]
-    pw_v[iv[is_sl]] = 0.0
-    serving[is_dl] = pw_b[ib[is_dl]]
-    pw_b[ib[is_dl]] = 0.0
-    interference = _sums(pw_v, veh_starts) + _sums(pw_b, bs_starts)
+    if sl:
+        serving = pw_c[ic]
+        pw_c[ic] = 0.0
+    else:
+        ok = ~degenerate
+        serving[ok] = pw_b[ib[ok]]
+        pw_b[ib[ok]] = 0.0
+    outer_starts = _segment_starts(n_outer)[rho_starts]
+    veh_starts = _segment_starts(n_veh)[line_starts]
+    interference = (_sums(pw_c, chord_starts)
+                    + (_sums(pw_o, outer_starts) + _sums(pw_v, veh_starts))
+                    + _sums(pw_b, bs_starts))
     with np.errstate(divide="ignore", invalid="ignore"):
         sir = serving / (interference + far_mean)
 
-    fields = [is_sl, sir, loss, interference, far_mean, far_var]
+    fields = [sir, loss, interference, far_mean, far_var]
     where = np.flatnonzero(degenerate)
     if not where.size:
         return fields + [0]
     assert depth <= 8
-    *redo, n_redo = _whole_batch(cfg, plan, where.size, rng, depth + 1)
+    per_road = np.repeat(np.arange(n), np.diff(rho_starts))
+    keep = np.isin(per_road, where)
+    *redo, n_redo = _whole_rest(cfg, R, False, _segment_starts(np.diff(rho_starts)[where]),
+                                r_rho[keep], h_rho[keep], np.zeros(where.size + 1, dtype=np.int64),
+                                d2_c[:0], rng, depth + 1)
     for field, value in zip(fields, redo):
         field[where] = value
     return fields + [where.size + n_redo]
+
+
+def _whole_batch(cfg, plan, n, rng):
+    """The kernel's batch with every vehicle of a link in one array.  The
+    batch's stream draws the association: the roads hitting each row's
+    rho-disk, their chord counts and positions; a row with a chord vehicle
+    is sidelink.  Then each link's rows draw the rest from the link's child
+    stream (``_whole_rest``; children of ``rng.spawn(2)``, sidelink first).
+    The far-field closed forms are the module's: they read only the roads.
+    Returns the SirBatch fields in SirBatch.ROWS order, then n_degenerate."""
+    R = plan.window_radius
+    n_rho = rng.poisson(2.0 * cfg.lambda_l * cfg.rho, n)
+    rho_starts = _segment_starts(n_rho)
+    r_rho = rng.uniform(-cfg.rho, cfg.rho, rho_starts[-1])
+    h_rho = np.sqrt(np.maximum(cfg.rho * cfg.rho - r_rho * r_rho, 0.0))
+    n_chord = rng.poisson(2.0 * cfg.mu * h_rho)
+    road = np.repeat(np.arange(h_rho.size), n_chord)
+    t = rng.uniform(-1.0, 1.0, road.size) * h_rho[road]
+    d2_c = t * t + (r_rho * r_rho)[road]
+    per_road = np.repeat(np.arange(n), n_rho)
+    is_sl = np.bincount(per_road[road], minlength=n) > 0
+
+    fields = [is_sl] + [np.empty(n) for _ in range(5)]
+    n_degenerate = 0
+    for sl, link_rng in zip((True, False), rng.spawn(2)):
+        rows = np.flatnonzero(is_sl == sl)
+        keep = is_sl[per_road] == sl
+        chord = is_sl[per_road[road]] == sl
+        *rest, n_redo = _whole_rest(
+            cfg, R, sl, _segment_starts(n_rho[rows]), r_rho[keep], h_rho[keep],
+            _segment_starts(np.bincount(per_road[road][chord], minlength=n)[rows]),
+            d2_c[chord], link_rng)
+        for field, value in zip(fields[1:], rest):
+            field[rows] = value
+        n_degenerate += n_redo
+    return fields + [n_degenerate]
 
 
 _DEGENERATE_CFG = validate(replace(CFG, rho=0.05))
@@ -387,6 +440,64 @@ def test_sliced_kernel_matches_whole_batch_bit_for_bit(case, monkeypatch):
         assert g.dtype == w.dtype and np.array_equal(g, w), name
     assert got.n_degenerate == want[-1]
     assert (got.n_degenerate > 0) == (case == "degenerate rows")
+
+
+@pytest.mark.parametrize("link", [SIDELINK, DOWNLINK])
+@pytest.mark.parametrize("case", ["REF", "mu 40", "a row per range", "no roads",
+                                  "degenerate rows"])
+def test_one_link_draw_matches_the_two_link_draw_on_its_rows(case, link, monkeypatch):
+    # each link reads its own child stream, so a draw of one link gives its
+    # rows the bits the draw of both gives them, and the other link's rows
+    # hold NaN; degenerate rows are downlink rows, redrawn on that stream
+    cfg, radius, n, seed, vehicle_slice = _SLICED_CASES[case]
+    cfg = validate(cfg)
+    plan = SimPlan(radius, n, seed) if radius else make_plan(cfg, n, seed)
+    if vehicle_slice:
+        monkeypatch.setattr(simulator, "VEHICLE_SLICE", vehicle_slice)
+    both = _sir_chunk(cfg, plan, n, np.random.default_rng(seed))
+    one = _sir_chunk(cfg, plan, n, np.random.default_rng(seed), link)
+    rows = both.is_sl if link == SIDELINK else ~both.is_sl
+    assert one.link == link and both.link is None
+    assert np.array_equal(one.is_sl, both.is_sl)
+    assert rows.any() == (case != "no roads" or link == DOWNLINK)
+    for name in SirBatch.ROWS[1:]:
+        got, want = getattr(one, name), getattr(both, name)
+        assert np.array_equal(got[rows], want[rows]), name
+        assert np.isnan(got[~rows]).all() and not np.isnan(want).any(), name
+    assert one.n_degenerate == (both.n_degenerate if link == DOWNLINK else 0)
+    assert (both.n_degenerate > 0) == (case == "degenerate rows")
+
+
+def test_kernel_association_is_estimate_association(monkeypatch):
+    # the kernel's association sub-draw is estimate_association's, row for
+    # row, whichever links the draw resolves
+    indicators = []
+    real = simulator._proportion_estimate
+    monkeypatch.setattr(simulator, "_proportion_estimate",
+                        lambda indicator: indicators.append(indicator) or real(indicator))
+    for cfg in (REF, replace(REF, rho=0.15), replace(REF, lambda_l=2.0, mu=1.0)):
+        plan = make_plan(cfg, 3000, 21)
+        indicators.clear()
+        estimate_association(cfg, plan)
+        assert len(indicators) == 1 and indicators[0].any()
+        for link in (None, SIDELINK, DOWNLINK):
+            assert np.array_equal(draw_sir_samples(cfg, plan, link=link).is_sl, indicators[0])
+
+
+def test_one_link_samples_serve_only_their_link():
+    plan = make_plan(REF, 2048, 5)
+    grid = estimate_coverage_grid(REF, [0.5], plan, link=SIDELINK)
+    assert list(grid) == [(SIDELINK, 0.5)]
+    samples = draw_sir_samples(REF, plan, link=DOWNLINK)
+    assert list(estimate_coverage_grid(REF, [0.5], plan, samples, link=DOWNLINK)) == [
+        (DOWNLINK, 0.5)]
+    for link in (None, SIDELINK):
+        with pytest.raises(ValueError, match="only the DL rows"):
+            estimate_coverage_grid(REF, [0.5], plan, samples, link=link)
+    with pytest.raises(ValueError, match="link must be"):
+        draw_sir_samples(REF, plan, link=simulator.TOTAL)
+    with pytest.raises(ValueError, match="association disk"):
+        draw_sir_samples(REF, SimPlan(0.5 * REF.rho, 8, 5))
 
 
 @pytest.mark.parametrize("k", [0, 1, 7, 100_000])
