@@ -3,22 +3,21 @@ one BENCH file.
 
 Usage, from the repository root:
 
-    python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json [--seed0 22001] [--aa]
+    python3 scripts/bench_pairs.py --parent REV --out BENCH_<n>.json [--seed0 22001]
 
 The parent side is ``git archive REV``; the change side is a copy of the
-working tree's src/, benchmarks/, BENCHMARK.json and pyproject.toml.  With
-``--aa`` a second ``git archive REV`` runs as a third side, parent_copy: the
-A/A run.  Its gap to the parent is the spread between two checkouts of the
-same code, the floor below which a parent/change gap says nothing.  Each
-side is unpacked into its own directory under .bench_pairs/, and every run is
+working tree's src/, benchmarks/, BENCHMARK.json and pyproject.toml; a
+second ``git archive REV`` runs as a third side, parent_copy: the A/A run.
+Its gap to the parent is the spread between two checkouts of the same code,
+the floor below which a parent/change gap says nothing.  Each side is
+unpacked into its own directory under .bench_pairs/, and every run is
 
     python3 benchmarks/run.py --workload W --seed S --trace 0 --seconds T
 
 in that directory, with T the run_seconds of BENCHMARK.json, one run per side
 and pair.  Each workload gets 10 pairs.  Pairs rotate which side runs first
-(pair i starts at side i mod the side count, in the order parent, change,
-parent_copy: even pairs start with the parent when there are two sides), and
-every side of a pair uses the same seed.  Workload number w (in WORKLOADS order) uses seeds seed0 + 100 w + i
+(pair i starts at side i mod 3, in the order parent, change, parent_copy),
+and every side of a pair uses the same seed.  Workload number w (in WORKLOADS order) uses seeds seed0 + 100 w + i
 for pair i.  The values come from the result file
 run.py writes to .bench_work/results/; quartiles are
 statistics.quantiles(n=4), and wall_raw_s is the median raw pass time of a
@@ -105,14 +104,13 @@ def note(workload, doc):
         p, c = s["parent"][m], s["change"][m]
         iqr = p["q3"] - p["q1"]
         gap = p["median"] - c["median"]
-        aa = ""
-        if "parent_copy" in s:
-            aa = (f", A/A gap {p['median'] - s['parent_copy'][m]['median']:.3g} "
-                  f"(copy better in {doc['parent_copy_better_pairs'][m]}/{n})")
+        aa = p["median"] - s["parent_copy"][m]["median"]
         parts.append(f"{m} {p['median']:.4g} -> {c['median']:.4g} "
                      f"(ratio {doc['median_ratio_change_over_parent'][m]:.3f}, "
                      f"better in {doc['change_better_pairs'][m]}/{n} pairs, "
-                     f"median gap {gap:.3g} against parent IQR {iqr:.3g}{aa})")
+                     f"median gap {gap:.3g} against parent IQR {iqr:.3g}, "
+                     f"A/A gap {aa:.3g} (copy better in "
+                     f"{doc['parent_copy_better_pairs'][m]}/{n}))")
     failed = ", ".join(f"{v['failed']} ({side})" for side, v in s.items())
     return f"{workload}: " + "; ".join(parts) + f"; failed output checks {failed}."
 
@@ -122,19 +120,16 @@ def main():
     ap.add_argument("--parent", required=True, help="git revision of the parent")
     ap.add_argument("--out", required=True)
     ap.add_argument("--seed0", type=int, default=22001)
-    ap.add_argument("--aa", action="store_true",
-                    help="also run a second copy of the parent (an A/A floor)")
     args = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         seconds = json.load(fh)["run_seconds"]
 
     shutil.rmtree(WORKDIR, ignore_errors=True)
-    names = ("parent", "change", "parent_copy") if args.aa else ("parent", "change")
+    names = ("parent", "change", "parent_copy")
     sides = {name: os.path.join(WORKDIR, name) for name in names}
     checkout_parent(args.parent, sides["parent"])
     checkout_change(sides["change"])
-    if args.aa:
-        checkout_parent(args.parent, sides["parent_copy"])
+    checkout_parent(args.parent, sides["parent_copy"])
     parent_commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                                    capture_output=True, text=True).stdout.strip()
 
@@ -143,7 +138,7 @@ def main():
                     "--workload W --seed S --trace 0` writes to .bench_work/results/, "
                     "each side run from its own directory with identical benchmark "
                     "code; pairs rotate which side runs first (see the script). "
-                    "parent_copy, when present, is a second checkout of the parent: "
+                    "parent_copy is a second checkout of the parent: "
                     "its gap to the parent is the A/A spread between checkouts. "
                     "Written by scripts/bench_pairs.py."),
            "end_to_end_unit": {"setup_s": "s (scaled to reference speed)",
