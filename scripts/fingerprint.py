@@ -18,10 +18,14 @@ draw_sir_samples on DENSE_CONFIGS (REF at mu = 40): about 1.5M vehicles a
 batch, which the kernel passes in many row ranges of VEHICLE_SLICE vehicles.
 Two lines hash draw_sir_samples on CONFIGS with one link resolved
 (``link=SIDELINK`` and ``link=DOWNLINK``), the path of single-link requests;
-their rows of that link must equal the two-link draw's.
+their rows of that link must equal the two-link draw's.  The last line hashes
+one kernel batch (``simulator._sir_chunk``, both links, then each alone) on
+DEGENERATE_CONFIGS, in a window with lambda_b pi R^2 = 2: about e^-2 of the
+rows draw no base station, and the downlink ones among them are redrawn.
 """
 import dataclasses
 import hashlib
+import math
 import os
 import sys
 
@@ -45,6 +49,8 @@ STEEP_CONFIGS = {
     "no roads / alpha 4": dict(REF, lambda_l=0.0, mu=0.0, alpha=4.0),
 }
 DENSE_CONFIGS = {"mu 40": dict(REF, mu=40.0)}
+DEGENERATE_CONFIGS = {"rho 0.05 / p_v 0.5": dict(REF, lambda_u=200.0, p_v=0.5)}
+DEGENERATE_ROWS = 4096
 SEEDS = (11, 2026)
 SIR_SAMPLES = 5000       # four full batches and a short one
 CELL_SAMPLES = 2500      # two full batches and a short one
@@ -64,9 +70,22 @@ def _update(h, value):
         h.update(float(value).hex().encode())
 
 
-def _sir_fields(cfg, plan, link=None):
-    batch = simulator.draw_sir_samples(cfg, plan, link=link)
+def _batch_fields(batch):
     return [getattr(batch, name) for name in simulator.SirBatch.ROWS] + [batch.n_degenerate]
+
+
+def _sir_fields(cfg, plan, link=None):
+    return _batch_fields(simulator.draw_sir_samples(cfg, plan, link=link))
+
+
+def _degenerate_chunks(cfg, plan):
+    # one batch of plan.n_samples rows at lambda_b pi R^2 = 2
+    plan = dataclasses.replace(plan, window_radius=math.sqrt(2.0 / (math.pi * cfg.lambda_b)))
+    out = []
+    for link in (None, simulator.SIDELINK, simulator.DOWNLINK):
+        out += _batch_fields(simulator._sir_chunk(cfg, plan, plan.n_samples,
+                                                  np.random.default_rng(plan.seed), link))
+    return out
 
 
 ESTIMATORS = {
@@ -115,6 +134,8 @@ def main():
     configs = {name: validate(NetworkConfig(**kw)) for name, kw in CONFIGS.items()}
     steep = {name: validate(NetworkConfig(**kw)) for name, kw in STEEP_CONFIGS.items()}
     dense = {name: validate(NetworkConfig(**kw)) for name, kw in DENSE_CONFIGS.items()}
+    degenerate = {name: validate(NetworkConfig(**kw))
+                  for name, kw in DEGENERATE_CONFIGS.items()}
     print(f"# configs: {', '.join(configs)}; seeds {SEEDS}; "
           f"{simulator._available_cpus()} CPU(s) available")
     for name, (n_samples, fn) in ESTIMATORS.items():
@@ -127,6 +148,8 @@ def main():
           f"{_mc_digest(*ESTIMATORS['draw_sir_samples'], steep)}")
     print(f"{'dense: draw_sir_samples':34} "
           f"{_mc_digest(*ESTIMATORS['draw_sir_samples'], dense)}")
+    print(f"{'degenerate: _sir_chunk':34} "
+          f"{_mc_digest(DEGENERATE_ROWS, _degenerate_chunks, degenerate)}")
 
 
 if __name__ == "__main__":

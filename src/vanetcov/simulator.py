@@ -454,26 +454,24 @@ def _received_power(fade, d2, alpha):
     return fade
 
 
-def _nearest_serves(alpha, gain, starts, d2, fade, served):
-    """One population's per-row powers: in each row that ``served`` marks,
-    the first nearest transmitter serves and the others interfere; in the
-    other rows all of them interfere.
+def _nearest_serves(alpha, gain, starts, d2, fade):
+    """One population's per-row powers: in each nonempty row the first
+    nearest transmitter serves and the others interfere.
 
     The population is a flat array of squared distances and unit-mean fades
     grouped by replication (segment i is [starts[i], starts[i + 1])), and
-    ``gain`` scales its powers (eta for vehicles).  ``served`` maps the
-    per-row nearest squared distances to a boolean per row and must mark
-    only nonempty rows.  Returns (d2_min, serving, interference) per row:
-    the nearest squared distance (inf for an empty row), the serving power
-    (0 in unserved rows) and the sum of the other powers.  The serving term
-    is taken out of the sum, not subtracted from the total: at a large SIR
-    the subtraction would leave mostly rounding.  ``fade`` is overwritten
-    with received powers and ``d2`` with scratch values.
+    ``gain`` scales its powers (eta for vehicles).  Returns (d2_min,
+    serving, interference) per row: the nearest squared distance (inf for an
+    empty row), the serving power (0 in an empty row) and the sum of the
+    other powers.  The serving term is taken out of the sum, not subtracted
+    from the total: at a large SIR the subtraction would leave mostly
+    rounding.  ``fade`` is overwritten with received powers and ``d2`` with
+    scratch values.
     """
     # the minima scan every entry, and the index search only those at or
-    # below the largest served minimum
+    # below the largest minimum
     d2_min = _segment_reduce(np.minimum, d2, starts, np.inf)
-    rows = np.flatnonzero(served(d2_min))
+    rows = np.flatnonzero(np.isfinite(d2_min))
     first = _first_min_index(d2, starts, d2_min, rows)
     pw = _received_power(fade, d2, alpha)
     if gain != 1.0:
@@ -518,46 +516,47 @@ def _road_interference(cfg, road_starts, r, counts, span, inner, positions, rng)
     return out
 
 
-def _resolve_link(cfg, sl, m_far, chord, roads, bs):
-    """SIR per row of one link (``sl``: sidelink) from its transmitters.
+def _resolve_link(cfg, m_far, chord, roads, bs):
+    """SIR per row of one link from its transmitters: a sidelink row is
+    served by its nearest chord vehicle, a downlink row (``chord`` None) by
+    its nearest base station.
 
     ``chord`` and ``bs`` are (starts, d2, fade) of the rows' vehicles on
     their rho-chords and of their base stations, overwritten as
     ``_nearest_serves`` says; ``roads`` is each row's summed power of every
     other vehicle, and ``m_far`` the far-field term, a scalar or one per
-    row.  A sidelink row is served by its nearest chord vehicle, a downlink
-    row by its nearest base station.  Returns per row (sir, loss,
-    interference, degenerate): the serving path-loss power (eta included for
-    a vehicle, no fade), the interference without ``m_far``, and whether the
-    row is a downlink row with no base station (its other outputs are then
-    meaningless).
+    row.  Returns per row (sir, loss, interference): the serving path-loss
+    power (eta included for a vehicle, no fade) and the interference without
+    ``m_far``.  The outputs of a downlink row with no base station are
+    meaningless.
     """
-    eta = cfg.p_v / cfg.p_b
-    dv2_min, serving_v, interference = _nearest_serves(cfg.alpha, eta, *chord, np.isfinite)
+    serving_pop, gain = (bs, 1.0) if chord is None else (chord, cfg.p_v / cfg.p_b)
+    d2_min, serving, interference = _nearest_serves(cfg.alpha, gain, *serving_pop)
     interference += roads
-    db2_min, serving_b, interference_b = _nearest_serves(
-        cfg.alpha, 1.0, *bs, lambda d2_min: np.isfinite(d2_min) & (not sl))
-    interference += interference_b
+    if chord is not None:
+        bs_starts, d2_b, fade_b = bs
+        interference += _segment_reduce(np.add, _received_power(fade_b, d2_b, cfg.alpha),
+                                        bs_starts, 0.0)
     with np.errstate(divide="ignore"):
-        loss = np.power(dv2_min if sl else db2_min, -0.5 * cfg.alpha)
-    if sl and eta != 1.0:
-        loss *= eta
+        loss = np.power(d2_min, -0.5 * cfg.alpha)
+    if gain != 1.0:
+        loss *= gain
     with np.errstate(divide="ignore", invalid="ignore"):
-        sir = (serving_v if sl else serving_b) / (interference + m_far)
-    return [sir, loss, interference, np.isinf(db2_min) & (not sl)]
+        sir = serving / (interference + m_far)
+    return sir, loss, interference
 
 
-def _window_rest(cfg, R, sl, rho_roads, chord, rng, depth=0):
+def _window_rest(cfg, R, rho_roads, chord, rng, depth=0):
     """The rest of the window for the rows of one link, drawn from that
     link's stream ``rng``, and their SIR.
 
-    ``sl`` says which link; ``rho_roads`` is (starts, r, half-lengths in the
-    rho-disk) of the rows' roads through their rho-disk, and ``chord`` is
-    (starts, d2) of the vehicles on those chords, d2 overwritten.  The draws
-    follow the module docstring's order.  A downlink row with no base
-    station in the window is degenerate: its rest is drawn again, up to
-    eight times.  Returns per row (sir, loss, interference, far_mean,
-    far_var), then the number of rows redrawn.
+    ``rho_roads`` is (starts, r, half-lengths in the rho-disk) of the rows'
+    roads through their rho-disk, and ``chord`` is (starts, d2) of the
+    sidelink rows' vehicles on those chords, d2 overwritten, or None for
+    downlink rows.  The draws follow the module docstring's order.  A
+    downlink row with no base station in the window is degenerate: its rest
+    is drawn again, up to nine times.  Returns per row (sir, loss,
+    interference, far_mean, far_var), then the number of rows redrawn.
     """
     rho_starts, r_rho, h_rho = rho_roads
     n = rho_starts.size - 1
@@ -586,24 +585,23 @@ def _window_rest(cfg, R, sl, rho_roads, chord, rng, depth=0):
     positions = np.random.Generator(np.random.PCG64())
     positions.bit_generator.state = rng.bit_generator.state
     rng.bit_generator.advance(int(n_outer.sum() + n_veh.sum()))
-    chord_starts, d2_c = chord
-    fade_c = rng.standard_exponential(d2_c.size)
+    if chord is not None:
+        chord_starts, d2_c = chord
+        chord = chord_starts, d2_c, rng.standard_exponential(d2_c.size)
     roads = _road_interference(cfg, rho_starts, r_rho, n_outer, span, h_rho, positions, rng)
     roads += _road_interference(cfg, starts, r, n_veh, half, None, positions, rng)
     fade_b = rng.standard_exponential(d2_b.size)
-    *out, degenerate = _resolve_link(cfg, sl, m_far, (chord_starts, d2_c, fade_c), roads,
-                                     (bs_starts, d2_b, fade_b))
-    out += [m_far, far_var]
+    out = [*_resolve_link(cfg, m_far, chord, roads, (bs_starts, d2_b, fade_b)), m_far, far_var]
 
-    where = np.flatnonzero(degenerate)
-    if not where.size:
+    # a sidelink row needs no base station; a downlink row without one is degenerate
+    where = np.flatnonzero(np.diff(bs_starts) == 0)
+    if chord is not None or not where.size:
         return (*out, 0)
     if depth > 8:
         raise DegenerateRealizationError(
             "degenerate realizations persist after repeated resampling")
     redo_starts, take = _select_rows(rho_starts, where)
-    *redo, n_redo = _window_rest(cfg, R, False, (redo_starts, r_rho[take], h_rho[take]),
-                                 (np.zeros(where.size + 1, dtype=np.int64), d2_c[:0]),
+    *redo, n_redo = _window_rest(cfg, R, (redo_starts, r_rho[take], h_rho[take]), None,
                                  rng, depth + 1)
     for field, value in zip(out, redo):
         field[where] = value
@@ -636,10 +634,9 @@ def _sir_chunk(cfg, plan, n, rng, link=None):
         rows = np.flatnonzero(is_sl == sl)
         starts, take = _select_rows(rho_starts, rows)
         # the sidelink rows hold every chord vehicle, the downlink rows none
-        chord = ((np.append(chord_starts[rows], chord_starts[-1]), d2_c) if sl
-                 else (np.zeros(rows.size + 1, dtype=np.int64), d2_c[:0]))
-        *fields, n_degenerate = _window_rest(cfg, R, sl, (starts, r[take], h_rho[take]),
-                                             chord, link_rng)
+        chord = (np.append(chord_starts[rows], chord_starts[-1]), d2_c) if sl else None
+        *fields, n_degenerate = _window_rest(cfg, R, (starts, r[take], h_rho[take]), chord,
+                                             link_rng)
         for field, value in zip(SirBatch.ROWS[1:], fields):
             getattr(batch, field)[rows] = value
         batch.n_degenerate += n_degenerate

@@ -6,7 +6,10 @@ The kernel splits its rows by association before it resolves them: a row is
 sidelink iff a vehicle lies within rho, its vehicles within rho are the ones
 on its rho-chords (the serving candidates) and every other vehicle only
 interferes.  ``resolve_rows`` makes that split on given squared distances and
-resolves each link's rows as the kernel does.
+resolves each link's rows as the kernel does, with one
+``_resolve_link(cfg, m_far, chord, roads, bs)`` call per link: ``chord`` is
+the sidelink rows' (starts, d2, fade) within rho, or None for the downlink
+rows.  A downlink row with no base station is degenerate.
 """
 import numpy as np
 
@@ -48,10 +51,11 @@ def resolve_rows(cfg, m_far, veh_starts, d2_v, fade_v, bs_starts, d2_b, fade_b):
             pw *= eta
         roads = _segment_reduce(np.add, pw, other_starts, 0.0)
         b_starts, b = _select_rows(bs_starts, rows)
-        sir, loss, interference, degenerate = _resolve_link(
-            cfg, sl, m_far[rows] if np.ndim(m_far) else m_far,
-            (chord_starts, d2_v[chord], fade_v[chord]), roads,
+        sir, loss, interference = _resolve_link(
+            cfg, m_far[rows] if np.ndim(m_far) else m_far,
+            (chord_starts, d2_v[chord], fade_v[chord]) if sl else None, roads,
             (b_starts, d2_b[b], fade_b[b]))
+        degenerate = np.zeros(rows.size, dtype=bool) if sl else np.diff(b_starts) == 0
         for field, value in zip(out[1:], (sir, degenerate, loss, interference)):
             field[rows] = value
     return tuple(out)

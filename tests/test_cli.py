@@ -78,9 +78,9 @@ def test_monte_carlo_requests_resolve_only_the_links_they_read(
     resolved = []
     real = simulator._window_rest
 
-    def recording(cfg, R, sl, *args, **kwargs):
-        resolved.append(sl)
-        return real(cfg, R, sl, *args, **kwargs)
+    def recording(cfg, R, rho_roads, chord, *args, **kwargs):
+        resolved.append(chord is not None)
+        return real(cfg, R, rho_roads, chord, *args, **kwargs)
     monkeypatch.setattr(simulator, "_window_rest", recording)
     out = tmp_path / "mc.csv"
     rc = cli.main(["--config", cfg_path, "--mode", "montecarlo", "--metric", metric,
@@ -176,7 +176,7 @@ def test_sweep_records_row_errors_and_continues(cfg_path, tmp_path):
 def test_error_text_with_commas_stays_one_csv_field(cfg_path, tmp_path, monkeypatch):
     def bad(*args):
         raise ValueError('bad, "value"')
-    monkeypatch.setattr(cli.analytic, "p_assoc_sl", bad)
+    monkeypatch.setattr(cli.analytic, "_p_assoc_sl", bad)
     out = tmp_path / "err.csv"
     rc = cli.main(["--config", cfg_path, "--mode", "analytic", "--metric", "assoc",
                    "--sweep", "mu=1,5", "--out", str(out)])
@@ -264,7 +264,8 @@ def test_eff_rate_validate_small(cfg_path, tmp_path):
 
 def test_failed_verdicts_report_chance_count(cfg_path, tmp_path, monkeypatch, capsys):
     # a wrong analytic association makes both assoc rows fail
-    monkeypatch.setattr(cli.analytic, "p_assoc_sl", lambda *args: 0.5)
+    monkeypatch.setattr(cli.analytic, "_p_assoc_sl",
+                        lambda *args: analytic.AnalyticResult(0.5, 0.0))
     rc = cli.main(["--config", cfg_path, "--mode", "validate", "--metric", "assoc",
                    "--samples", "1000", "--seed", "7",
                    "--out", str(tmp_path / "bad.csv")])
@@ -331,7 +332,8 @@ def test_one_failing_threshold_keeps_the_others(cfg_path, tmp_path, mode, capsys
 
 def test_main_reports_failed_verdicts_and_error_rows(cfg_path, tmp_path, monkeypatch,
                                                      capsys):
-    monkeypatch.setattr(cli.analytic, "p_assoc_sl", lambda *args: 0.5)
+    monkeypatch.setattr(cli.analytic, "_p_assoc_sl",
+                        lambda *args: analytic.AnalyticResult(0.5, 0.0))
     rc = cli.main(["--config", cfg_path, "--mode", "validate", "--metric", "assoc",
                    "--sweep", "alpha=2,3", "--samples", "1000", "--seed", "7",
                    "--out", str(tmp_path / "both.csv")])

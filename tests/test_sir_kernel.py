@@ -214,6 +214,14 @@ def test_kernel_resamples_degenerate_rows_and_draws_abort():
         draw_sir_samples(ref, plan)
 
 
+def test_kernel_raises_when_degenerate_rows_outlive_the_redraws():
+    # a window of radius rho holds a base station with probability about
+    # 0.04: some downlink row draws none in its nine redraws either
+    plan = SimPlan(window_radius=REF.rho, n_samples=1024, seed=8)
+    with pytest.raises(DegenerateRealizationError, match="persist"):
+        _sir_chunk(REF, plan, 1024, np.random.default_rng(8), DOWNLINK)
+
+
 def test_degenerate_resample_enters_the_bias_bound():
     # resampling the rows with no base station in the window conditions the
     # law on one being there: at lambda_b pi R^2 = 2 that moves the
